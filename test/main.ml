@@ -9,6 +9,7 @@ let () =
       ("vec", Test_vec.suite);
       ("trace", Test_trace.suite);
       ("engine", Test_engine.suite);
+      ("golden", Test_golden.suite);
       ("timer", Test_timer.suite);
       ("async-net", Test_async_net.suite);
       ("sync-net", Test_sync_net.suite);

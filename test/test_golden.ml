@@ -1,0 +1,181 @@
+(* Golden pins: seeded end-to-end runs whose observable outcome is
+   fixed to the values below.  The simulator's scheduling mechanism
+   (event queues, batching, how blocked fibers are woken) may change
+   freely underneath; these figures may not.  Each pin records the
+   replica digests (hashed), the virtual end time, the messages sent and
+   the backend instances consumed; two pins hash a whole trace. *)
+
+let short s = String.sub (Digest.to_hex (Digest.string s)) 0 12
+let digests a = short (String.concat "," (Array.to_list a))
+let trace_md5 tr = Digest.to_hex (Digest.string (Fmt.str "%a" Dsim.Trace.dump tr))
+
+let rsm_line (r : _ Rsm.Runner.report) =
+  Printf.sprintf "vt=%d msgs=%d inst=%d acked=%d dig=%s" r.Rsm.Runner.virtual_time
+    r.messages_sent r.instances r.acked (digests r.digests)
+
+let rsm_config ~backend ~seed ~ops =
+  {
+    (Rsm.Runner.default_config ~n:5 ~ops) with
+    Rsm.Runner.backend;
+    batch = 4;
+    seed = Int64.of_int seed;
+    quiet = true;
+    store = Some Rsm.Runner.default_store_config;
+  }
+
+let rsm_pin backend seed =
+  let ops =
+    Workload.Rsm_load.gen_ops ~seed:(Int64.of_int seed) ~clients:4 ~commands:6 ()
+  in
+  rsm_line
+    (Rsm.Runner.run Workload.Rsm_load.kv_app (rsm_config ~backend ~seed ~ops))
+
+let shard_pin seed =
+  let cfg =
+    Workload.Shard_load.config ~shards:4 ~replicas:3 ~seed
+      ~store:Rsm.Runner.default_store_config ~quiet:true
+      ~backend:Rsm.Backend.ben_or ()
+  in
+  let r = Shard.Runner.run cfg in
+  let srs = Array.to_list r.Shard.Runner.shard_reports in
+  let total f = List.fold_left (fun a sr -> a + f sr) 0 srs in
+  Printf.sprintf "vt=%d msgs=%d inst=%d dig=%s" r.Shard.Runner.virtual_time
+    (total (fun sr -> sr.Shard.Runner.sr_messages_sent))
+    (total (fun sr -> sr.Shard.Runner.sr_instances))
+    (digests
+       (Array.of_list
+          (List.concat_map (fun sr -> Array.to_list sr.Shard.Runner.sr_digests) srs)))
+
+let obj_pin seed =
+  let module Rep = Obj.Replicated.Make (Obj.Queue) in
+  let ops =
+    Workload.Load.gen_obj_ops
+      (module Obj.Queue)
+      ~keys:8 ~zipf_s:1.1 ~seed:(Int64.of_int seed) ~clients:3 ~commands:8 ()
+  in
+  rsm_line
+    (Rsm.Runner.run (Rep.app ())
+       (rsm_config ~backend:Rsm.Backend.omega ~seed ~ops))
+
+let nemesis_run ?(quiet = true) seed =
+  let profile =
+    { (Nemesis.Gen.default ~n:5) with Nemesis.Gen.benign = true; storage = true }
+  in
+  let plan = Nemesis.Gen.generate profile ~seed in
+  let ops =
+    Workload.Rsm_load.gen_ops ~seed:(Int64.of_int seed) ~clients:4 ~commands:6 ()
+  in
+  Rsm.Runner.run Workload.Rsm_load.kv_app
+    {
+      (rsm_config ~backend:Rsm.Backend.ben_or ~seed ~ops) with
+      Rsm.Runner.inject = Some (Nemesis.Interp.install_rsm plan);
+      ack_timeout = 400;
+      max_events = 400_000;
+      quiet;
+    }
+
+let nemesis_pin seed = rsm_line (nemesis_run seed)
+
+let detect_cfg = Nemesis.Detect_campaign.default_config ~n:5 ()
+
+let detect_run ?(quiet = true) seed =
+  Nemesis.Detect_campaign.run_plan ~quiet detect_cfg ~params:Detect.Timeout.default
+    ~seed
+    (Nemesis.Detect_campaign.plan_for detect_cfg ~seed)
+
+let detect_pin seed =
+  let r = detect_run seed in
+  let opt f = function Some v -> f v | None -> "-" in
+  Printf.sprintf "vt=%d msgs=%d hb=%d dec=%s at=%s" r.Detect.Runner.virtual_time
+    r.messages_sent r.heartbeats_sent
+    (String.concat ""
+       (Array.to_list
+          (Array.map (opt (fun b -> if b then "1" else "0")) r.decisions)))
+    (String.concat "," (Array.to_list (Array.map (opt string_of_int) r.decided_at)))
+
+let seeds = [ 1; 2; 3; 4; 5 ]
+
+let pins =
+  List.concat
+    [
+      List.concat_map
+        (fun b ->
+          List.map
+            (fun s ->
+              ( Printf.sprintf "rsm/%s/%d" (Rsm.Backend.name b) s,
+                fun () -> rsm_pin b s ))
+            seeds)
+        Rsm.Backend.all;
+      List.map (fun s -> (Printf.sprintf "shard/%d" s, fun () -> shard_pin s)) seeds;
+      List.map (fun s -> (Printf.sprintf "obj/queue/%d" s, fun () -> obj_pin s)) seeds;
+      List.map (fun s -> (Printf.sprintf "nemesis/%d" s, fun () -> nemesis_pin s)) seeds;
+      List.map (fun s -> (Printf.sprintf "detect/%d" s, fun () -> detect_pin s)) seeds;
+      [
+        ("nemesis/trace/7", fun () -> trace_md5 (nemesis_run ~quiet:false 7).trace);
+        ( "detect/trace/7",
+          fun () ->
+            trace_md5 (Dsim.Engine.trace (detect_run ~quiet:false 7).Detect.Runner.engine) );
+      ];
+    ]
+
+(* Recorded once from the polled engine; never regenerate to make a
+   change pass. *)
+let expected =
+  [
+    ("rsm/ben-or/1", "vt=2340 msgs=120 inst=57 acked=24 dig=d468ddf17f85");
+    ("rsm/ben-or/2", "vt=2220 msgs=120 inst=53 acked=24 dig=971bcfb2ebb1");
+    ("rsm/ben-or/3", "vt=1660 msgs=120 inst=45 acked=24 dig=7210aee6b888");
+    ("rsm/ben-or/4", "vt=2070 msgs=120 inst=51 acked=24 dig=24f6c612688c");
+    ("rsm/ben-or/5", "vt=1780 msgs=120 inst=47 acked=24 dig=ff97e9add3b1");
+    ("rsm/phase-king/1", "vt=4020 msgs=120 inst=67 acked=24 dig=d468ddf17f85");
+    ("rsm/phase-king/2", "vt=4020 msgs=120 inst=67 acked=24 dig=971bcfb2ebb1");
+    ("rsm/phase-king/3", "vt=4020 msgs=120 inst=67 acked=24 dig=7210aee6b888");
+    ("rsm/phase-king/4", "vt=4020 msgs=120 inst=67 acked=24 dig=24f6c612688c");
+    ("rsm/phase-king/5", "vt=4020 msgs=120 inst=67 acked=24 dig=ff97e9add3b1");
+    ("rsm/raft/1", "vt=2120 msgs=120 inst=67 acked=24 dig=d468ddf17f85");
+    ("rsm/raft/2", "vt=2120 msgs=120 inst=67 acked=24 dig=971bcfb2ebb1");
+    ("rsm/raft/3", "vt=2080 msgs=120 inst=67 acked=24 dig=7210aee6b888");
+    ("rsm/raft/4", "vt=2110 msgs=120 inst=67 acked=24 dig=24f6c612688c");
+    ("rsm/raft/5", "vt=2100 msgs=120 inst=67 acked=24 dig=ff97e9add3b1");
+    ("rsm/omega/1", "vt=370 msgs=120 inst=12 acked=24 dig=d468ddf17f85");
+    ("rsm/omega/2", "vt=370 msgs=120 inst=12 acked=24 dig=971bcfb2ebb1");
+    ("rsm/omega/3", "vt=370 msgs=120 inst=12 acked=24 dig=7210aee6b888");
+    ("rsm/omega/4", "vt=390 msgs=120 inst=12 acked=24 dig=24f6c612688c");
+    ("rsm/omega/5", "vt=370 msgs=120 inst=12 acked=24 dig=ff97e9add3b1");
+    ("shard/1", "vt=2850 msgs=246 inst=96 dig=556f30e5ee79");
+    ("shard/2", "vt=2766 msgs=219 inst=84 dig=d3ac4e6f4238");
+    ("shard/3", "vt=2943 msgs=255 inst=93 dig=e5089fd9a40a");
+    ("shard/4", "vt=2912 msgs=237 inst=92 dig=3c6985c6e6fe");
+    ("shard/5", "vt=2769 msgs=264 inst=95 dig=24701cbed1a7");
+    ("obj/queue/1", "vt=490 msgs=120 inst=16 acked=24 dig=f570bf90b074");
+    ("obj/queue/2", "vt=490 msgs=120 inst=16 acked=24 dig=3ded1e530d11");
+    ("obj/queue/3", "vt=490 msgs=120 inst=16 acked=24 dig=3cb3bfb5aeaf");
+    ("obj/queue/4", "vt=500 msgs=120 inst=16 acked=24 dig=6bb51eebf1ac");
+    ("obj/queue/5", "vt=490 msgs=120 inst=16 acked=24 dig=c1c0ff2a7b9a");
+    ("nemesis/1", "vt=2480 msgs=160 inst=62 acked=24 dig=d468ddf17f85");
+    ("nemesis/2", "vt=2520 msgs=180 inst=47 acked=24 dig=971bcfb2ebb1");
+    ("nemesis/3", "vt=1660 msgs=140 inst=45 acked=24 dig=7210aee6b888");
+    ("nemesis/4", "vt=1440 msgs=130 inst=39 acked=24 dig=1ab656273c1f");
+    ("nemesis/5", "vt=1780 msgs=130 inst=47 acked=24 dig=f70bc5ce0c2c");
+    ("detect/1", "vt=640 msgs=142 hb=108 dec=11111 at=22,104,28,28,24");
+    ("detect/2", "vt=640 msgs=64 hb=40 dec=11111 at=27,35,31,36,29");
+    ("detect/3", "vt=640 msgs=64 hb=40 dec=11111 at=22,27,25,29,29");
+    ("detect/4", "vt=640 msgs=64 hb=40 dec=11111 at=28,37,33,36,36");
+    ("detect/5", "vt=640 msgs=64 hb=40 dec=11111 at=20,21,27,21,25");
+    ("nemesis/trace/7", "563a4b42df8a119da786248b98450957");
+    ("detect/trace/7", "ca28ece53e0576213f14113e2dd6180c");
+  ]
+
+let check_group prefix () =
+  List.iter
+    (fun (name, run) ->
+      if String.starts_with ~prefix name then
+        match List.assoc_opt name expected with
+        | None -> Alcotest.failf "no pin recorded for %s" name
+        | Some want -> Alcotest.(check string) name want (run ()))
+    pins
+
+let suite =
+  List.map
+    (fun g -> Alcotest.test_case (g ^ " pins unchanged") `Quick (check_group (g ^ "/")))
+    [ "rsm"; "shard"; "obj"; "nemesis"; "detect" ]
