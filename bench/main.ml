@@ -328,6 +328,61 @@ let engine_flat_profile ~tracing ~iters =
   let events = float_of_int (sources * iters) in
   (events /. Float.max wall 1e-9, alloc /. events)
 
+(* Per-event cost beside [blocked] processes parked on a queue nobody
+   signals.  A busy pair plays ping-pong through a second queue: ping
+   sleeps one tick (the event), flips the turn and signals, pong wakes,
+   flips it back and signals, ping wakes.  With signalled waits the
+   parked processes are never polled, so the cost per event should not
+   grow with their number.  Setup (spawning and parking) is untimed;
+   the figure is the median of three runs, in host ns per event. *)
+let blocked_scaling_ns ~blocked ~iters =
+  let once () =
+    let eng = Dsim.Engine.create ~seed:3L ~tracing:false () in
+    let parked = Dsim.Engine.queue eng and turns = Dsim.Engine.queue eng in
+    for _ = 1 to blocked do
+      ignore
+        (Dsim.Engine.spawn eng (fun _ ->
+             Dsim.Engine.await_cond parked (fun () -> false))
+          : Dsim.Engine.pid)
+    done;
+    let ping_turn = ref true in
+    ignore
+      (Dsim.Engine.spawn eng (fun ctx ->
+           for _ = 1 to iters do
+             Dsim.Engine.sleep ctx 1;
+             ping_turn := false;
+             Dsim.Engine.signal turns;
+             Dsim.Engine.await_cond turns (fun () -> !ping_turn)
+           done)
+        : Dsim.Engine.pid);
+    ignore
+      (Dsim.Engine.spawn eng (fun _ ->
+           for _ = 1 to iters do
+             Dsim.Engine.await_cond turns (fun () -> not !ping_turn);
+             ping_turn := true;
+             Dsim.Engine.signal turns
+           done)
+        : Dsim.Engine.pid);
+    ignore (Dsim.Engine.run ~until:0 eng : Dsim.Engine.outcome);
+    let t0 = Unix.gettimeofday () in
+    ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+  in
+  let runs = List.sort compare (List.init 3 (fun _ -> once ())) in
+  List.nth runs 1
+
+let blocked_counts = [ 10; 100; 1_000; 10_000 ]
+
+let blocked_scaling_rows () =
+  List.map
+    (fun blocked ->
+      Json.Obj
+        [
+          ("blocked", Json.Int blocked);
+          ("ns_per_event", Json.Float (blocked_scaling_ns ~blocked ~iters:200_000));
+        ])
+    blocked_counts
+
 (* Heap-vs-wheel on the workloads where the queue backend matters:
    many concurrent timers (the wheel's O(1) add/pop vs the heap's
    O(log n) sifts), a timer-driven Raft cluster, and the heartbeat
@@ -652,7 +707,7 @@ let bench_core_json () =
   in
   Json.Obj
     [
-      ("schema", Json.String "oocon-bench-core/6");
+      ("schema", Json.String "oocon-bench-core/7");
       ("cores", Json.Int cores);
       ( "engine",
         Json.Obj
@@ -663,6 +718,7 @@ let bench_core_json () =
             ("fiber_quiet", fiber_quiet);
           ] );
       ("queue_compare", Json.List (queue_compare_rows ()));
+      ("blocked_scaling", Json.List (blocked_scaling_rows ()));
       ("campaign", Json.List campaign);
       ("rsm", Json.List rsm);
       ("obj", Json.List (obj_rows ()));
@@ -693,7 +749,7 @@ let validate_bench_json file =
   | v ->
       let open Json in
       (match Option.bind (member "schema" v) to_string_opt with
-      | Some "oocon-bench-core/6" -> ()
+      | Some "oocon-bench-core/7" -> ()
       | Some other -> err "unexpected schema %S" other
       | None -> err "missing schema");
       (match Option.bind (member "cores" v) to_int with
@@ -746,6 +802,32 @@ let validate_bench_json file =
             rows
       | Some [] -> err "queue_compare is empty"
       | None -> err "missing queue_compare");
+      (match Option.bind (member "blocked_scaling" v) to_list with
+      | Some rows -> (
+          let cost blocked =
+            List.find_map
+              (fun row ->
+                match
+                  ( Option.bind (member "blocked" row) to_int,
+                    Option.bind (member "ns_per_event" row) to_float )
+                with
+                | Some b, Some ns when b = blocked -> Some ns
+                | _ -> None)
+              rows
+          in
+          List.iter
+            (fun b ->
+              match cost b with
+              | Some ns when ns > 0. -> ()
+              | _ -> err "blocked_scaling: bad or missing row for %d blocked" b)
+            blocked_counts;
+          (* waits nobody signals must cost nothing per event *)
+          match (cost 10, cost 10_000) with
+          | Some few, Some many when many > 2. *. few ->
+              err "blocked_scaling: 10k blocked cost %.0f ns/event, over 2x 10's %.0f"
+                many few
+          | _ -> ())
+      | None -> err "missing blocked_scaling");
       (match Option.bind (member "campaign" v) to_list with
       | Some (_ :: _ as cells) ->
           List.iteri
@@ -907,7 +989,7 @@ let validate_bench_json file =
       | None -> ()));
   match List.rev !errors with
   | [] ->
-      Format.printf "%s: valid oocon-bench-core/6 baseline@." file;
+      Format.printf "%s: valid oocon-bench-core/7 baseline@." file;
       0
   | errs ->
       List.iter (Format.eprintf "%s: %s@." file) errs;

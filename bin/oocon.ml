@@ -21,6 +21,9 @@ let dump_trace ~limit trace =
     List.iter (fun ev -> Format.printf "%a@." Dsim.Trace.pp_event ev) tail
   end
 
+(* Every RSM backend by name, for the --backend flags. *)
+let backend_choices = List.map (fun b -> (Rsm.Backend.name b, b)) Rsm.Backend.all
+
 let n_arg default =
   let doc = "Number of processors." in
   Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
@@ -275,16 +278,11 @@ let sharedmem_cmd =
 
 let rsm_cmd =
   let backend_arg =
-    let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft." in
+    let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft, omega." in
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("ben-or", Rsm.Backend.ben_or);
-               ("phase-king", Rsm.Backend.phase_king);
-               ("raft", Rsm.Backend.raft);
-             ])
+          (enum backend_choices)
           Rsm.Backend.ben_or
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
@@ -369,16 +367,11 @@ let rsm_cmd =
 
 let store_cmd =
   let backend_arg =
-    let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft." in
+    let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft, omega." in
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("ben-or", Rsm.Backend.ben_or);
-               ("phase-king", Rsm.Backend.phase_king);
-               ("raft", Rsm.Backend.raft);
-             ])
+          (enum backend_choices)
           Rsm.Backend.ben_or
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
@@ -512,17 +505,13 @@ let store_cmd =
 
 let nemesis_cmd =
   let backends_arg =
-    let doc = "Backend(s) to campaign against: ben-or, phase-king, raft, all." in
+    let doc = "Backend(s) to campaign against: ben-or, phase-king, raft, omega, all." in
     Arg.(
       value
       & opt
           (enum
-             [
-               ("ben-or", [ Rsm.Backend.ben_or ]);
-               ("phase-king", [ Rsm.Backend.phase_king ]);
-               ("raft", [ Rsm.Backend.raft ]);
-               ("all", Rsm.Backend.all);
-             ])
+             (List.map (fun (n, b) -> (n, [ b ])) backend_choices
+             @ [ ("all", Rsm.Backend.all) ]))
           [ Rsm.Backend.ben_or ]
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
@@ -974,16 +963,11 @@ let detect_cmd =
 
 let shard_cmd =
   let backend_arg =
-    let doc = "Consensus backend deciding each shard's log slots: ben-or, phase-king, raft." in
+    let doc = "Consensus backend deciding each shard's log slots: ben-or, phase-king, raft, omega." in
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("ben-or", Rsm.Backend.ben_or);
-               ("phase-king", Rsm.Backend.phase_king);
-               ("raft", Rsm.Backend.raft);
-             ])
+          (enum backend_choices)
           Rsm.Backend.raft
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
@@ -1268,18 +1252,14 @@ let shard_cmd =
 let obj_cmd =
   let backends_arg =
     let doc =
-      "Consensus backend(s) deciding the log: ben-or, phase-king, raft, all."
+      "Consensus backend(s) deciding the log: ben-or, phase-king, raft, omega, all."
     in
     Arg.(
       value
       & opt
           (enum
-             [
-               ("ben-or", [ Rsm.Backend.ben_or ]);
-               ("phase-king", [ Rsm.Backend.phase_king ]);
-               ("raft", [ Rsm.Backend.raft ]);
-               ("all", Rsm.Backend.all);
-             ])
+             (List.map (fun (n, b) -> (n, [ b ])) backend_choices
+             @ [ ("all", Rsm.Backend.all) ]))
           [ Rsm.Backend.ben_or ]
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in

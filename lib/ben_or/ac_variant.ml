@@ -25,7 +25,11 @@ type phase_tally = {
   mutable suggest_mixed : bool;
 }
 
-type tally = { n : int; phases : (int, phase_tally) Hashtbl.t }
+type tally = {
+  n : int;
+  changed : Dsim.Engine.queue;  (* signalled whenever a count changes *)
+  phases : (int, phase_tally) Hashtbl.t;
+}
 
 let phase_tally t phase =
   match Hashtbl.find_opt t.phases phase with
@@ -64,6 +68,7 @@ let ingest t env =
       if not p.seen1.(src) then begin
         p.seen1.(src) <- true;
         p.proposers <- p.proposers + 1;
+        Dsim.Engine.signal t.changed;
         let first = ref p.propose_first and mixed = ref p.propose_mixed in
         note_value first mixed value;
         p.propose_first <- !first;
@@ -74,6 +79,7 @@ let ingest t env =
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
         p.flaggers <- p.flaggers + 1;
+        Dsim.Engine.signal t.changed;
         if saw_agreement then begin
           let first = ref p.agree_value and conflict = ref p.agree_conflict in
           note_value first conflict value;
@@ -87,6 +93,7 @@ let ingest t env =
       if not p.seen3.(src) then begin
         p.seen3.(src) <- true;
         p.suggesters <- p.suggesters + 1;
+        Dsim.Engine.signal t.changed;
         let first = ref p.suggest_first and mixed = ref p.suggest_mixed in
         note_value first mixed value;
         p.suggest_first <- !first;
@@ -106,7 +113,9 @@ let make_ctx ?coin ~net ~me ~faults ~rng () =
   let n = Net.n net in
   if me < 0 || me >= n then invalid_arg "Ac_variant.make_ctx: bad processor id";
   if 2 * faults >= n then invalid_arg "Ac_variant.make_ctx: requires 2t < n";
-  let tally = { n; phases = Hashtbl.create 32 } in
+  let tally =
+    { n; changed = Dsim.Engine.queue (Net.engine net); phases = Hashtbl.create 32 }
+  in
   Net.set_handler net me (ingest tally);
   { net; me; faults; rng; coin; tally }
 
@@ -128,14 +137,14 @@ let ac_invoke ctx ~round:m v =
   let t = ctx.faults in
   Net.broadcast ctx.net ~src:ctx.me (Propose { phase = m; value = v });
   let p = phase_tally ctx.tally m in
-  Dsim.Engine.await_cond (fun () -> p.proposers >= n - t);
+  Dsim.Engine.await_cond ctx.tally.changed (fun () -> p.proposers >= n - t);
   let saw_agreement = not p.propose_mixed in
   let flag_value =
     if saw_agreement then Option.value ~default:v p.propose_first else v
   in
   Net.broadcast ctx.net ~src:ctx.me
     (Flag { phase = m; saw_agreement; value = flag_value });
-  Dsim.Engine.await_cond (fun () -> p.flaggers >= n - t);
+  Dsim.Engine.await_cond ctx.tally.changed (fun () -> p.flaggers >= n - t);
   match (p.any_disagree_flag, p.agree_conflict, p.agree_value) with
   | false, false, Some u ->
       parting_gift ctx ~phase:m u;
@@ -149,7 +158,7 @@ let conciliator_invoke ctx ~round:m result =
   let w = Types.ac_value result in
   Net.broadcast ctx.net ~src:ctx.me (Suggest { phase = m; value = w });
   let p = phase_tally ctx.tally m in
-  Dsim.Engine.await_cond (fun () -> p.suggesters >= n - t);
+  Dsim.Engine.await_cond ctx.tally.changed (fun () -> p.suggesters >= n - t);
   (* Validity machinery: unanimity among the received suggestions must
      survive; only a visibly split round may fall back to the coin. *)
   if not p.suggest_mixed then Option.value ~default:w p.suggest_first

@@ -32,7 +32,8 @@ let vac_invoke ctx ~round:m v =
   let t = ctx.faults in
   Tally.forget_below ctx.tally ~phase:(m - 1);
   Async_net.broadcast ctx.net ~src:ctx.me (Messages.Report { phase = m; value = v });
-  Dsim.Engine.await_cond (fun () -> Tally.step1_senders ctx.tally ~phase:m >= n - t);
+  Dsim.Engine.await_cond (Tally.changed ctx.tally) (fun () ->
+      Tally.step1_senders ctx.tally ~phase:m >= n - t);
   (* If a strict majority of all n processors reported w, ratify w; at most
      one value can clear that bar. *)
   let step2_msg =
@@ -43,7 +44,8 @@ let vac_invoke ctx ~round:m v =
     else Messages.Question { phase = m }
   in
   Async_net.broadcast ctx.net ~src:ctx.me step2_msg;
-  Dsim.Engine.await_cond (fun () -> Tally.step2_senders ctx.tally ~phase:m >= n - t);
+  Dsim.Engine.await_cond (Tally.changed ctx.tally) (fun () ->
+      Tally.step2_senders ctx.tally ~phase:m >= n - t);
   let commit w = Tally.ratifies_for ctx.tally ~phase:m w > t in
   let adopt w = Tally.ratifies_for ctx.tally ~phase:m w >= 1 in
   let parting_gift u =
@@ -111,7 +113,7 @@ let monolithic_consensus ?(max_rounds = 10_000) ?observer ctx init =
     Tally.forget_below ctx.tally ~phase:(m - 1);
     Async_net.broadcast ctx.net ~src:ctx.me
       (Messages.Report { phase = m; value = !v });
-    Dsim.Engine.await_cond (fun () ->
+    Dsim.Engine.await_cond (Tally.changed ctx.tally) (fun () ->
         Tally.step1_senders ctx.tally ~phase:m >= n - t);
     Async_net.broadcast ctx.net ~src:ctx.me
       (if Tally.reports_for ctx.tally ~phase:m true > n / 2 then
@@ -119,7 +121,7 @@ let monolithic_consensus ?(max_rounds = 10_000) ?observer ctx init =
        else if Tally.reports_for ctx.tally ~phase:m false > n / 2 then
          Messages.Ratify { phase = m; value = false }
        else Messages.Question { phase = m });
-    Dsim.Engine.await_cond (fun () ->
+    Dsim.Engine.await_cond (Tally.changed ctx.tally) (fun () ->
         Tally.step2_senders ctx.tally ~phase:m >= n - t);
     let r1 = Tally.ratifies_for ctx.tally ~phase:m true
     and r0 = Tally.ratifies_for ctx.tally ~phase:m false in

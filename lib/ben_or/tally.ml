@@ -9,26 +9,24 @@ type phase_tally = {
   mutable ratify_false : int;
 }
 
-type t = { n : int; phases : (int, phase_tally) Hashtbl.t }
+type t = { changed : Dsim.Engine.queue; phases : phase_tally Consensus.Phases.t }
 
-let phase_tally t phase =
-  match Hashtbl.find_opt t.phases phase with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          seen1 = Array.make t.n false;
-          seen2 = Array.make t.n false;
-          step1 = 0;
-          reports_true = 0;
-          reports_false = 0;
-          step2 = 0;
-          ratify_true = 0;
-          ratify_false = 0;
-        }
-      in
-      Hashtbl.replace t.phases phase p;
-      p
+let fresh n () =
+  {
+    seen1 = Array.make n false;
+    seen2 = Array.make n false;
+    step1 = 0;
+    reports_true = 0;
+    reports_false = 0;
+    step2 = 0;
+    ratify_true = 0;
+    ratify_false = 0;
+  }
+
+(* what every absent phase reads as; never written *)
+let empty = fresh 0 ()
+let read t phase = Consensus.Phases.get t.phases phase
+let phase_tally t phase = Consensus.Phases.obtain t.phases phase
 
 let ingest t env =
   let src = env.Netsim.Async_net.src in
@@ -38,6 +36,7 @@ let ingest t env =
       if not p.seen1.(src) then begin
         p.seen1.(src) <- true;
         p.step1 <- p.step1 + 1;
+        Dsim.Engine.signal t.changed;
         if value then p.reports_true <- p.reports_true + 1
         else p.reports_false <- p.reports_false + 1
       end
@@ -46,6 +45,7 @@ let ingest t env =
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
         p.step2 <- p.step2 + 1;
+        Dsim.Engine.signal t.changed;
         if value then p.ratify_true <- p.ratify_true + 1
         else p.ratify_false <- p.ratify_false + 1
       end
@@ -53,27 +53,32 @@ let ingest t env =
       let p = phase_tally t phase in
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
-        p.step2 <- p.step2 + 1
+        p.step2 <- p.step2 + 1;
+        Dsim.Engine.signal t.changed
       end
 
 let attach net ~me =
-  let t = { n = Netsim.Async_net.n net; phases = Hashtbl.create 32 } in
+  let t =
+    {
+      changed = Dsim.Engine.queue (Netsim.Async_net.engine net);
+      phases =
+        Consensus.Phases.create ~empty ~make:(fresh (Netsim.Async_net.n net));
+    }
+  in
   Netsim.Async_net.set_handler net me (ingest t);
   t
 
-let step1_senders t ~phase = (phase_tally t phase).step1
+let changed t = t.changed
+let step1_senders t ~phase = (read t phase).step1
 
 let reports_for t ~phase value =
-  let p = phase_tally t phase in
+  let p = read t phase in
   if value then p.reports_true else p.reports_false
 
-let step2_senders t ~phase = (phase_tally t phase).step2
+let step2_senders t ~phase = (read t phase).step2
 
 let ratifies_for t ~phase value =
-  let p = phase_tally t phase in
+  let p = read t phase in
   if value then p.ratify_true else p.ratify_false
 
-let forget_below t ~phase =
-  Hashtbl.iter
-    (fun ph _ -> if ph < phase then Hashtbl.remove t.phases ph)
-    (Hashtbl.copy t.phases)
+let forget_below t ~phase = Consensus.Phases.forget_below t.phases phase

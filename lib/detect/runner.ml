@@ -100,10 +100,16 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
   let decisions = Array.make n None in
   let decided_at = Array.make n None in
   let rounds = Array.init n (fun _ -> { ballot = 0; promises = []; acks = 0; nacked = false }) in
+  (* [changed.(me)]: [me]'s round or decision changed, or the run
+     stopped; [decided]: some node decided *)
+  let changed = Array.init n (fun _ -> Engine.queue engine) in
+  let decided = Engine.queue engine in
   let is_live p = not (Net.is_crashed net p) in
   let decide me v =
     if decisions.(me) = None then begin
       decisions.(me) <- Some v;
+      Engine.signal changed.(me);
+      Engine.signal decided;
       decided_at.(me) <- Some (Engine.now engine);
       Engine.emitk engine ~tag:"detect" (fun () ->
           Printf.sprintf "decide %d value=%b" me v)
@@ -139,13 +145,22 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
         else Net.send net ~src:me ~dst:(b mod n) (Nack b)
     | Promise (b, acc) ->
         let r = rounds.(me) in
-        if b = r.ballot then r.promises <- acc :: r.promises
+        if b = r.ballot then begin
+          r.promises <- acc :: r.promises;
+          Engine.signal changed.(me)
+        end
     | Accepted b ->
         let r = rounds.(me) in
-        if b = r.ballot then r.acks <- r.acks + 1
+        if b = r.ballot then begin
+          r.acks <- r.acks + 1;
+          Engine.signal changed.(me)
+        end
     | Nack b ->
         let r = rounds.(me) in
-        if b = r.ballot then r.nacked <- true
+        if b = r.ballot then begin
+          r.nacked <- true;
+          Engine.signal changed.(me)
+        end
   in
   for me = 0 to n - 1 do
     Net.set_handler net me (handler me)
@@ -169,12 +184,16 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
         Engine.emitk engine ~tag:"detect" (fun () ->
             Printf.sprintf "round %d ballot=%d timeout=%d" me b !round_timeout);
         let deadline = Engine.now engine + !round_timeout in
+        (* The waits below read the clock, so they name [Engine.clock]
+           and notice the deadline at the first event of its tick; this
+           event makes sure the clock gets there. *)
         Engine.schedule engine ~delay:!round_timeout ignore;
+        let waits = [ changed.(me); Engine.clock engine ] in
         Net.broadcast_to net ~src:me
           ~dsts:(List.init n Fun.id)
           (Prepare b);
         let phase1 =
-          Engine.await (fun () ->
+          Engine.await_any waits (fun () ->
               if !stopped || decisions.(me) <> None then Some `Stop
               else if r.nacked then Some `Fail
               else if List.length r.promises >= maj then Some `Quorum
@@ -210,7 +229,7 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
               Net.broadcast_to net ~src:me ~dsts:(List.init n Fun.id)
                 (Accept (b, v));
               let phase2 =
-                Engine.await (fun () ->
+                Engine.await_any waits (fun () ->
                     if !stopped || decisions.(me) <> None then Some `Stop
                     else if r.nacked then Some `Fail
                     else if r.acks >= maj then Some `Quorum
@@ -247,9 +266,10 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
      horizon. *)
   ignore
     (Engine.spawn engine ~name:"supervisor" (fun _ctx ->
-         Engine.await_cond (fun () ->
+         Engine.await_cond decided (fun () ->
              Array.for_all (fun d -> d <> None) decisions);
          stopped := true;
+         Array.iter Engine.signal changed;
          Oracle.stop oracle));
   (match install with
   | Some f ->

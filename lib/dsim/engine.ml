@@ -2,32 +2,9 @@ type pid = int
 
 exception Killed
 exception Not_in_process
+exception Missed_wakeup of pid
 
 type proc_state = Running | Finished | Dead
-
-(* A blocked-on-[await] process sits in a doubly-linked list threaded
-   through [bnode]s (sentinel at the engine).  The polymorphic poll and
-   continuation are captured in the [try_]/[kill_] closures, so no GADT
-   is needed, and the node pointer stored on the process record makes
-   [kill] O(1) instead of O(all blocked). *)
-type bnode = {
-  mutable prev : bnode;
-  mutable next : bnode;
-  mutable try_ : unit -> bool;
-      (* poll; on ready: unlink self, resume, return true (restart scan) *)
-  mutable kill_ : unit -> unit;  (* discontinue the continuation with Killed *)
-  mutable bn_pid : pid;
-}
-
-type proc = {
-  p_pid : pid;
-  p_name : string;
-  mutable p_state : proc_state;
-  mutable p_failure : exn option;
-  mutable p_k : (unit, unit) Effect.Deep.continuation option;
-      (* pending sleep/yield resume — a fiber has one suspension point *)
-  mutable p_block : bnode option;  (* await node, for O(1) kill *)
-}
 
 type choice = {
   c_domain : string;
@@ -57,13 +34,50 @@ let max_kinds = 1 lsl kind_bits
 let kind_mask = max_kinds - 1
 let owner_mask = (1 lsl owner_bits) - 1
 let arg_shift = kind_bits + owner_bits
+let max_arg = (1 lsl (63 - arg_shift)) - 1
+
+(* The owner field stores pid + 1, so the largest pid it holds is one
+   below the field's all-ones value. *)
+let max_pid = owner_mask - 1
 
 let pack ~kind ~owner ~arg =
   (arg lsl arg_shift) lor ((owner + 1) lsl kind_bits) lor kind
 
 let ev_owner ev = ((ev lsr kind_bits) land owner_mask) - 1
 
-type t = {
+(* Waits are named by packed ints too: the block stamp above the pid.
+   Stamps grow with every block, so a larger entry is a later blocker —
+   the newest-first order the marked heap pops in. *)
+let max_stamp = max_int lsr owner_bits
+
+type proc = {
+  p_pid : pid;
+  p_name : string;
+  mutable p_state : proc_state;
+  mutable p_failure : exn option;
+  mutable p_k : (unit, unit) Effect.Deep.continuation option;
+      (* pending sleep/yield resume — a fiber has one suspension point *)
+  mutable p_wait : wait;
+}
+
+(* A process blocked in [await]: its poll and continuation, and whether
+   a signal has marked it for re-polling since its last false poll. *)
+and wait =
+  | Idle
+  | Wait : {
+      w_stamp : int;
+      w_poll : unit -> 'a option;
+      w_k : ('a, unit) Effect.Deep.continuation;
+      mutable w_marked : bool;
+    }
+      -> wait
+
+(* A wait queue holds the entries of the waits registered on it.  An
+   entry goes stale when its wait ends; [signal] and registration drop
+   stale entries, so ending a wait never touches its queues. *)
+and queue = { q_eng : t; mutable q_ws : int array; mutable q_n : int }
+
+and t = {
   mutable now : int;
   events : Equeue.t;
   tr : Trace.t;
@@ -71,7 +85,12 @@ type t = {
   engine_rng : Rng.t;
   mutable parr : proc array;  (* indexed by pid; pids are sequential *)
   mutable next_pid : int;
-  bsent : bnode;  (* sentinel of the blocked list, newest first *)
+  mutable stamp : int;  (* the next wait's stamp *)
+  mutable nblocked : int;
+  (* marked waits: a binary max-heap of entries, newest blocker on top *)
+  mutable mheap : int array;
+  mutable mlen : int;
+  clock : queue;  (* signalled whenever [now] advances *)
   mutable oracle : oracle option;
   mutable batching : bool;
   (* Event lineage, tracked only while an oracle is installed (the
@@ -82,11 +101,7 @@ type t = {
   mutable cur_seq : int;  (* seq of the event currently executing, -1 at setup *)
   mutable dispatch : (int -> unit) array;  (* kind -> handler of arg *)
   mutable kind_count : int;
-  (* closure arena: pending [schedule]d thunks, freelist-threaded *)
-  mutable cfns : (unit -> unit) array;
-  mutable cnext : int array;
-  mutable cfree : int;
-  mutable ctop : int;
+  closures : (unit -> unit) Arena.t;  (* pending [schedule]d thunks *)
   (* same-tick batch buffer; [buf_pos < buf_len] only while a drained
      tick is mid-execution (an [Event_limit] can stop inside one) *)
   ebuf : int array ref;
@@ -99,41 +114,9 @@ type ctx = { engine : t; pid : pid; rng : Rng.t }
 type outcome = Quiescent | Deadlock of pid list | Time_limit | Event_limit
 
 type _ Effect.t +=
-  | Await : (unit -> 'a option) -> 'a Effect.t
+  | Await : queue * queue list * (unit -> 'a option) -> 'a Effect.t
   | Sleep : int -> unit Effect.t
   | Yield : unit Effect.t
-
-(* ------------------------------------------------------- blocked list -- *)
-
-let no_try () = false
-let no_kill () = ()
-
-let make_sentinel () =
-  let rec s = { prev = s; next = s; try_ = no_try; kill_ = no_kill; bn_pid = -1 } in
-  s
-
-let unlink n =
-  n.prev.next <- n.next;
-  n.next.prev <- n.prev;
-  n.prev <- n;
-  n.next <- n
-
-let push_front t n =
-  let s = t.bsent in
-  n.next <- s.next;
-  n.prev <- s;
-  s.next.prev <- n;
-  s.next <- n
-
-let blocked_empty t = t.bsent.next == t.bsent
-
-let blocked_pids t =
-  let rec go acc n = if n == t.bsent then acc else go (n.bn_pid :: acc) n.next in
-  List.sort_uniq compare (go [] t.bsent.next)
-
-(* ------------------------------------------------------------- arenas -- *)
-
-let dummy_fn () = ()
 
 let dummy_proc =
   {
@@ -142,42 +125,8 @@ let dummy_proc =
     p_state = Dead;
     p_failure = None;
     p_k = None;
-    p_block = None;
+    p_wait = Idle;
   }
-
-let grow_closures t =
-  let cap = Array.length t.cfns in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let fns = Array.make ncap dummy_fn and nxt = Array.make ncap (-1) in
-  Array.blit t.cfns 0 fns 0 cap;
-  Array.blit t.cnext 0 nxt 0 cap;
-  t.cfns <- fns;
-  t.cnext <- nxt
-
-let alloc_closure t f =
-  let slot =
-    if t.cfree >= 0 then begin
-      let s = t.cfree in
-      t.cfree <- t.cnext.(s);
-      s
-    end
-    else begin
-      if t.ctop = Array.length t.cfns then grow_closures t;
-      let s = t.ctop in
-      t.ctop <- s + 1;
-      s
-    end
-  in
-  t.cfns.(slot) <- f;
-  slot
-
-(* Free before running, so the thunk can schedule into a recycled slot. *)
-let run_closure t slot =
-  let f = t.cfns.(slot) in
-  t.cfns.(slot) <- dummy_fn;
-  t.cnext.(slot) <- t.cfree;
-  t.cfree <- slot;
-  f ()
 
 let resume_proc t pid =
   let p = t.parr.(pid) in
@@ -187,6 +136,158 @@ let resume_proc t pid =
       p.p_k <- None;
       if p.p_state = Running then Effect.Deep.continue k ()
       else Effect.Deep.discontinue k Killed
+
+(* ---------------------------------------------------------- wait queues -- *)
+
+let entry_pid e = e land owner_mask
+let entry_stamp e = e lsr owner_bits
+
+let mark_push t e =
+  let n = t.mlen in
+  if n = Array.length t.mheap then begin
+    let nh = Array.make (max 16 (2 * n)) 0 in
+    Array.blit t.mheap 0 nh 0 n;
+    t.mheap <- nh
+  end;
+  let h = t.mheap in
+  let i = ref n in
+  while !i > 0 && h.((!i - 1) / 2) < e do
+    h.(!i) <- h.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.(!i) <- e;
+  t.mlen <- n + 1
+
+let mark_pop t =
+  let h = t.mheap in
+  let top = h.(0) in
+  let n = t.mlen - 1 in
+  t.mlen <- n;
+  if n > 0 then begin
+    let e = h.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && h.(l + 1) > h.(l) then l + 1 else l in
+        if h.(c) > e then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- e
+  end;
+  top
+
+let entry_live t e =
+  match t.parr.(entry_pid e).p_wait with
+  | Wait w -> w.w_stamp = entry_stamp e
+  | Idle -> false
+
+let queue t = { q_eng = t; q_ws = [||]; q_n = 0 }
+let clock t = t.clock
+
+(* Mark every live wait on [q] and drop the stale entries in passing. *)
+let signal_slow q =
+  let t = q.q_eng and ws = q.q_ws in
+  let j = ref 0 in
+  for i = 0 to q.q_n - 1 do
+    let e = ws.(i) in
+    match t.parr.(entry_pid e).p_wait with
+    | Wait w when w.w_stamp = entry_stamp e ->
+        ws.(!j) <- e;
+        incr j;
+        if not w.w_marked then begin
+          w.w_marked <- true;
+          mark_push t e
+        end
+    | Wait _ | Idle -> ()
+  done;
+  q.q_n <- !j
+
+let signal q = if q.q_n > 0 then signal_slow q
+
+(* A full queue first sheds its stale entries and grows only if that
+   leaves it at least half full, so churn on an unsignalled queue stays
+   amortized O(1). *)
+let enlist q e =
+  if q.q_n = Array.length q.q_ws then begin
+    let t = q.q_eng and ws = q.q_ws in
+    let j = ref 0 in
+    for i = 0 to q.q_n - 1 do
+      if entry_live t ws.(i) then begin
+        ws.(!j) <- ws.(i);
+        incr j
+      end
+    done;
+    q.q_n <- !j;
+    if 2 * !j >= Array.length ws then begin
+      let nw = Array.make (max 4 (2 * Array.length ws)) 0 in
+      Array.blit ws 0 nw 0 !j;
+      q.q_ws <- nw
+    end
+  end;
+  q.q_ws.(q.q_n) <- e;
+  q.q_n <- q.q_n + 1
+
+let rec enlist_all e = function
+  | [] -> ()
+  | q :: rest ->
+      enlist q e;
+      enlist_all e rest
+
+let rec all_owned t = function
+  | [] -> true
+  | q :: rest -> q.q_eng == t && all_owned t rest
+
+(* Re-poll the marked waits, newest blocker first, until none is left.
+   A wake can signal and so mark further waits; the heap orders those
+   with the rest, which is exactly the polled engine's restart-from-the-
+   head scan with the waits whose polls could not have changed left
+   out. *)
+let drain_marked t =
+  while t.mlen > 0 do
+    let e = mark_pop t in
+    let p = t.parr.(entry_pid e) in
+    match p.p_wait with
+    | Wait w when w.w_stamp = entry_stamp e -> (
+        w.w_marked <- false;
+        match w.w_poll () with
+        | None -> ()
+        | Some v ->
+            p.p_wait <- Idle;
+            t.nblocked <- t.nblocked - 1;
+            Effect.Deep.continue w.w_k v)
+    | Wait _ | Idle -> ()
+  done
+
+(* Inline check: the common nothing-marked case is one load. *)
+let drain_ready t = if t.mlen > 0 then drain_marked t
+
+(* Poll every blocked wait once; one that holds was never signalled. *)
+let check_wakeups t =
+  for pid = 0 to Array.length t.parr - 1 do
+    match t.parr.(pid).p_wait with
+    | Wait w -> (
+        match w.w_poll () with Some _ -> raise (Missed_wakeup pid) | None -> ())
+    | Idle -> ()
+  done
+
+let blocked_pids t =
+  let acc = ref [] in
+  for pid = Array.length t.parr - 1 downto 0 do
+    match t.parr.(pid).p_wait with Wait _ -> acc := pid :: !acc | Idle -> ()
+  done;
+  !acc
+
+let advance t time =
+  if time <> t.now then begin
+    t.now <- time;
+    signal t.clock
+  end
 
 (* -------------------------------------------------------- kinds & API -- *)
 
@@ -206,33 +307,42 @@ let register_kind t handler =
 
 let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(queue = Equeue.Heap)
     ?(batching = true) () =
-  let t =
+  let events = Equeue.create queue
+  and tr = Trace.create ?capacity:trace_capacity ()
+  and engine_rng = Rng.create seed
+  and parr = Array.make 16 dummy_proc
+  and dispatch = Array.make 4 invalid_kind
+  and closures = Arena.create ~limit:max_arg
+  and ebuf = ref [||] in
+  let rec t =
     {
       now = 0;
-      events = Equeue.create queue;
-      tr = Trace.create ?capacity:trace_capacity ();
+      events;
+      tr;
       tracing;
-      engine_rng = Rng.create seed;
-      parr = Array.make 16 dummy_proc;
+      engine_rng;
+      parr;
       next_pid = 0;
-      bsent = make_sentinel ();
+      stamp = 0;
+      nblocked = 0;
+      mheap = [||];
+      mlen = 0;
+      clock = { q_eng = t; q_ws = [||]; q_n = 0 };
       oracle = None;
       batching;
       lineage = false;
       creators = [||];
       cur_seq = -1;
-      dispatch = Array.make 4 invalid_kind;
+      dispatch;
       kind_count = 0;
-      cfns = [||];
-      cnext = [||];
-      cfree = -1;
-      ctop = 0;
-      ebuf = ref [||];
+      closures;
+      ebuf;
       buf_pos = 0;
       buf_len = 0;
     }
   in
-  let kc = register_kind t (fun slot -> run_closure t slot) in
+  (* Free the slot before running, so the thunk can schedule into it. *)
+  let kc = register_kind t (fun slot -> (Arena.take t.closures slot) ()) in
   let kr = register_kind t (fun pid -> resume_proc t pid) in
   assert (kc = k_closure && kr = k_resume);
   t
@@ -273,7 +383,7 @@ let schedule_kind t ~owner ~delay ~kind arg =
 let schedule t ?owner ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let ow = match owner with None -> -1 | Some p -> p in
-  let slot = alloc_closure t f in
+  let slot = Arena.alloc t.closures f in
   Equeue.add t.events ~key:(t.now + delay) (pack ~kind:k_closure ~owner:ow ~arg:slot);
   if t.lineage then note_created t
 
@@ -292,16 +402,24 @@ let name t pid = (proc t pid).p_name
 let process_failed t pid = (proc t pid).p_failure
 
 (* Suspension primitives: plain effect performers.  They raise
-   [Unhandled] as [Not_in_process] when no engine handler is installed. *)
+   [Unhandled] as [Not_in_process] when no engine handler is installed.
+   [await] polls once before suspending, so the handler need not. *)
 
-let await poll =
+let await_on q qs poll =
   match poll () with
   | Some v -> v
   | None -> (
-      try Effect.perform (Await poll)
+      try Effect.perform (Await (q, qs, poll))
       with Effect.Unhandled _ -> raise Not_in_process)
 
-let await_cond p = await (fun () -> if p () then Some () else None)
+let await q poll = await_on q [] poll
+
+let await_any qs poll =
+  match qs with
+  | [] -> invalid_arg "Engine.await_any: no queue"
+  | q :: rest -> await_on q rest poll
+
+let await_cond q p = await q (fun () -> if p () then Some () else None)
 
 let sleep _ctx d =
   try Effect.perform (Sleep d) with Effect.Unhandled _ -> raise Not_in_process
@@ -314,35 +432,24 @@ let yield _ctx =
 let run_fiber t (p : proc) body =
   let handler : type b. b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option
       = function
-    | Await poll ->
+    | Await (q, qs, poll) ->
         Some
           (fun k ->
-            match poll () with
-            | Some v -> Effect.Deep.continue k v
-            | None ->
-                let rec node =
-                  { prev = node; next = node; try_ = no_try; kill_ = no_kill;
-                    bn_pid = p.p_pid }
-                in
-                node.try_ <-
-                  (fun () ->
-                    if p.p_state <> Running then begin
-                      (* unreachable in practice: [kill] unlinks eagerly *)
-                      unlink node;
-                      p.p_block <- None;
-                      false
-                    end
-                    else
-                      match poll () with
-                      | Some v ->
-                          unlink node;
-                          p.p_block <- None;
-                          Effect.Deep.continue k v;
-                          true
-                      | None -> false);
-                node.kill_ <- (fun () -> Effect.Deep.discontinue k Killed);
-                p.p_block <- Some node;
-                push_front t node)
+            (* a process killed while running unwinds at its next wait *)
+            if p.p_state <> Running then Effect.Deep.discontinue k Killed
+            else if not (q.q_eng == t && all_owned t qs) then
+              Effect.Deep.discontinue k
+                (Invalid_argument "Engine.await: queue of another engine")
+            else begin
+              let stamp = t.stamp in
+              if stamp > max_stamp then failwith "Engine.await: wait stamps exhausted";
+              t.stamp <- stamp + 1;
+              p.p_wait <- Wait { w_stamp = stamp; w_poll = poll; w_k = k; w_marked = false };
+              t.nblocked <- t.nblocked + 1;
+              let e = (stamp lsl owner_bits) lor p.p_pid in
+              enlist q e;
+              enlist_all e qs
+            end)
     | Sleep d ->
         Some
           (fun k ->
@@ -371,20 +478,22 @@ let run_fiber t (p : proc) body =
       effc = handler;
     }
 
-let grow_parr t =
-  let cap = Array.length t.parr in
-  let np = Array.make (2 * cap) dummy_proc in
-  Array.blit t.parr 0 np 0 cap;
-  t.parr <- np
-
 let spawn t ?name body =
   let pid = t.next_pid in
+  if pid > max_pid then
+    invalid_arg
+      (Printf.sprintf "Engine.spawn: pid %d does not fit the %d-bit owner field"
+         pid owner_bits);
   t.next_pid <- pid + 1;
-  if pid = Array.length t.parr then grow_parr t;
+  if pid >= Array.length t.parr then begin
+    let np = Array.make (max (pid + 1) (2 * Array.length t.parr)) dummy_proc in
+    Array.blit t.parr 0 np 0 (Array.length t.parr);
+    t.parr <- np
+  end;
   let p_name = match name with Some n -> n | None -> Printf.sprintf "p%d" pid in
   let p =
     { p_pid = pid; p_name; p_state = Running; p_failure = None; p_k = None;
-      p_block = None }
+      p_wait = Idle }
   in
   t.parr.(pid) <- p;
   let proc_rng = Rng.split t.engine_rng in
@@ -393,6 +502,8 @@ let spawn t ?name body =
       if p.p_state = Running then run_fiber t p (fun () -> body ctx));
   pid
 
+let skip_pids t n = t.next_pid <- t.next_pid + n
+
 let kill t pid =
   if pid >= 0 && pid < t.next_pid then begin
     let p = t.parr.(pid) in
@@ -400,39 +511,31 @@ let kill t pid =
       p.p_state <- Dead;
       emit t ~pid ~tag:"kill" p.p_name;
       (* Discontinue a blocked continuation now so the fiber unwinds;
-         sleeping continuations notice at wake-up. *)
-      match p.p_block with
-      | None -> ()
-      | Some node ->
-          p.p_block <- None;
-          unlink node;
-          node.kill_ ()
+         sleeping continuations notice at wake-up.  The wait's queue
+         and heap entries go stale with it. *)
+      match p.p_wait with
+      | Idle -> ()
+      | Wait w ->
+          p.p_wait <- Idle;
+          t.nblocked <- t.nblocked - 1;
+          Effect.Deep.discontinue w.w_k Killed
     end
   end
-
-(* Resume every blocked process whose poll condition now holds, newest
-   blocker first, restarting the scan after each resumption (it may
-   change the world) until a full pass resumes nobody. *)
-let drain_ready_loop t =
-  let s = t.bsent in
-  let n = ref s.next in
-  while !n != s do
-    let node = !n in
-    let nxt = node.next in
-    if node.try_ () then n := s.next else n := nxt
-  done
-
-(* The wrapper keeps the common nobody-blocked case a two-load inline
-   check; the loop body above is never inlined (it contains a loop). *)
-let drain_ready t = if t.bsent.next != t.bsent then drain_ready_loop t
 
 (* [lsr], not [asr]: the arg field reaches bit 62 (the sign bit of a
    63-bit int), so an arithmetic shift would sign-extend args with the
    top bit set. *)
 let exec t ev = t.dispatch.(ev land kind_mask) (ev lsr arg_shift)
 
+(* Out of events with processes still blocked: a wait whose poll holds
+   here was never signalled — an owner changed state it reads without
+   signalling a queue it names. *)
 let finish t =
-  if blocked_empty t then Quiescent else Deadlock (blocked_pids t)
+  if t.nblocked = 0 then Quiescent
+  else begin
+    check_wakeups t;
+    Deadlock (blocked_pids t)
+  end
 
 (* With an oracle installed every tick where more than one event is
    enabled becomes an explicit choice point: the oracle sees the tied
@@ -512,13 +615,16 @@ let run ?until ?max_events t =
         | Some (time, ev) ->
             if time > limit then begin
               Equeue.add t.events ~key:time ev;
-              t.now <- limit;
+              advance t limit;
               finish_with Time_limit
             end
             else begin
-              t.now <- time;
+              advance t time;
               exec t ev;
               drain_ready t;
+              (* the audit: every wait left blocked must still poll
+                 false, or some owner failed to signal *)
+              if t.nblocked > 0 then check_wakeups t;
               incr executed;
               if !executed >= budget then finish_with Event_limit
             end
@@ -537,11 +643,11 @@ let run ?until ?max_events t =
                    tiebreak bump for events deferred past the limit. *)
                 let ev = Heap.pop_value h in
                 Heap.add h ~key:time ev;
-                t.now <- limit;
+                advance t limit;
                 finish_with Time_limit
               end
               else begin
-                t.now <- time;
+                advance t time;
                 exec t (Heap.pop_value h);
                 drain_ready t;
                 incr executed;
@@ -579,11 +685,11 @@ let run ?until ?max_events t =
               if time > limit then begin
                 let ev = Wheel.pop_value w in
                 Wheel.add w ~key:time ev;
-                t.now <- limit;
+                advance t limit;
                 finish_with Time_limit
               end
               else begin
-                t.now <- time;
+                advance t time;
                 exec t (Wheel.pop_value w);
                 drain_ready t;
                 incr executed;

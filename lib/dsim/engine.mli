@@ -6,6 +6,12 @@
     resumes them when their wake-up condition is met.  All scheduling is
     deterministic: same seed, same program — same trace.
 
+    Waiting is event-driven.  An {!await} names the {!queue}s whose
+    owners change what its poll reads; an owner calls {!signal} after
+    every such change; and after each event the engine re-polls only the
+    waits a signal has marked.  Blocked processes that nobody signals
+    cost nothing per event.
+
     A process body receives a {!ctx} carrying its pid and a private
     random-number stream split off the engine seed.  {!await}, {!sleep} and
     {!yield} may only be called from inside a process body; calling them
@@ -26,6 +32,13 @@ exception Killed
 
 exception Not_in_process
 (** Raised when a suspension primitive is used outside a process body. *)
+
+exception Missed_wakeup of pid
+(** Raised by {!run} when a blocked process's poll holds although no
+    signal marked it: some owner changed state the poll reads without
+    signalling a queue the [await] names.  Checked when a run ends
+    deadlocked, and after every event while a choice oracle is
+    installed. *)
 
 (** Why {!run} returned. *)
 type outcome =
@@ -122,9 +135,17 @@ val schedule_kind : t -> owner:pid -> delay:int -> kind:int -> int -> unit
     [kind]'s registered handler runs with [arg], [delay] units from now.
     [owner] carries the same commutativity label as {!schedule}'s
     [?owner], with [-1] meaning {e no owner} (avoiding the option
-    allocation on hot paths); pids must fit 23 bits and [arg] must fit
-    30 bits (unchecked).  Allocates nothing.
+    allocation on hot paths).  Neither is checked here: [owner] must be
+    at most {!max_pid} and [arg] at most {!max_arg}, which {!spawn} and
+    {!Arena} enforce where pids and slots are created.  Allocates
+    nothing.
     @raise Invalid_argument if [delay < 0]. *)
+
+val max_pid : int
+(** The largest pid (and owner label) an event can carry: [2^23 - 2]. *)
+
+val max_arg : int
+(** The largest flat-event argument: [2^30 - 1]. *)
 
 (** {1 Choice oracle — systematic schedule exploration}
 
@@ -180,11 +201,14 @@ val oracle : t -> oracle option
 
 val spawn : t -> ?name:string -> (ctx -> unit) -> pid
 (** Register a new process; its body starts at the current time (the spawn
-    event is queued, not run inline). *)
+    event is queued, not run inline).
+    @raise Invalid_argument when the pid would exceed {!max_pid}. *)
 
 val kill : t -> pid -> unit
 (** Terminate a process.  If it is suspended, its continuation is
-    discontinued with {!Killed}; it will never run again. *)
+    discontinued with {!Killed}; it will never run again.  A process
+    that kills itself (or is killed while it runs) unwinds with
+    {!Killed} at its next suspension. *)
 
 val alive : t -> pid -> bool
 (** True while the process has neither finished nor been killed. *)
@@ -199,26 +223,74 @@ val process_failed : t -> pid -> exn option
 val run : ?until:int -> ?max_events:int -> t -> outcome
 (** Drive the simulation until quiescence, deadlock, the virtual-time limit
     or the event budget.  Can be called repeatedly (e.g. after scheduling
-    more events). *)
+    more events).
+    @raise Missed_wakeup when a wait's poll holds unsignalled (see
+    {!Missed_wakeup}). *)
 
 val run_quiet : ?until:int -> ?max_events:int -> t -> outcome
 (** {!run} with tracing disabled for the duration of the call (the
     previous flag is restored afterwards) — the profile campaigns and
     benches use when nobody will read the trace. *)
 
+(** {1 Wait queues}
+
+    A queue stands for a piece of state and the owner that changes it:
+    a tally, an inbox, a log.  The owner calls {!signal} after every
+    change; a process whose poll reads that state names the queue in
+    its {!await}.
+
+    Resume order is the polled engine's: after each event the marked
+    waits are re-polled newest blocker first, and after every wake-up
+    the scan starts again from the newest.  An unmarked wait's poll
+    cannot have changed since it last returned [None], so leaving it
+    out changes nothing, and seeded traces are identical to polling
+    every blocked process after every event. *)
+
+type queue
+(** A wait queue.  Belongs to one engine. *)
+
+val queue : t -> queue
+(** A fresh queue on the engine. *)
+
+val signal : queue -> unit
+(** Mark every process blocked on the queue for re-polling after the
+    current event (or, outside {!run}, at the start of the next one).
+    O(1) when nobody waits; never runs a poll itself. *)
+
+val clock : t -> queue
+(** The engine's own queue: signalled whenever virtual time advances.
+    A poll that reads {!now} names it. *)
+
 (** {1 Suspension primitives — call only inside a process body} *)
 
-val await : (unit -> 'a option) -> 'a
-(** [await poll] suspends until [poll ()] returns [Some v], then evaluates
-    to [v].  [poll] must be side-effect-free; it may be called many times.
-    If the condition already holds the process continues immediately
-    without yielding. *)
+val await : queue -> (unit -> 'a option) -> 'a
+(** [await q poll] suspends until [poll ()] returns [Some v], then
+    evaluates to [v].  If the condition already holds the process
+    continues immediately without yielding.
 
-val await_cond : (unit -> bool) -> unit
-(** [await_cond p] is [await (fun () -> if p () then Some () else None)]. *)
+    The contract: [poll] may read only state whose owner signals [q]
+    (or, with {!await_any}, one of the named queues) after every change
+    to it.  The engine runs [poll] once before the process blocks, once
+    after each event that signalled a named queue, and in the wake-up
+    checks (see {!Missed_wakeup}); it must only read.
+    @raise Invalid_argument (inside the process) if [q] belongs to
+    another engine. *)
+
+val await_any : queue list -> (unit -> 'a option) -> 'a
+(** {!await} on several queues: a signal on any of them re-polls.
+    @raise Invalid_argument on an empty list. *)
+
+val await_cond : queue -> (unit -> bool) -> unit
+(** [await_cond q p] is [await q (fun () -> if p () then Some () else None)]. *)
 
 val sleep : ctx -> int -> unit
 (** Suspend for a fixed amount of virtual time. *)
 
 val yield : ctx -> unit
 (** Suspend until the current tick's already-queued events have run. *)
+
+(**/**)
+
+val skip_pids : t -> int -> unit
+(* Testing hook: advance the pid counter without spawning, so the
+   {!max_pid} check can be exercised without millions of processes. *)

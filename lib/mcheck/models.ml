@@ -361,7 +361,7 @@ let toy_ac ?(broken = false) ?(n = 3) ?inputs ~check_termination () =
                Async_net.broadcast net ~src:i (Propose inputs.(i));
                stages.(i) <- 1;
                let props =
-                 Engine.await (fun () ->
+                 Engine.await (Async_net.inbox_queue net i) (fun () ->
                      let got =
                        List.filter_map
                          (fun env ->
@@ -381,7 +381,7 @@ let toy_ac ?(broken = false) ?(n = 3) ?inputs ~check_termination () =
                Async_net.broadcast net ~src:i (Flag (fst flag, snd flag));
                stages.(i) <- 2;
                let flags =
-                 Engine.await (fun () ->
+                 Engine.await (Async_net.inbox_queue net i) (fun () ->
                      let got =
                        List.filter_map
                          (fun env ->
@@ -550,10 +550,15 @@ let omega_ac ?(broken = false) ?(n = 2) ?inputs () =
           (Engine.spawn eng ~name:(Printf.sprintf "omega-%d" i) (fun _ectx ->
                (* deadline waker: same delay as the oracle's base message
                   latency, so it ties with the delivery tick *)
+               let suspicion = Engine.queue eng in
                Engine.schedule eng ~delay:1 (fun () ->
-                   if decisions.(i) = None then suspected.(i) <- true);
+                   if decisions.(i) = None then begin
+                     suspected.(i) <- true;
+                     Engine.signal suspicion
+                   end);
                let res =
-                 Engine.await (fun () ->
+                 Engine.await_any [ Async_net.inbox_queue net i; suspicion ]
+                   (fun () ->
                      let prop =
                        List.find_map
                          (fun env ->

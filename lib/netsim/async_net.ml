@@ -22,58 +22,28 @@ type 'msg t = {
   rng : Dsim.Rng.t;
   retain_inbox : bool;
   nodes : 'msg node array;
+  inbox_qs : Dsim.Engine.queue array;  (* signalled on retained deliveries *)
+  topology_q : Dsim.Engine.queue;  (* signalled on crash/restart/cut/heal *)
   mutable partition : int array option;  (* node -> group id; -1 isolated *)
   mutable partition_groups : int list list option;  (* as installed *)
   mutable next_env : int;
   mutable sent : int;
   mutable deliveries : int;
-  (* in-flight envelope arena: deliveries are flat engine events (one
+  (* in-flight envelopes: deliveries are flat engine events (one
      registered kind, arg = arena slot) instead of a closure each *)
   mutable k_deliver : int;
-  mutable pend : 'msg envelope array;
-  mutable pnext : int array;  (* freelist links, -1 terminates *)
-  mutable pfree : int;
-  mutable ptop : int;
+  pending : 'msg envelope Dsim.Arena.t;
 }
-
-let grow_pending t filler =
-  let cap = Array.length t.pend in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let pend = Array.make ncap filler and pnext = Array.make ncap (-1) in
-  Array.blit t.pend 0 pend 0 cap;
-  Array.blit t.pnext 0 pnext 0 cap;
-  t.pend <- pend;
-  t.pnext <- pnext
-
-let alloc_pending t env =
-  let slot =
-    if t.pfree >= 0 then begin
-      let s = t.pfree in
-      t.pfree <- t.pnext.(s);
-      s
-    end
-    else begin
-      if t.ptop = Array.length t.pend then grow_pending t env;
-      let s = t.ptop in
-      t.ptop <- s + 1;
-      s
-    end
-  in
-  t.pend.(slot) <- env;
-  slot
 
 (* The delivery event: free the slot first (the handler below may send,
    recycling it), then run what used to be the per-delivery closure. *)
 let run_delivery t slot =
-  let env = t.pend.(slot) in
-  t.pnext.(slot) <- t.pfree;
-  t.pfree <- slot;
-  (* [t.pend.(slot)] keeps the envelope until the slot is reused — the
-     same bounded retention a popped heap tail has. *)
+  let env = Dsim.Arena.take t.pending slot in
   let node = t.nodes.(env.dst) in
   if not node.crashed then begin
     if t.retain_inbox then begin
       node.delivered <- env :: node.delivered;
+      Dsim.Engine.signal t.inbox_qs.(env.dst);
       (* Per-message tracing is only affordable at inbox-retention
          scale; counter-based protocols run millions of messages.
          The thunk keeps quiet engines allocation-free here. *)
@@ -96,16 +66,15 @@ let create eng ~n ?(latency = Latency.Uniform (1, 10)) ?(policy = fun _ -> Deliv
       rng = Dsim.Rng.split (Dsim.Engine.rng eng);
       retain_inbox;
       nodes = Array.init n (fun _ -> { delivered = []; crashed = false; handler = None });
+      inbox_qs = Array.init n (fun _ -> Dsim.Engine.queue eng);
+      topology_q = Dsim.Engine.queue eng;
       partition = None;
       partition_groups = None;
       next_env = 0;
       sent = 0;
       deliveries = 0;
       k_deliver = -1;
-      pend = [||];
-      pnext = [||];
-      pfree = -1;
-      ptop = 0;
+      pending = Dsim.Arena.create ~limit:Dsim.Engine.max_arg;
     }
   in
   t.k_deliver <- Dsim.Engine.register_kind eng (fun slot -> run_delivery t slot);
@@ -129,7 +98,7 @@ let deliver t env ~delay =
   (* The delivery only touches [env.dst]'s node state (inbox, handler),
      so label it with the recipient: same-tick deliveries to distinct
      recipients commute, which mcheck's reduction exploits. *)
-  let slot = alloc_pending t env in
+  let slot = Dsim.Arena.alloc t.pending env in
   Dsim.Engine.schedule_kind t.eng ~owner:env.dst ~delay ~kind:t.k_deliver slot
 
 let send t ~src ~dst msg =
@@ -219,20 +188,10 @@ let inbox t id =
   List.rev t.nodes.(id).delivered
 
 (* Scheduled-but-undelivered envelopes, in env_id order.  Walks the
-   pending arena minus its freelist — O(arena); meant for model-checker
-   fingerprints, not hot paths. *)
+   pending arena — O(arena); meant for model-checker fingerprints, not
+   hot paths. *)
 let in_flight t =
-  let free = Array.make t.ptop false in
-  let f = ref t.pfree in
-  while !f >= 0 do
-    if !f < t.ptop then free.(!f) <- true;
-    f := t.pnext.(!f)
-  done;
-  let acc = ref [] in
-  for slot = t.ptop - 1 downto 0 do
-    if not free.(slot) then acc := t.pend.(slot) :: !acc
-  done;
-  List.sort (fun a b -> compare a.env_id b.env_id) !acc
+  List.sort (fun a b -> compare a.env_id b.env_id) (Dsim.Arena.live t.pending)
 
 let inbox_count t id pred =
   check_id t id "inbox_count";
@@ -261,10 +220,17 @@ let clear_handler t id =
   check_id t id "clear_handler";
   t.nodes.(id).handler <- None
 
+let inbox_queue t id =
+  check_id t id "inbox_queue";
+  t.inbox_qs.(id)
+
+let topology t = t.topology_q
+
 let crash t id =
   check_id t id "crash";
   if not t.nodes.(id).crashed then begin
     t.nodes.(id).crashed <- true;
+    Dsim.Engine.signal t.topology_q;
     Dsim.Engine.emit t.eng ~pid:id ~tag:"crash-net" "node crashed"
   end
 
@@ -272,6 +238,7 @@ let restart t id =
   check_id t id "restart";
   if t.nodes.(id).crashed then begin
     t.nodes.(id).crashed <- false;
+    Dsim.Engine.signal t.topology_q;
     Dsim.Engine.emit t.eng ~pid:id ~tag:"restart-net" "node restarted"
   end
 
@@ -294,6 +261,7 @@ let set_partition t groups =
     groups;
   t.partition <- Some map;
   t.partition_groups <- Some groups;
+  Dsim.Engine.signal t.topology_q;
   Dsim.Engine.emitk t.eng ~tag:"partition" (fun () ->
       String.concat " | "
         (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups))
@@ -301,6 +269,7 @@ let set_partition t groups =
 let heal t =
   t.partition <- None;
   t.partition_groups <- None;
+  Dsim.Engine.signal t.topology_q;
   Dsim.Engine.emit t.eng ~tag:"heal" "partition removed"
 
 let partition_groups t = t.partition_groups

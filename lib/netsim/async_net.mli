@@ -1,8 +1,10 @@
 (** Asynchronous message-passing network with crash faults.
 
     Built on {!Dsim.Engine}: a send schedules a delivery event after a delay
-    drawn from the {!Latency} model; delivered messages accumulate in
-    per-node inboxes that protocol code scans with [Engine.await].
+    drawn from the {!Latency} model.  Delivered messages reach a per-node
+    push handler ({!set_handler}) and, when retained, a per-node inbox.
+    A process waiting on an inbox names {!inbox_queue}; one waiting on
+    crash or partition state names {!topology}.
 
     Faults and adversity available:
     - {!crash}: a node stops receiving (its inbox freezes) — the standard
@@ -87,6 +89,17 @@ val distinct_senders : 'msg t -> int -> ('msg envelope -> bool) -> int
 (** Number of {e distinct sources} that delivered at least one matching
     message — the count quorum protocols must use to stay correct under
     message duplication. *)
+
+val inbox_queue : 'msg t -> int -> Dsim.Engine.queue
+(** Signalled after every delivery into the node's retained inbox: the
+    queue an [Engine.await] over {!inbox}, {!inbox_count} or
+    {!distinct_senders} names.  Never signalled without
+    [retain_inbox]. *)
+
+val topology : 'msg t -> Dsim.Engine.queue
+(** Signalled by {!crash}, {!restart}, {!set_partition} and {!heal}:
+    the queue an [Engine.await] over {!is_crashed}, {!crashed_count} or
+    {!partition_groups} names. *)
 
 val set_handler : 'msg t -> int -> ('msg envelope -> unit) -> unit
 (** Push-style delivery for event-driven protocols (Raft): the callback

@@ -21,6 +21,7 @@ type 'msg t = {
   participating : bool array;
   (* round -> per-destination rows: results.(dst).(src) *)
   results : (int, 'msg option array array) Hashtbl.t;
+  completed : Dsim.Engine.queue;  (* signalled when a round's results land *)
 }
 
 let create eng ~n ~byzantine ~strategy =
@@ -46,6 +47,7 @@ let create eng ~n ~byzantine ~strategy =
     submitted = Array.make n false;
     participating;
     results = Hashtbl.create 16;
+    completed = Dsim.Engine.queue eng;
   }
 
 let n t = t.size
@@ -86,6 +88,7 @@ let try_complete t =
               else None))
     in
     Hashtbl.replace t.results round matrix;
+    Dsim.Engine.signal t.completed;
     Array.fill t.pending 0 t.size None;
     Array.fill t.submitted 0 t.size false;
     t.round <- round + 1;
@@ -103,7 +106,7 @@ let exchange t ~me msg =
   t.submitted.(me) <- true;
   try_complete t;
   let row =
-    Dsim.Engine.await (fun () ->
+    Dsim.Engine.await t.completed (fun () ->
         match Hashtbl.find_opt t.results round with
         | Some matrix -> Some matrix.(me)
         | None -> None)

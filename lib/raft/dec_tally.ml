@@ -3,33 +3,33 @@ type phase_tally = {
   seen2 : bool array;
   mutable proposers : int;
   mutable arrivals_rev : (int * int) list;  (* (src, value), newest first *)
-  proposal_counts : (int, int) Hashtbl.t;
+  mutable proposal_counts : (int * int) list;  (* (value, senders); few values *)
   mutable seconds : int;
-  ratify_counts : (int, int) Hashtbl.t;
+  mutable ratify_counts : (int * int) list;
 }
 
-type t = { n : int; phases : (int, phase_tally) Hashtbl.t }
+type t = { changed : Dsim.Engine.queue; phases : phase_tally Consensus.Phases.t }
 
-let phase_tally t phase =
-  match Hashtbl.find_opt t.phases phase with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          seen1 = Array.make t.n false;
-          seen2 = Array.make t.n false;
-          proposers = 0;
-          arrivals_rev = [];
-          proposal_counts = Hashtbl.create 8;
-          seconds = 0;
-          ratify_counts = Hashtbl.create 8;
-        }
-      in
-      Hashtbl.replace t.phases phase p;
-      p
+let fresh n () =
+  {
+    seen1 = Array.make n false;
+    seen2 = Array.make n false;
+    proposers = 0;
+    arrivals_rev = [];
+    proposal_counts = [];
+    seconds = 0;
+    ratify_counts = [];
+  }
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+(* what every absent phase reads as; never written *)
+let empty = fresh 0 ()
+let read t phase = Consensus.Phases.get t.phases phase
+let phase_tally t phase = Consensus.Phases.obtain t.phases phase
+
+let bump counts v =
+  match List.assoc_opt v counts with
+  | Some c -> (v, c + 1) :: List.remove_assoc v counts
+  | None -> (v, 1) :: counts
 
 let ingest t env =
   let src = env.Netsim.Async_net.src in
@@ -39,42 +39,49 @@ let ingest t env =
       if not p.seen1.(src) then begin
         p.seen1.(src) <- true;
         p.proposers <- p.proposers + 1;
+        Dsim.Engine.signal t.changed;
         p.arrivals_rev <- (src, value) :: p.arrivals_rev;
-        bump p.proposal_counts value
+        p.proposal_counts <- bump p.proposal_counts value
       end
   | Decentralized_msg.Second { phase; ratify } ->
       let p = phase_tally t phase in
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
         p.seconds <- p.seconds + 1;
-        match ratify with Some v -> bump p.ratify_counts v | None -> ()
+        Dsim.Engine.signal t.changed;
+        match ratify with
+        | Some v -> p.ratify_counts <- bump p.ratify_counts v
+        | None -> ()
       end
 
 let attach net ~me =
-  let t = { n = Netsim.Async_net.n net; phases = Hashtbl.create 32 } in
+  let t =
+    {
+      changed = Dsim.Engine.queue (Netsim.Async_net.engine net);
+      phases =
+        Consensus.Phases.create ~empty ~make:(fresh (Netsim.Async_net.n net));
+    }
+  in
   Netsim.Async_net.set_handler net me (ingest t);
   t
 
-let proposers t ~phase = (phase_tally t phase).proposers
+let changed t = t.changed
+let proposers t ~phase = (read t phase).proposers
 
-let proposals_in_arrival_order t ~phase =
-  List.rev (phase_tally t phase).arrivals_rev
+let proposals_in_arrival_order t ~phase = List.rev (read t phase).arrivals_rev
 
+(* Senders are distinct, so at most one value can hold a strict majority. *)
 let majority_value t ~phase ~n =
-  Hashtbl.fold
-    (fun v c acc -> if 2 * c > n then Some v else acc)
-    (phase_tally t phase).proposal_counts None
+  List.find_map
+    (fun (v, c) -> if 2 * c > n then Some v else None)
+    (read t phase).proposal_counts
 
-let second_senders t ~phase = (phase_tally t phase).seconds
+let second_senders t ~phase = (read t phase).seconds
 
 let ratifies_for t ~phase v =
-  Option.value ~default:0 (Hashtbl.find_opt (phase_tally t phase).ratify_counts v)
+  Option.value ~default:0 (List.assoc_opt v (read t phase).ratify_counts)
 
 let ratified_values t ~phase =
-  Hashtbl.fold (fun v _ acc -> v :: acc) (phase_tally t phase).ratify_counts []
-  |> List.sort_uniq compare
+  List.sort_uniq compare (List.map fst (read t phase).ratify_counts)
 
-let forget_below t ~phase =
-  Hashtbl.iter
-    (fun ph _ -> if ph < phase then Hashtbl.remove t.phases ph)
-    (Hashtbl.copy t.phases)
+let forget_below t ~phase = Consensus.Phases.forget_below t.phases phase

@@ -1,10 +1,16 @@
 (** Incremental per-phase counters for the decentralized variant
     (multivalued, distinct-sender semantics), installed as the node's
-    delivery handler — the same O(1)-read discipline as [Ben_or.Tally]. *)
+    delivery handler — the same O(1)-read discipline as [Ben_or.Tally]:
+    counters live in an array indexed by phase, and reading a phase
+    creates nothing. *)
 
 type t
 
 val attach : Decentralized_msg.t Netsim.Async_net.t -> me:int -> t
+
+val changed : t -> Dsim.Engine.queue
+(** Signalled whenever a count changes: the queue an [Engine.await] on
+    these counts names. *)
 
 val proposers : t -> phase:int -> int
 (** Distinct senders of ⟨1, ∗⟩ for the phase. *)

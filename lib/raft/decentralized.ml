@@ -21,10 +21,11 @@ let vac_invoke ctx ~round:m v =
   let t = ctx.faults in
   Dec_tally.forget_below ctx.tally ~phase:(m - 1);
   Net.broadcast ctx.net ~src:ctx.me (Msg.Propose { phase = m; value = v });
-  Dsim.Engine.await_cond (fun () -> Dec_tally.proposers ctx.tally ~phase:m >= n - t);
+  Dsim.Engine.await_cond (Dec_tally.changed ctx.tally) (fun () ->
+      Dec_tally.proposers ctx.tally ~phase:m >= n - t);
   Net.broadcast ctx.net ~src:ctx.me
     (Msg.Second { phase = m; ratify = Dec_tally.majority_value ctx.tally ~phase:m ~n });
-  Dsim.Engine.await_cond (fun () ->
+  Dsim.Engine.await_cond (Dec_tally.changed ctx.tally) (fun () ->
       Dec_tally.second_senders ctx.tally ~phase:m >= n - t);
   (* At most one value can be ratified in a phase: ratification requires a
      strict majority of distinct proposers behind it. *)

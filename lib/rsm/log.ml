@@ -19,20 +19,27 @@ type 'cmd t = {
   seed : int64;
   live : unit -> int list;
   view : unit -> int list option;
+  topology : Dsim.Engine.queue;  (* signalled when [live]/[view] change *)
+  changed : Dsim.Engine.queue;  (* signalled on every slot or floor change *)
   slots : (int, 'cmd slot) Hashtbl.t;
   mutable floor : floor option;
   mutable decided_count : int;
   mutable instances_total : int;
 }
 
-let create ~engine ~backend ~seed ~live ?view () =
+let create ~engine ~backend ~seed ~live ?view ?topology () =
   let view = match view with Some v -> v | None -> fun () -> Some (live ()) in
+  let topology =
+    match topology with Some q -> q | None -> Dsim.Engine.queue engine
+  in
   {
     engine;
     backend;
     seed;
     live;
     view;
+    topology;
+    changed = Dsim.Engine.queue engine;
     slots = Hashtbl.create 64;
     floor = None;
     decided_count = 0;
@@ -111,6 +118,7 @@ let compute t slot_no s =
 let publish t slot_no s d =
   let module B = (val t.backend : Backend.S) in
   s.decision <- Some d;
+  Dsim.Engine.signal t.changed;
   t.decided_count <- t.decided_count + 1;
   t.instances_total <- t.instances_total + d.instances;
   Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
@@ -136,7 +144,7 @@ let propose t ~slot ~pid ~batch =
                   heal (DESIGN §12/§14 fix: cuts now block consensus-
                   internal progress, not just client traffic). *)
                ignore
-                 (Dsim.Engine.await (fun () ->
+                 (Dsim.Engine.await_any [ t.changed; t.topology ] (fun () ->
                       match t.view () with
                       | Some members
                         when List.for_all
@@ -151,8 +159,10 @@ let propose t ~slot ~pid ~batch =
             : Dsim.Engine.pid);
         s
   in
-  if not (List.mem_assoc pid s.proposals) then
-    s.proposals <- s.proposals @ [ (pid, batch) ]
+  if not (List.mem_assoc pid s.proposals) then begin
+    s.proposals <- s.proposals @ [ (pid, batch) ];
+    Dsim.Engine.signal t.changed
+  end
 
 let opened t ~slot = Hashtbl.mem t.slots slot
 
@@ -170,7 +180,8 @@ let instances_total t = t.instances_total
    an honest recovery must start from the disks alone. *)
 let forget_volatile t =
   Hashtbl.reset t.slots;
-  t.floor <- None
+  t.floor <- None;
+  Dsim.Engine.signal t.changed
 
 let reseed t ~slot ~winner ~batch =
   if not (Hashtbl.mem t.slots slot) then begin
@@ -180,6 +191,7 @@ let reseed t ~slot ~winner ~batch =
         proposals = [ (winner, batch) ];
         decision = Some { winner; batch; instances = 0; duration = 0 };
       };
+    Dsim.Engine.signal t.changed;
     Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
         Printf.sprintf "slot %d reseeded from replica %d's WAL (%d cmds)" slot
           winner (List.length batch))
@@ -188,6 +200,9 @@ let reseed t ~slot ~winner ~batch =
 let set_floor t ~owner ~upto ~state ~cids =
   match t.floor with
   | Some f when f.upto >= upto -> ()
-  | _ -> t.floor <- Some { owner; upto; state; cids }
+  | _ ->
+      t.floor <- Some { owner; upto; state; cids };
+      Dsim.Engine.signal t.changed
 
 let floor t = t.floor
+let changed t = t.changed

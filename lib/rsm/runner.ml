@@ -251,7 +251,8 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
   in
   let log =
     Log.create ~engine:eng ~backend:cfg.backend ~seed:cfg.seed ~live
-      ~view:(Log.majority_view ~net ~live) ()
+      ~view:(Log.majority_view ~net ~live)
+      ~topology:(Netsim.Async_net.topology net) ()
   in
   let apps = Array.make cfg.n app.init in
   let checker = Checker.create () in
@@ -390,6 +391,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
   tob_ref := Some tob;
   let clients = Array.length cfg.ops in
   let done_clients = ref 0 in
+  let clients_done = Dsim.Engine.queue eng in
   let acked = ref 0 in
   let latencies = ref [] in
   (* An honest server acks only after the command is durable somewhere;
@@ -443,7 +445,8 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
         incr acked;
         latencies := float_of_int (Dsim.Engine.now eng - t0) :: !latencies)
       cfg.ops.(c);
-    incr done_clients
+    incr done_clients;
+    Dsim.Engine.signal clients_done
   in
   for c = 0 to clients - 1 do
     ignore
@@ -455,7 +458,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
      loops to wind down and let the run reach quiescence. *)
   ignore
     (Dsim.Engine.spawn eng ~name:"supervisor" (fun _ctx ->
-         Dsim.Engine.await_cond (fun () -> !done_clients = clients);
+         Dsim.Engine.await_cond clients_done (fun () -> !done_clients = clients);
          Tob.stop tob)
       : Dsim.Engine.pid);
   let crashed = ref [] in

@@ -19,6 +19,8 @@ type 'cmd t = {
   on_install :
     pid:int -> owner:int -> upto:int -> state:string -> cids:int list -> unit;
   replicas : 'cmd replica array;
+  changed : Dsim.Engine.queue array;
+      (* per replica: signalled when its pending set, or [stopped], changes *)
   processes : Dsim.Engine.pid array;
   delivered_any : (int, unit) Hashtbl.t;
   mutable stopped : bool;
@@ -26,7 +28,10 @@ type 'cmd t = {
 
 let receive t pid e =
   let r = t.replicas.(pid) in
-  if not (Hashtbl.mem r.delivered e.cid) then Hashtbl.replace r.pending e.cid e
+  if not (Hashtbl.mem r.delivered e.cid) then begin
+    Hashtbl.replace r.pending e.cid e;
+    Dsim.Engine.signal t.changed.(pid)
+  end
 
 let take_batch t r =
   let ids = Hashtbl.fold (fun cid _ acc -> cid :: acc) r.pending [] in
@@ -67,7 +72,7 @@ let replica_loop t pid _ctx =
         loop ()
     | None -> (
         let verdict =
-          Dsim.Engine.await (fun () ->
+          Dsim.Engine.await_any [ t.changed.(pid); Log.changed t.log ] (fun () ->
               if floor_ready t r <> None then Some `Go
               else if
                 Hashtbl.length r.pending > 0 || Log.opened t.log ~slot:r.next_slot
@@ -81,7 +86,10 @@ let replica_loop t pid _ctx =
         | `Go ->
             let slot = r.next_slot in
             Log.propose t.log ~slot ~pid ~batch:(take_batch t r);
-            let d = Dsim.Engine.await (fun () -> Log.decided t.log ~slot) in
+            let d =
+              Dsim.Engine.await (Log.changed t.log) (fun () ->
+                  Log.decided t.log ~slot)
+            in
             let fresh =
               List.filter
                 (fun (e : _ entry) -> not (Hashtbl.mem r.delivered e.cid))
@@ -125,6 +133,7 @@ let create ~engine ~net ~log ~batch ~deliver
               next_slot = 0;
               delivered_count = 0;
             });
+      changed = Array.init n (fun _ -> Dsim.Engine.queue engine);
       processes = Array.make n (-1);
       delivered_any = Hashtbl.create 64;
       stopped = false;
@@ -153,7 +162,9 @@ let process t pid = t.processes.(pid)
 (* Under the in-memory (recoverable) model a crash leaves replica state
    intact; under the durable model the Runner calls this to lose what a
    real crash loses at the TOB layer: the undelivered pending set. *)
-let crash t pid = Hashtbl.reset t.replicas.(pid).pending
+let crash t pid =
+  Hashtbl.reset t.replicas.(pid).pending;
+  Dsim.Engine.signal t.changed.(pid)
 
 let restart t ?recovery pid =
   if not (Dsim.Engine.alive t.engine t.processes.(pid)) then begin
@@ -169,7 +180,8 @@ let restart t ?recovery pid =
             Hashtbl.replace t.delivered_any cid ())
           rc.delivered_cids;
         r.delivered_count <- List.length rc.delivered_cids;
-        r.next_slot <- rc.next_slot);
+        r.next_slot <- rc.next_slot;
+        Dsim.Engine.signal t.changed.(pid));
     t.processes.(pid) <-
       Dsim.Engine.spawn t.engine
         ~name:(Printf.sprintf "rsm-replica-%d" pid)
@@ -185,4 +197,6 @@ let delivered_cids t ~pid =
 let next_slot t ~pid = t.replicas.(pid).next_slot
 let is_delivered t ~cid = Hashtbl.mem t.delivered_any cid
 let pending_count t ~pid = Hashtbl.length t.replicas.(pid).pending
-let stop t = t.stopped <- true
+let stop t =
+  t.stopped <- true;
+  Array.iter Dsim.Engine.signal t.changed

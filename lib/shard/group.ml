@@ -232,7 +232,8 @@ let create ~engine ~shard ~replicas:n ~backend ~seed
              (List.init n Fun.id)
          in
          Rsm.Log.create ~engine ~backend ~seed ~live
-           ~view:(Rsm.Log.majority_view ~net ~live) ());
+           ~view:(Rsm.Log.majority_view ~net ~live)
+           ~topology:(Netsim.Async_net.topology net) ());
       tob = None;
       machines = Array.init n (fun _ -> Machine.create ~shard);
       checker = Rsm.Checker.create ();

@@ -145,6 +145,7 @@ let run cfg =
   let clients = Array.length cfg.ops in
   let total_ops = Array.fold_left (fun a l -> a + List.length l) 0 cfg.ops in
   let completed = ref 0 in
+  let all_completed = Dsim.Engine.queue eng in
   let singles_acked = ref 0 in
   let txs_committed = ref 0 in
   let txs_aborted = ref 0 in
@@ -229,6 +230,7 @@ let run cfg =
         trt.tx.Cmd.participants;
       List.iter (fun (s, cid) -> Group.record_acked (group s) ~cid) trt.ready;
       incr completed;
+      Dsim.Engine.signal all_completed;
       let client = trt.tx.Cmd.txid lsr 20 in
       !op_completed_hook client
     end
@@ -297,6 +299,7 @@ let run cfg =
             single_latencies :=
               float_of_int (now () - srt.s_started_at) :: !single_latencies;
             incr completed;
+            Dsim.Engine.signal all_completed;
             !op_completed_hook ((cid / 8) lsr 20)
         | _ -> ())
     | Cmd.K_prepare _ -> ()
@@ -451,7 +454,7 @@ let run cfg =
   (* supervisor: once every operation completed, wind the groups down *)
   ignore
     (Dsim.Engine.spawn eng ~name:"supervisor" (fun _ctx ->
-         Dsim.Engine.await_cond (fun () -> !completed = total_ops);
+         Dsim.Engine.await_cond all_completed (fun () -> !completed = total_ops);
          finished := true;
          Array.iter Group.stop !groups_ref)
       : Dsim.Engine.pid);

@@ -68,7 +68,7 @@ let model_of_plan (p : plan) : M.t =
                  (fun (dst, tag) -> Net.send net ~src:i ~dst tag)
                  p.sends.(i);
                let seen =
-                 Engine.await (fun () ->
+                 Engine.await (Net.inbox_queue net i) (fun () ->
                      let ib = Net.inbox net i in
                      if List.length ib >= p.waits.(i) then
                        Some (List.filteri (fun k _ -> k < p.waits.(i)) ib)
@@ -244,7 +244,7 @@ let fault_mask_model ~fp () : M.t =
         (Engine.spawn eng ~name:"receiver" (fun _ ->
              Engine.schedule eng ~owner:1 ~delay:2 (fun () ->
                  if !p1_out = None then p1_out := Some false);
-             Engine.await (fun () ->
+             Engine.await (Net.inbox_queue net 1) (fun () ->
                  if
                    List.exists
                      (fun e -> e.Net.payload = Commit)

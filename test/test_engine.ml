@@ -34,11 +34,12 @@ let negative_delay_rejected () =
 
 let await_immediate () =
   let e = Engine.create () in
+  let q = Engine.queue e in
   let steps = ref [] in
   let _p =
     Engine.spawn e (fun _ctx ->
         (* Condition already true: must not yield at all. *)
-        let v = Engine.await (fun () -> Some 42) in
+        let v = Engine.await q (fun () -> Some 42) in
         steps := v :: !steps)
   in
   check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
@@ -46,14 +47,17 @@ let await_immediate () =
 
 let await_wakes_on_change () =
   let e = Engine.create () in
+  let q = Engine.queue e in
   let flag = ref false in
   let woke_at = ref (-1) in
   let _p =
     Engine.spawn e (fun _ctx ->
-        Engine.await_cond (fun () -> !flag);
+        Engine.await_cond q (fun () -> !flag);
         woke_at := Engine.now e)
   in
-  Engine.schedule e ~delay:30 (fun () -> flag := true);
+  Engine.schedule e ~delay:30 (fun () ->
+      flag := true;
+      Engine.signal q);
   check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
   check Alcotest.int "woke when flag set" 30 !woke_at
 
@@ -73,7 +77,7 @@ let sleep_accumulates () =
 
 let deadlock_detection () =
   let e = Engine.create () in
-  let p = Engine.spawn e (fun _ -> Engine.await_cond (fun () -> false)) in
+  let p = Engine.spawn e (fun _ -> Engine.await_cond (Engine.queue e) (fun () -> false)) in
   match Engine.run e with
   | Engine.Deadlock pids -> check (Alcotest.list Alcotest.int) "blocked pid" [ p ] pids
   | other ->
@@ -92,7 +96,7 @@ let kill_blocked_process_runs_finalizers () =
     Engine.spawn e (fun _ ->
         Fun.protect
           ~finally:(fun () -> cleaned := true)
-          (fun () -> Engine.await_cond (fun () -> false)))
+          (fun () -> Engine.await_cond (Engine.queue e) (fun () -> false)))
   in
   Engine.schedule e ~delay:5 (fun () -> Engine.kill e p);
   check outcome_testable "quiescent after kill" Engine.Quiescent (Engine.run e);
@@ -113,7 +117,7 @@ let kill_sleeping_process () =
 
 let kill_is_idempotent () =
   let e = Engine.create () in
-  let p = Engine.spawn e (fun _ -> Engine.await_cond (fun () -> false)) in
+  let p = Engine.spawn e (fun _ -> Engine.await_cond (Engine.queue e) (fun () -> false)) in
   Engine.schedule e ~delay:1 (fun () ->
       Engine.kill e p;
       Engine.kill e p);
@@ -193,7 +197,7 @@ let names_and_ids () =
 
 let suspension_outside_process () =
   Alcotest.check_raises "await outside" Engine.Not_in_process (fun () ->
-      ignore (Engine.await (fun () -> None) : unit))
+      ignore (Engine.await (Engine.queue (Engine.create ())) (fun () -> None) : unit))
 
 let emit_goes_to_trace () =
   let e = Engine.create () in
@@ -282,7 +286,9 @@ let kill_from_sibling_process () =
   (* One process killing another that is blocked; the killer keeps
      running. *)
   let e = Engine.create () in
-  let victim = Engine.spawn e (fun _ -> Engine.await_cond (fun () -> false)) in
+  let victim =
+    Engine.spawn e (fun _ -> Engine.await_cond (Engine.queue e) (fun () -> false))
+  in
   let finished = ref false in
   let _killer =
     Engine.spawn e (fun ctx ->
@@ -297,27 +303,32 @@ let kill_from_sibling_process () =
 
 let await_value_passes_through () =
   let e = Engine.create () in
+  let q = Engine.queue e in
   let cell = ref None in
   let got = ref "" in
   let _p =
     Engine.spawn e (fun _ ->
-        got := Engine.await (fun () -> !cell))
+        got := Engine.await q (fun () -> !cell))
   in
-  Engine.schedule e ~delay:3 (fun () -> cell := Some "payload");
+  Engine.schedule e ~delay:3 (fun () ->
+      cell := Some "payload";
+      Engine.signal q);
   ignore (Engine.run e : Engine.outcome);
   check Alcotest.string "payload delivered" "payload" !got
 
 let many_processes_stress () =
   (* 200 processes ping-ponging through a shared counter: exercises the
-     blocked-list scanning at scale. *)
+     marked-wait drain at scale. *)
   let e = Engine.create ~seed:9L () in
+  let q = Engine.queue e in
   let turn = ref 0 in
   let n = 200 in
   for i = 0 to n - 1 do
     ignore
       (Engine.spawn e (fun _ ->
-           Engine.await_cond (fun () -> !turn = i);
-           incr turn)
+           Engine.await_cond q (fun () -> !turn = i);
+           incr turn;
+           Engine.signal q)
       : Engine.pid)
   done;
   check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
@@ -454,6 +465,176 @@ let oracle_bypasses_batching () =
   check (Alcotest.list Alcotest.int) "oracle-chosen order (last first)"
     [ 2; 1; 0 ] (List.rev !fired)
 
+(* --- wait queues ---------------------------------------------------- *)
+
+(* One waiter on a flag whose owner forgets to signal; [extra] events
+   keep the run going past the unsignalled change. *)
+let forgetful_owner e =
+  let q = Engine.queue e in
+  let flag = ref false in
+  let p = Engine.spawn e (fun _ -> Engine.await_cond q (fun () -> !flag)) in
+  Engine.schedule e ~delay:5 (fun () -> flag := true);
+  Engine.schedule e ~delay:50 ignore;
+  p
+
+let missed_wakeup_at_deadlock () =
+  (* No oracle: the run drains to a deadlock, and the deadlock check
+     finds the waiter's poll holding. *)
+  let e = Engine.create () in
+  let p = forgetful_owner e in
+  Alcotest.check_raises "convicted at deadlock" (Engine.Missed_wakeup p)
+    (fun () -> ignore (Engine.run e : Engine.outcome));
+  check Alcotest.int "only once the events ran out" 50 (Engine.now e)
+
+let missed_wakeup_under_oracle () =
+  (* With a choice oracle the audit runs after every event, so the same
+     owner is convicted right after the unsignalled change. *)
+  let e = Engine.create () in
+  Engine.set_oracle e (Some { Engine.choose = (fun _ -> 0) });
+  let p = forgetful_owner e in
+  Alcotest.check_raises "convicted by the audit" (Engine.Missed_wakeup p)
+    (fun () -> ignore (Engine.run e : Engine.outcome));
+  check Alcotest.int "at the change itself" 5 (Engine.now e)
+
+let signalled_owner_is_clean () =
+  (* The same program with the signal in place passes under the audit. *)
+  let e = Engine.create () in
+  Engine.set_oracle e (Some { Engine.choose = (fun _ -> 0) });
+  let q = Engine.queue e in
+  let flag = ref false in
+  let woke = ref (-1) in
+  ignore
+    (Engine.spawn e (fun _ ->
+         Engine.await_cond q (fun () -> !flag);
+         woke := Engine.now e)
+      : Engine.pid);
+  Engine.schedule e ~delay:5 (fun () ->
+      flag := true;
+      Engine.signal q);
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  check Alcotest.int "woke at the change" 5 !woke
+
+let unsignalled_waits_are_not_polled () =
+  (* A wait nobody signals is polled once, when it blocks, however many
+     events run beside it. *)
+  let e = Engine.create () in
+  let polls = ref 0 in
+  let q = Engine.queue e in
+  ignore
+    (Engine.spawn e (fun _ ->
+         Engine.await_cond q (fun () ->
+             incr polls;
+             false))
+      : Engine.pid);
+  for d = 1 to 1_000 do
+    Engine.schedule e ~delay:d ignore
+  done;
+  (match Engine.run e with
+  | Engine.Deadlock _ -> ()
+  | _ -> Alcotest.fail "expected the waiter to stay blocked");
+  (* one poll at block time, one in the deadlock check *)
+  check Alcotest.int "polls" 2 !polls
+
+let resume_order_newest_first () =
+  (* Four waiters on one queue, one signal.  Newest blocker first:
+     dddd; ccc still polls false, so bb; bb's wake releases ccc, and the
+     scan restarts from the newest, so ccc comes before the older a —
+     the polled engine's restart-from-the-head order. *)
+  let e = Engine.create () in
+  let q = Engine.queue e in
+  let go = ref false and late = ref false in
+  let log = ref [] in
+  let waiter name cond =
+    ignore
+      (Engine.spawn e (fun ctx ->
+           Engine.sleep ctx (String.length name);
+           Engine.await_cond q cond;
+           log := name :: !log;
+           if name = "bb" then begin
+             late := true;
+             Engine.signal q
+           end)
+        : Engine.pid)
+  in
+  waiter "a" (fun () -> !go);
+  waiter "bb" (fun () -> !go);
+  waiter "ccc" (fun () -> !late);
+  waiter "dddd" (fun () -> !go);
+  Engine.schedule e ~delay:10 (fun () ->
+      go := true;
+      Engine.signal q);
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  check (Alcotest.list Alcotest.string) "newest first, rescan after a wake"
+    [ "dddd"; "bb"; "ccc"; "a" ] (List.rev !log)
+
+let clock_wakes_at_first_event_of_tick () =
+  (* A wait reading [now] names the clock: it resumes right after the
+     first event of its deadline tick, not after a later one. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.schedule e ~delay:10 (fun () -> log := "first" :: !log);
+  ignore
+    (Engine.spawn e (fun _ ->
+         Engine.await_cond (Engine.clock e) (fun () -> Engine.now e >= 10);
+         log := "waiter" :: !log)
+      : Engine.pid);
+  Engine.schedule e ~delay:10 (fun () -> log := "second" :: !log);
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  check (Alcotest.list Alcotest.string) "wake point"
+    [ "first"; "waiter"; "second" ] (List.rev !log)
+
+let queue_of_another_engine () =
+  let e = Engine.create () and other = Engine.create () in
+  let p =
+    Engine.spawn e (fun _ -> Engine.await_cond (Engine.queue other) (fun () -> false))
+  in
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  match Engine.process_failed e p with
+  | Some (Invalid_argument _) -> ()
+  | _ -> Alcotest.fail "a foreign queue must fail the process"
+
+let killed_while_running_unwinds_at_wait () =
+  (* A process killed while it runs (here: by itself) is not left
+     blocked when it next waits: it unwinds, finalizers included. *)
+  let e = Engine.create () in
+  let cleaned = ref false in
+  let p = ref (-1) in
+  p :=
+    Engine.spawn e (fun _ ->
+        Fun.protect
+          ~finally:(fun () -> cleaned := true)
+          (fun () ->
+            Engine.kill e !p;
+            Engine.await_cond (Engine.queue e) (fun () -> false)));
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  check Alcotest.bool "finalizer ran" true !cleaned
+
+(* --- bit-width limits, checked where values are created --------------- *)
+
+let pid_limit () =
+  check Alcotest.int "23-bit owner field" ((1 lsl 23) - 2) Engine.max_pid;
+  let e = Engine.create () in
+  Engine.skip_pids e Engine.max_pid;
+  (match Engine.spawn e (fun _ -> ()) with
+  | exception Invalid_argument _ -> Alcotest.fail "max_pid itself must fit"
+  | p -> check Alcotest.int "last pid" Engine.max_pid p);
+  match Engine.spawn e (fun _ -> ()) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "pid past the owner field accepted"
+
+let arena_limit () =
+  check Alcotest.int "30-bit argument field" ((1 lsl 30) - 1) Engine.max_arg;
+  let a = Dsim.Arena.create ~limit:3 in
+  let slots = List.init 4 (fun i -> Dsim.Arena.alloc a i) in
+  check (Alcotest.list Alcotest.int) "slots 0..limit" [ 0; 1; 2; 3 ] slots;
+  Alcotest.check_raises "slot past the limit"
+    (Invalid_argument "Arena.alloc: all 4 slots are in use") (fun () ->
+      ignore (Dsim.Arena.alloc a 4 : int));
+  check Alcotest.int "take returns the value" 2 (Dsim.Arena.take a 2);
+  check Alcotest.int "freed slot is reused" 2 (Dsim.Arena.alloc a 9);
+  check (Alcotest.list Alcotest.int) "live values in slot order" [ 0; 1; 9; 3 ]
+    (Dsim.Arena.live a)
+
 let suite =
   [
     Alcotest.test_case "schedule ordering" `Quick schedule_ordering;
@@ -465,6 +646,19 @@ let suite =
     Alcotest.test_case "negative delay rejected" `Quick negative_delay_rejected;
     Alcotest.test_case "await immediate" `Quick await_immediate;
     Alcotest.test_case "await wakes on change" `Quick await_wakes_on_change;
+    Alcotest.test_case "missed wake-up at deadlock" `Quick missed_wakeup_at_deadlock;
+    Alcotest.test_case "missed wake-up under oracle" `Quick missed_wakeup_under_oracle;
+    Alcotest.test_case "signalled owner is clean" `Quick signalled_owner_is_clean;
+    Alcotest.test_case "unsignalled waits not polled" `Quick
+      unsignalled_waits_are_not_polled;
+    Alcotest.test_case "resume order newest first" `Quick resume_order_newest_first;
+    Alcotest.test_case "clock wakes at tick's first event" `Quick
+      clock_wakes_at_first_event_of_tick;
+    Alcotest.test_case "queue of another engine" `Quick queue_of_another_engine;
+    Alcotest.test_case "killed while running unwinds" `Quick
+      killed_while_running_unwinds_at_wait;
+    Alcotest.test_case "pid limit" `Quick pid_limit;
+    Alcotest.test_case "arena limit" `Quick arena_limit;
     Alcotest.test_case "sleep accumulates" `Quick sleep_accumulates;
     Alcotest.test_case "deadlock detection" `Quick deadlock_detection;
     Alcotest.test_case "kill runs finalizers" `Quick kill_blocked_process_runs_finalizers;

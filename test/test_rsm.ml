@@ -81,13 +81,18 @@ let log_single_proposer () =
 let log_waits_then_releases_on_crash () =
   let eng = Dsim.Engine.create ~seed:9L () in
   let crashed = ref false in
+  let topology = Dsim.Engine.queue eng in
   let live () = if !crashed then [ 0 ] else [ 0; 1 ] in
-  let log = Log.create ~engine:eng ~backend:Backend.ben_or ~seed:9L ~live () in
+  let log =
+    Log.create ~engine:eng ~backend:Backend.ben_or ~seed:9L ~live ~topology ()
+  in
   Log.propose log ~slot:0 ~pid:0 ~batch:[ "x" ];
   ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
   check Alcotest.bool "undecided while replica 1 is awaited" true
     (Log.decided log ~slot:0 = None);
-  Dsim.Engine.schedule eng ~delay:5 (fun () -> crashed := true);
+  Dsim.Engine.schedule eng ~delay:5 (fun () ->
+      crashed := true;
+      Dsim.Engine.signal topology);
   ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
   match Log.decided log ~slot:0 with
   | Some { Log.winner = 0; _ } -> ()

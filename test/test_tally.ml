@@ -52,6 +52,29 @@ let tally_forget_below () =
   check Alcotest.int "old phase dropped" 0 (Ben_or.Tally.step1_senders t ~phase:1);
   check Alcotest.int "current phase kept" 1 (Ben_or.Tally.step1_senders t ~phase:5)
 
+(* Reads never create a phase; a late write to a forgotten phase is
+   forgotten again by the next [forget_below]. *)
+let phases_reads_create_nothing () =
+  let empty = ref 0 in
+  let t = Consensus.Phases.create ~empty ~make:(fun () -> ref 0) in
+  check Alcotest.bool "absent phase reads as empty" true
+    (Consensus.Phases.get t 7 == empty);
+  check Alcotest.bool "still absent after the read" true
+    (Consensus.Phases.get t 7 == empty);
+  incr (Consensus.Phases.obtain t 7);
+  check Alcotest.int "written phase kept" 1 !(Consensus.Phases.get t 7);
+  Consensus.Phases.forget_below t 8;
+  check Alcotest.bool "forgotten" true (Consensus.Phases.get t 7 == empty);
+  incr (Consensus.Phases.obtain t 2);
+  check Alcotest.int "late write recreates" 1 !(Consensus.Phases.get t 2);
+  Consensus.Phases.forget_below t 9;
+  check Alcotest.bool "late phase forgotten again" true
+    (Consensus.Phases.get t 2 == empty);
+  check Alcotest.int "empty never written" 0 !empty;
+  Alcotest.check_raises "negative phase"
+    (Invalid_argument "Phases.obtain: negative phase") (fun () ->
+      ignore (Consensus.Phases.obtain t (-1) : int ref))
+
 (* --- decentralized tally ------------------------------------------------ *)
 
 let dec_net () =
@@ -166,6 +189,7 @@ let suite =
     Alcotest.test_case "tally counts by phase" `Quick tally_counts_by_phase;
     Alcotest.test_case "tally dedups senders" `Quick tally_dedups_senders;
     Alcotest.test_case "tally forget_below" `Quick tally_forget_below;
+    Alcotest.test_case "phases: reads create nothing" `Quick phases_reads_create_nothing;
     Alcotest.test_case "dec tally majority/order" `Quick dec_tally_majority_and_order;
     Alcotest.test_case "dec tally ratifications" `Quick dec_tally_ratifications;
     Alcotest.test_case "ben-or message pp" `Quick benor_message_pp;
