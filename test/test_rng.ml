@@ -90,6 +90,50 @@ let pick_raises_on_empty () =
   Alcotest.check_raises "empty list" (Invalid_argument "Rng.pick_list: empty list")
     (fun () -> ignore (Dsim.Rng.pick_list r [] : int))
 
+(* Known answers.  The first five outputs for seed 1234567 are those of
+   Vigna's reference splitmix64.c; the recorded draws pin how each
+   derived sampler consumes the stream, so a change of representation
+   must reproduce every simulation's randomness exactly. *)
+let u64 s = Int64.of_string ("0u" ^ s)
+
+let reference_splitmix64 () =
+  let r = Dsim.Rng.create 1234567L in
+  List.iter
+    (fun expected ->
+      check Alcotest.int64 ("output " ^ expected) (u64 expected)
+        (Dsim.Rng.next_int64 r))
+    [
+      "6457827717110365317";
+      "3203168211198807973";
+      "9817491932198370423";
+      "4593380528125082431";
+      "16408922859458223821";
+    ]
+
+let recorded_draws () =
+  let ints = Alcotest.(list int) in
+  let r = Dsim.Rng.create 42L in
+  let draw n f = List.init n (fun _ -> f ()) in
+  check ints "bits" [ 796249225; 171702476; 299145685 ]
+    (draw 3 (fun () -> Dsim.Rng.bits r));
+  check ints "int 10" [ 7; 2; 8; 1 ] (draw 4 (fun () -> Dsim.Rng.int r 10));
+  check ints "int 2^40" [ 531093752809; 127822421877 ]
+    (draw 2 (fun () -> Dsim.Rng.int r (1 lsl 40)));
+  check ints "int_in -5 5" [ 4; 1; 2; -3 ]
+    (draw 4 (fun () -> Dsim.Rng.int_in r (-5) 5));
+  check Alcotest.(list bool) "bool"
+    [ true; false; false; true; true; true ]
+    (draw 6 (fun () -> Dsim.Rng.bool r));
+  check Alcotest.(list (float 0.)) "float 1.0"
+    [ 0x1.60bd943452e57p-1; 0x1.ea268896c8ab4p-1; 0x1.2b3a6dd261f68p-4 ]
+    (draw 3 (fun () -> Dsim.Rng.float r 1.0));
+  let child = Dsim.Rng.split r in
+  check Alcotest.(list int64) "split child"
+    [ u64 "13632193702353699352"; u64 "11898010535462999091" ]
+    (draw 2 (fun () -> Dsim.Rng.next_int64 child));
+  check Alcotest.int64 "split parent" (u64 "11433643108797302929")
+    (Dsim.Rng.next_int64 r)
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"int is within [0, bound)" ~count:1000
     QCheck.(pair int64 (int_range 1 1_000_000))
@@ -134,6 +178,8 @@ let suite =
     Alcotest.test_case "exponential positive" `Quick exponential_positive;
     Alcotest.test_case "exponential mean" `Quick exponential_mean_close;
     Alcotest.test_case "pick raises on empty" `Quick pick_raises_on_empty;
+    Alcotest.test_case "reference splitmix64 outputs" `Quick reference_splitmix64;
+    Alcotest.test_case "recorded draws" `Quick recorded_draws;
     qtest prop_int_in_bounds;
     qtest prop_int_in_range;
     qtest prop_shuffle_is_permutation;
