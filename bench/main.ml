@@ -383,12 +383,11 @@ let blocked_scaling_rows () =
         ])
     blocked_counts
 
-(* Heap-vs-wheel on the workloads where the queue backend matters:
-   many concurrent timers (the wheel's O(1) add/pop vs the heap's
-   O(log n) sifts), a timer-driven Raft cluster, and the heartbeat
-   failure detector. *)
-let flat_timer_wall ~queue ~sources ~iters =
-  let eng = Dsim.Engine.create ~seed:7L ~tracing:false ~queue () in
+(* The event queue on the workloads that stress it: many concurrent
+   timers (4,096 in flight, delays 1..64), a timer-driven Raft cluster,
+   and the heartbeat failure detector. *)
+let flat_timer_wall ~sources ~iters =
+  let eng = Dsim.Engine.create ~seed:7L ~tracing:false () in
   let remaining = Array.make sources iters in
   let k = ref (-1) in
   let fire eng src =
@@ -406,12 +405,12 @@ let flat_timer_wall ~queue ~sources ~iters =
   done;
   let t0 = Unix.gettimeofday () in
   ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
-  (Unix.gettimeofday () -. t0, sources * iters)
+  Unix.gettimeofday () -. t0
 
-let raft_queue_wall ~queue ~rounds =
+let raft_queue_wall ~rounds =
   let t0 = Unix.gettimeofday () in
   for seed = 1 to rounds do
-    let cl = Raft.Cluster.create ~seed:(Int64.of_int seed) ~queue ~n:5 () in
+    let cl = Raft.Cluster.create ~seed:(Int64.of_int seed) ~n:5 () in
     let cons =
       Raft.Consensus_raft.create ~cluster:cl
         ~inputs:(Array.init 5 (fun i -> 100 + i))
@@ -421,45 +420,42 @@ let raft_queue_wall ~queue ~rounds =
   done;
   Unix.gettimeofday () -. t0
 
-let detect_queue_wall ~queue ~rounds =
+let detect_queue_wall ~rounds =
   let t0 = Unix.gettimeofday () in
   for seed = 1 to rounds do
     ignore
-      (Detect.Runner.run ~n:8 ~seed:(Int64.of_int seed) ~quiet:true ~queue ()
+      (Detect.Runner.run ~n:8 ~seed:(Int64.of_int seed) ~quiet:true ()
         : Detect.Runner.report)
   done;
   Unix.gettimeofday () -. t0
 
+let queue_reps = 5
+
+(* One row per workload: median, min and max wall time of
+   [queue_reps] runs. *)
 let queue_compare_rows () =
-  let backends = [ ("heap", Dsim.Equeue.Heap); ("wheel", Dsim.Equeue.Wheel) ] in
-  let row ~workload ~backend ~wall ~events =
+  let row ~workload ?events wall =
+    let walls = List.sort compare (List.init queue_reps (fun _ -> wall ())) in
+    let median = List.nth walls (queue_reps / 2) in
     Json.Obj
       [
         ("workload", Json.String workload);
-        ("backend", Json.String backend);
-        ("wall_seconds", Json.Float wall);
+        ("wall_seconds", Json.Float median);
+        ("wall_min", Json.Float (List.hd walls));
+        ("wall_max", Json.Float (List.nth walls (queue_reps - 1)));
         ( "events_per_sec",
           match events with
-          | Some e -> Json.Float (float_of_int e /. Float.max wall 1e-9)
+          | Some e -> Json.Float (float_of_int e /. Float.max median 1e-9)
           | None -> Json.Null );
       ]
   in
-  List.concat_map
-    (fun (name, queue) ->
-      (* 4096 concurrent timers: enough in-flight events that the
-         backends' asymptotics (heap O(log n) sift vs wheel O(1) slot
-         append) actually separate. *)
-      let tw, tev = flat_timer_wall ~queue ~sources:4_096 ~iters:600 in
-      [
-        row ~workload:"flat-timers.4k" ~backend:name ~wall:tw ~events:(Some tev);
-        row ~workload:"raft-smoke.n5" ~backend:name
-          ~wall:(raft_queue_wall ~queue ~rounds:40)
-          ~events:None;
-        row ~workload:"detect.n8" ~backend:name
-          ~wall:(detect_queue_wall ~queue ~rounds:40)
-          ~events:None;
-      ])
-    backends
+  let sources = 4_096 and iters = 600 in
+  [
+    row ~workload:"flat-timers.4k" ~events:(sources * iters) (fun () ->
+        flat_timer_wall ~sources ~iters);
+    row ~workload:"raft-smoke.n5" (fun () -> raft_queue_wall ~rounds:40);
+    row ~workload:"detect.n8" (fun () -> detect_queue_wall ~rounds:40);
+  ]
 
 let campaign_scaling ~plans jobs_list =
   let cfg =
@@ -564,6 +560,9 @@ let obj_rows () =
   List.map
     (fun (name, (module O : Obj.Spec.S)) -> obj_row name (module O))
     Obj.Registry.all
+
+(* The BENCH_core.json layout this bench writes and validates. *)
+let schema = "oocon-bench-core/8"
 
 let bench_core_json () =
   let cores = Exec.Pool.cores () in
@@ -707,7 +706,7 @@ let bench_core_json () =
   in
   Json.Obj
     [
-      ("schema", Json.String "oocon-bench-core/7");
+      ("schema", Json.String schema);
       ("cores", Json.Int cores);
       ( "engine",
         Json.Obj
@@ -749,7 +748,7 @@ let validate_bench_json file =
   | v ->
       let open Json in
       (match Option.bind (member "schema" v) to_string_opt with
-      | Some "oocon-bench-core/7" -> ()
+      | Some v when v = schema -> ()
       | Some other -> err "unexpected schema %S" other
       | None -> err "missing schema");
       (match Option.bind (member "cores" v) to_int with
@@ -793,12 +792,10 @@ let validate_bench_json file =
               (match Option.bind (member "workload" row) to_string_opt with
               | Some _ -> ()
               | None -> err "queue_compare[%d]: missing workload" i);
-              (match Option.bind (member "backend" row) to_string_opt with
-              | Some ("heap" | "wheel") -> ()
-              | _ -> err "queue_compare[%d]: backend must be heap|wheel" i);
-              match Option.bind (member "wall_seconds" row) to_float with
-              | Some w when w > 0. -> ()
-              | _ -> err "queue_compare[%d]: bad wall_seconds" i)
+              let wall key = Option.bind (member key row) to_float in
+              match (wall "wall_min", wall "wall_seconds", wall "wall_max") with
+              | Some lo, Some mid, Some hi when 0. < lo && lo <= mid && mid <= hi -> ()
+              | _ -> err "queue_compare[%d]: bad wall_min/wall_seconds/wall_max" i)
             rows
       | Some [] -> err "queue_compare is empty"
       | None -> err "missing queue_compare");
@@ -989,7 +986,7 @@ let validate_bench_json file =
       | None -> ()));
   match List.rev !errors with
   | [] ->
-      Format.printf "%s: valid oocon-bench-core/7 baseline@." file;
+      Format.printf "%s: valid %s baseline@." file schema;
       0
   | errs ->
       List.iter (Format.eprintf "%s: %s@." file) errs;

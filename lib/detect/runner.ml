@@ -77,7 +77,7 @@ type round = {
 
 let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Honest)
     ?inputs ?(horizon = 5000) ?(max_events = 2_000_000) ?(quiet = false)
-    ?queue ?install () =
+    ?install () =
   let inputs =
     match inputs with
     | Some a ->
@@ -88,7 +88,7 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
         (* disagreeing defaults so the protocol has something to solve *)
         Array.init n (fun i -> i mod 2 = 0)
   in
-  let engine = Engine.create ~seed ~tracing:(not quiet) ?queue () in
+  let engine = Engine.create ~seed ~tracing:(not quiet) () in
   let policy_ref = ref (fun _ -> Net.Deliver) in
   let net = Net.create engine ~n ~policy:(fun e -> !policy_ref e) ~retain_inbox:false () in
   let maj = (n / 2) + 1 in

@@ -61,15 +61,13 @@ val run :
   ?horizon:int ->
   ?max_events:int ->
   ?quiet:bool ->
-  ?queue:Dsim.Equeue.backend ->
   ?install:(faults -> unit) ->
   unit ->
   report
 (** One simulated instance.  Defaults: [n = 4], disagreeing inputs,
     honest detector, [horizon = 5000].  [install] runs after setup and
     before the engine, so a nemesis plan can be scheduled against the
-    run.  Deterministic in all arguments, including the [queue]
-    backend choice. *)
+    run.  Deterministic in all arguments. *)
 
 val decide : seed:int64 -> inputs:bool array -> bool * int
 (** The {!Rsm.Backend.S} contract: a fresh fault-free nested instance

@@ -52,7 +52,7 @@ let max_stamp = max_int lsr owner_bits
 
 type proc = {
   p_pid : pid;
-  p_name : string;
+  p_name : string option;  (* [None]: "p<pid>", built only when read *)
   mutable p_state : proc_state;
   mutable p_failure : exn option;
   mutable p_k : (unit, unit) Effect.Deep.continuation option;
@@ -121,7 +121,7 @@ type _ Effect.t +=
 let dummy_proc =
   {
     p_pid = -1;
-    p_name = "?";
+    p_name = Some "?";
     p_state = Dead;
     p_failure = None;
     p_k = None;
@@ -305,9 +305,8 @@ let register_kind t handler =
   t.kind_count <- k + 1;
   k
 
-let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(queue = Equeue.Heap)
-    ?(batching = true) () =
-  let events = Equeue.create queue
+let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(batching = true) () =
+  let events = Equeue.create ()
   and tr = Trace.create ?capacity:trace_capacity ()
   and engine_rng = Rng.create seed
   and parr = Array.make 16 dummy_proc
@@ -354,7 +353,6 @@ let tracing t = t.tracing
 let set_tracing t on = t.tracing <- on
 let batching t = t.batching
 let set_batching t on = t.batching <- on
-let queue_backend t = Equeue.backend t.events
 
 let emit t ?pid ~tag detail =
   if t.tracing then Trace.emit t.tr ~time:t.now ?pid ~tag detail
@@ -398,7 +396,10 @@ let proc t pid =
   else invalid_arg (Printf.sprintf "Engine: unknown pid %d" pid)
 
 let alive t pid = pid >= 0 && pid < t.next_pid && t.parr.(pid).p_state = Running
-let name t pid = (proc t pid).p_name
+let proc_name p =
+  match p.p_name with Some n -> n | None -> Printf.sprintf "p%d" p.p_pid
+
+let name t pid = proc_name (proc t pid)
 let process_failed t pid = (proc t pid).p_failure
 
 (* Suspension primitives: plain effect performers.  They raise
@@ -490,9 +491,8 @@ let spawn t ?name body =
     Array.blit t.parr 0 np 0 (Array.length t.parr);
     t.parr <- np
   end;
-  let p_name = match name with Some n -> n | None -> Printf.sprintf "p%d" pid in
   let p =
-    { p_pid = pid; p_name; p_state = Running; p_failure = None; p_k = None;
+    { p_pid = pid; p_name = name; p_state = Running; p_failure = None; p_k = None;
       p_wait = Idle }
   in
   t.parr.(pid) <- p;
@@ -509,7 +509,7 @@ let kill t pid =
     let p = t.parr.(pid) in
     if p.p_state = Running then begin
       p.p_state <- Dead;
-      emit t ~pid ~tag:"kill" p.p_name;
+      emitk t ~pid ~tag:"kill" (fun () -> proc_name p);
       (* Discontinue a blocked continuation now so the fiber unwinds;
          sleeping continuations notice at wake-up.  The wait's queue
          and heap entries go stale with it. *)
@@ -600,10 +600,10 @@ let run ?until ?max_events t =
     incr executed;
     if !executed >= budget then finish_with Event_limit
   done;
-  (* Both the oracle and the queue backend are fixed before [run] (all
-     [set_oracle] callers install theirs during setup), so both matches
-     hoist out of the per-event loop — the backend dispatch in
-     particular is measurable at tens of millions of events/sec. *)
+  (* The oracle is fixed before [run] (every [set_oracle] caller installs
+     its own during setup), so its match hoists out of the per-event
+     loop. *)
+  let q = t.events in
   (match t.oracle with
   | Some o ->
       (* Oracle mode: strictly per-event granularity, and the limit
@@ -614,7 +614,7 @@ let run ?until ?max_events t =
         | None -> finish_with (finish t)
         | Some (time, ev) ->
             if time > limit then begin
-              Equeue.add t.events ~key:time ev;
+              Equeue.add q ~key:time ev;
               advance t limit;
               finish_with Time_limit
             end
@@ -629,91 +629,50 @@ let run ?until ?max_events t =
               if !executed >= budget then finish_with Event_limit
             end
       done
-  | None -> (
-      (* The two branches below are textually identical modulo the
-         queue module; keep them in sync. *)
-      match t.events with
-      | Equeue.H h ->
-          while not !stop do
-            if Heap.is_empty h then finish_with (finish t)
-            else begin
-              let time = Heap.peek_key_fast h in
-              if time > limit then begin
-                (* Pop-and-re-add, preserving the classic engine's
-                   tiebreak bump for events deferred past the limit. *)
-                let ev = Heap.pop_value h in
-                Heap.add h ~key:time ev;
-                advance t limit;
-                finish_with Time_limit
-              end
-              else begin
-                advance t time;
-                exec t (Heap.pop_value h);
+  | None ->
+      while not !stop do
+        if Equeue.is_empty q then finish_with (finish t)
+        else begin
+          let time = Equeue.peek_key_fast q in
+          if time > limit then begin
+            (* Pop-and-re-add, preserving the classic engine's tiebreak
+               bump for events deferred past the limit. *)
+            let ev = Equeue.pop_value q in
+            Equeue.add q ~key:time ev;
+            advance t limit;
+            finish_with Time_limit
+          end
+          else begin
+            advance t time;
+            exec t (Equeue.pop_value q);
+            drain_ready t;
+            incr executed;
+            if !executed >= budget then finish_with Event_limit
+            else if
+              t.batching
+              && (not (Equeue.is_empty q))
+              && Equeue.peek_key_fast q = time
+            then begin
+              (* Drain the rest of the tick in one queue operation.  The
+                 buffer is the tie set in seq order, and anything the
+                 drained events schedule gets a later global seq, so the
+                 execution order is exactly what per-event pops
+                 produce. *)
+              let n = Equeue.pop_run q ~buf:t.ebuf ~dummy:0 in
+              t.buf_pos <- 0;
+              t.buf_len <- n;
+              let buf = !(t.ebuf) in
+              while (not !stop) && t.buf_pos < t.buf_len do
+                exec t buf.(t.buf_pos);
+                t.buf_pos <- t.buf_pos + 1;
                 drain_ready t;
                 incr executed;
                 if !executed >= budget then finish_with Event_limit
-                else if
-                  t.batching
-                  && (not (Heap.is_empty h))
-                  && Heap.peek_key_fast h = time
-                then begin
-                  (* Drain the rest of the tick in one queue operation.
-                     The buffer is the tie set in seq order, and anything
-                     the drained events schedule gets a later global seq,
-                     so the execution order is exactly what per-event
-                     pops produce. *)
-                  let n = Heap.pop_run h ~buf:t.ebuf ~dummy:0 in
-                  t.buf_pos <- 0;
-                  t.buf_len <- n;
-                  let buf = !(t.ebuf) in
-                  while (not !stop) && t.buf_pos < t.buf_len do
-                    exec t buf.(t.buf_pos);
-                    t.buf_pos <- t.buf_pos + 1;
-                    drain_ready t;
-                    incr executed;
-                    if !executed >= budget then finish_with Event_limit
-                  done
-                end
-              end
+              done
             end
-          done
-      | Equeue.W w ->
-          while not !stop do
-            if Wheel.is_empty w then finish_with (finish t)
-            else begin
-              let time = Wheel.peek_key_fast w in
-              if time > limit then begin
-                let ev = Wheel.pop_value w in
-                Wheel.add w ~key:time ev;
-                advance t limit;
-                finish_with Time_limit
-              end
-              else begin
-                advance t time;
-                exec t (Wheel.pop_value w);
-                drain_ready t;
-                incr executed;
-                if !executed >= budget then finish_with Event_limit
-                else if
-                  t.batching
-                  && (not (Wheel.is_empty w))
-                  && Wheel.peek_key_fast w = time
-                then begin
-                  let n = Wheel.pop_run w ~buf:t.ebuf ~dummy:0 in
-                  t.buf_pos <- 0;
-                  t.buf_len <- n;
-                  let buf = !(t.ebuf) in
-                  while (not !stop) && t.buf_pos < t.buf_len do
-                    exec t buf.(t.buf_pos);
-                    t.buf_pos <- t.buf_pos + 1;
-                    drain_ready t;
-                    incr executed;
-                    if !executed >= budget then finish_with Event_limit
-                  done
-                end
-              end
-            end
-          done));
+          end
+        end
+      done);
   !result
 
 let run_quiet ?until ?max_events t =

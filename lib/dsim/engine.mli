@@ -51,7 +51,6 @@ val create :
   ?seed:int64 ->
   ?trace_capacity:int ->
   ?tracing:bool ->
-  ?queue:Equeue.backend ->
   ?batching:bool ->
   unit ->
   t
@@ -61,16 +60,10 @@ val create :
     only affects what the trace retains — never scheduling, RNG streams
     or outcomes — so a quiet run is bit-identical to a traced one.
 
-    [queue] picks the event-queue backend (default [Equeue.Heap]; the
-    timing wheel wins on heavy-timer workloads).  [batching] (default
-    on) lets {!run} drain a whole same-tick tie set in one queue
-    operation when no oracle is installed.  Neither knob changes
-    behaviour: seeded runs are byte-identical across all four
-    combinations, and an installed oracle always sees per-event
-    granularity regardless of [batching]. *)
-
-val queue_backend : t -> Equeue.backend
-(** Which event-queue backend this engine was created with. *)
+    [batching] (default on) lets {!run} drain a whole same-tick tie
+    set in one queue operation when no oracle is installed.  It does
+    not change behaviour: seeded runs are byte-identical either way,
+    and an installed oracle always sees per-event granularity. *)
 
 val batching : t -> bool
 (** Whether same-tick batch draining is enabled (see {!create}). *)

@@ -1,46 +1,63 @@
-(** The engine's event-queue, behind a backend switch.
+(** The engine's event queue: a calendar ring in front of a binary heap.
 
-    Both backends — the struct-of-arrays binary {!Heap} and the
-    hierarchical timing {!Wheel} — implement the same contract: minimum
-    integer key first, insertion order breaking ties, and tie-set
-    operations that surface the same-key group identically.  Seeded
-    simulations are byte-identical on either backend; pick by workload
-    (the wheel's O(1) add/pop wins on heavy-timer runs with large
-    in-flight event counts). *)
+    Minimum integer key first, insertion order breaking ties.  A ring of
+    64 one-tick buckets holds the keys of the window
+    [\[floor, floor + 64)]; the {!Heap} holds keys added outside it
+    (far-future ones, and ones below the floor).  The floor rises to
+    each popped key.  Most engine events land within a few ticks of the
+    present, so adding and popping them are O(1), while arbitrary keys
+    stay legal.
 
-type backend = Heap | Wheel
+    Both parts draw on one dense seq counter, and the order (key, seq),
+    the tie sets and the seqs are exactly those of a single {!Heap}
+    given the same operations: a schedule explorer sees the same choice
+    points whatever part an entry lives in. *)
 
-type t = H of Heap.t | W of Wheel.t
-(** The representation is exposed so the engine can hoist the backend
-    dispatch out of its per-event hot loop (one match per run, not per
-    queue operation).  Ordinary callers should treat it as abstract and
-    go through the functions below. *)
+type t
 
-val create : backend -> t
-val backend : t -> backend
+val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
 val add : t -> key:int -> int -> unit
-(** Wheel backend only: @raise Invalid_argument when [key] is below the
-    largest key already popped. *)
+(** [add t ~key v] inserts [v] with priority [key]; any key is legal. *)
 
 val pop : t -> (int * int) option
+(** Remove and return the minimum-key element. *)
+
 val pop_value : t -> int
+(** Allocation-free {!pop} of the payload alone; the queue must be
+    non-empty (read the key first with {!peek_key_fast}). *)
+
 val peek_key : t -> int option
+
 val peek_key_fast : t -> int
+(** The minimum key of a non-empty queue (undefined when empty). *)
+
 val pop_run : t -> buf:int array ref -> dummy:int -> int
+(** Pop the whole minimum-key tie set into [buf] (grown with [dummy]
+    padding as needed), in seq order — what repeated {!pop}s would
+    produce.  Returns the count (0 when empty). *)
+
 val min_key_count : t -> int
+(** How many elements are tied for the minimum key (0 when empty). *)
+
 val min_key_values : t -> int list
+(** The tied elements, in seq order; removes nothing. *)
 
 val min_key_seqs : t -> int list
 (** Insertion sequence numbers of the minimum-key tie set, in insertion
-    order (parallel to {!min_key_values}).  Identical on both backends
-    for the same add history; seqs are dense from 0 and reset by
-    {!clear}, giving queued events a stable per-run identity. *)
+    order (parallel to {!min_key_values}).  Seqs are dense from 0 and
+    reset by {!clear}, giving queued events a stable per-run identity. *)
 
 val last_seq : t -> int
 (** The seq assigned by the most recent {!add} (-1 when none yet). *)
 
 val pop_min_nth : t -> int -> (int * int) option
+(** [pop_min_nth t i] removes the [i]-th (0-based, seq order) element of
+    the minimum-key tie set; [None] when empty.
+    @raise Invalid_argument when [i] is outside the tied range. *)
+
 val clear : t -> unit
+(** Drop everything and reset the seqs and the floor, keeping the
+    storage: a cleared queue behaves exactly like a fresh one. *)

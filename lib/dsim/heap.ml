@@ -37,9 +37,7 @@ let grow t filler =
   t.seqs <- seqs;
   t.vals <- vals
 
-let add t ~key value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+let add_seq t ~key ~seq value =
   if t.size = Array.length t.keys then grow t value;
   let keys = t.keys and seqs = t.seqs and vals = t.vals in
   (* Hole-based sift-up: shift larger ancestors down into the hole. *)
@@ -60,6 +58,11 @@ let add t ~key value =
   keys.(!i) <- key;
   seqs.(!i) <- seq;
   vals.(!i) <- value
+
+let add t ~key value =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  add_seq t ~key ~seq value
 
 (* Hole-based sift-down of the detached element (k, s, v) starting at the
    root: follow the smaller-child path while the child precedes the
@@ -220,10 +223,10 @@ let pop_run t ~buf ~dummy =
     !n
   end
 
-(* Keep the backing arrays: a cleared-and-reused heap (campaign runs,
-   engine pools) skips the regrowth ramp.  Resetting [next_seq] restores
-   the insertion-order tiebreak from zero, so a reused heap behaves
-   exactly like a fresh one. *)
+(* Keep the backing arrays: a cleared-and-reused heap skips the
+   regrowth ramp.  Resetting [next_seq] restores the insertion-order
+   tiebreak from zero, so a reused heap behaves exactly like a fresh
+   one. *)
 let clear t =
   t.size <- 0;
   t.next_seq <- 0

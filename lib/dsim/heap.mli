@@ -25,6 +25,11 @@ val add : t -> key:int -> int -> unit
 (** [add t ~key v] inserts [v] with priority [key]. Insertion order breaks
     ties. *)
 
+val add_seq : t -> key:int -> seq:int -> int -> unit
+(** [add] with a caller-assigned tiebreak seq, for a queue that numbers
+    its entries across several structures ({!Equeue}).  Seqs must be
+    unique; a heap filled this way leaves {!last_seq} at -1. *)
+
 val pop : t -> (int * int) option
 (** Remove and return the minimum-key element, or [None] when empty. *)
 

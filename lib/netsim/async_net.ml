@@ -101,6 +101,30 @@ let deliver t env ~delay =
   let slot = Dsim.Arena.alloc t.pending env in
   Dsim.Engine.schedule_kind t.eng ~owner:env.dst ~delay ~kind:t.k_deliver slot
 
+(* The choice points an oracle sees on a send; constants, so consulting
+   them allocates nothing. *)
+let delay_choice =
+  {
+    Dsim.Engine.c_domain = "net.delay";
+    c_arity = 0;
+    c_owners = [||];
+    c_time = 0;
+    c_seqs = [||];
+    c_creators = [||];
+  }
+
+let fault_choice = { delay_choice with Dsim.Engine.c_domain = "net.fault"; c_arity = 2 }
+
+(* One delivery's delay.  Under an oracle, exploration owns the latency:
+   a base delay of 1 (never 0 — the recipient-commutativity argument
+   needs deliveries to land strictly after the sending tick) plus
+   whatever slack the oracle asks for.  The latency model and its RNG
+   are not consulted at all then. *)
+let delay t ~src ~dst ~extra =
+  match Dsim.Engine.oracle t.eng with
+  | Some o -> 1 + extra + o.Dsim.Engine.choose delay_choice
+  | None -> extra + Latency.draw t.latency ~src ~dst ~rng:t.rng
+
 let send t ~src ~dst msg =
   check_id t src "send";
   check_id t dst "send";
@@ -120,59 +144,28 @@ let send t ~src ~dst msg =
       }
     in
     t.next_env <- t.next_env + 1;
-    let oracle = Dsim.Engine.oracle t.eng in
-    let delay_once ?(extra = 0) () =
-      match oracle with
-      | Some o ->
-          (* Exploration owns the latency: a base delay of 1 (never 0 —
-             the recipient-commutativity argument needs deliveries to
-             land strictly after the sending tick) plus whatever slack
-             the oracle asks for.  The latency model and its RNG are not
-             consulted at all under an oracle. *)
-          1 + extra
-          + o.Dsim.Engine.choose
-              {
-                Dsim.Engine.c_domain = "net.delay";
-                c_arity = 0;
-                c_owners = [||];
-                c_time = 0;
-                c_seqs = [||];
-                c_creators = [||];
-              }
-      | None -> extra + Latency.draw t.latency ~src ~dst ~rng:t.rng
-    in
     match t.policy env with
     | Drop ->
         Dsim.Engine.emitk t.eng ~pid:src ~tag:"drop-policy" (fun () ->
             Printf.sprintf "to %d" dst)
-    | Deliver -> (
+    | Deliver ->
         (* Under an oracle, every policy-approved message is additionally
            a drop-or-deliver choice point (0 = deliver, 1 = drop), so the
            explorer can enumerate message-loss scenarios on top of
            delivery orders. *)
         let oracle_drop =
-          match oracle with
-          | Some o ->
-              o.Dsim.Engine.choose
-                {
-                  Dsim.Engine.c_domain = "net.fault";
-                  c_arity = 2;
-                  c_owners = [||];
-                  c_time = 0;
-                  c_seqs = [||];
-                  c_creators = [||];
-                }
-              = 1
+          match Dsim.Engine.oracle t.eng with
+          | Some o -> o.Dsim.Engine.choose fault_choice = 1
           | None -> false
         in
         if oracle_drop then
           Dsim.Engine.emitk t.eng ~pid:src ~tag:"drop-explore" (fun () ->
               Printf.sprintf "to %d" dst)
-        else deliver t env ~delay:(delay_once ()))
-    | Delay_extra extra -> deliver t env ~delay:(delay_once ~extra ())
+        else deliver t env ~delay:(delay t ~src ~dst ~extra:0)
+    | Delay_extra extra -> deliver t env ~delay:(delay t ~src ~dst ~extra)
     | Duplicate copies ->
         for _ = 0 to copies do
-          deliver t env ~delay:(delay_once ())
+          deliver t env ~delay:(delay t ~src ~dst ~extra:0)
         done
   end
 

@@ -44,8 +44,8 @@ let watch t i (ev : Replica.Event.t) =
       ()
 
 let create ?(seed = 1L) ?(config = Replica.default_config)
-    ?(latency = Netsim.Latency.Uniform (5, 20)) ?policy ?queue ~n () =
-  let eng = Engine.create ~seed ?queue () in
+    ?(latency = Netsim.Latency.Uniform (5, 20)) ?policy ~n () =
+  let eng = Engine.create ~seed () in
   let network = Net.create eng ~n ~latency ?policy () in
   let t_ref = ref None in
   let members =

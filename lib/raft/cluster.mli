@@ -22,15 +22,11 @@ val create :
   ?config:Replica.config ->
   ?latency:Netsim.Latency.t ->
   ?policy:(Types.msg Netsim.Async_net.envelope -> Netsim.Async_net.policy_verdict) ->
-  ?queue:Dsim.Equeue.backend ->
   n:int ->
   unit ->
   t
 (** Build (but do not start) a cluster.  Default latency Uniform(5, 20);
-    default replica config {!Replica.default_config}.  [queue] picks the
-    engine's event-queue backend (heap by default; the timing wheel is
-    the faster choice for timer-heavy clusters) without changing any
-    outcome. *)
+    default replica config {!Replica.default_config}. *)
 
 val engine : t -> Dsim.Engine.t
 val net : t -> Types.msg Netsim.Async_net.t

@@ -102,7 +102,7 @@ module Omega_backend = struct
      the nested instance runs fault-free with an honest detector, so
      node 0 is leader from the first poll and decides in two round
      trips.  Positioned as the paper's fourth decomposition — the
-     reconciliator as a failure detector (ROADMAP 5a). *)
+     reconciliator as a failure detector (DESIGN §14). *)
   let decide ~seed ~inputs = Detect.Runner.decide ~seed ~inputs
 end
 

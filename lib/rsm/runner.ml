@@ -47,7 +47,6 @@ type 'op config = {
   inject : ('op faults -> unit) option;
   trace_capacity : int option;
   quiet : bool;
-  queue : Dsim.Equeue.backend;
   batching : bool;
   ops : 'op list array;
   ack_timeout : int;
@@ -67,7 +66,6 @@ let default_config ~n ~ops =
     inject = None;
     trace_capacity = None;
     quiet = false;
-    queue = Dsim.Equeue.Heap;
     batching = true;
     ops;
     ack_timeout = 2_000;
@@ -236,7 +234,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
   if cfg.n < 1 then invalid_arg "Runner.run: need at least one replica";
   let eng =
     Dsim.Engine.create ~seed:cfg.seed ?trace_capacity:cfg.trace_capacity
-      ~tracing:(not cfg.quiet) ~queue:cfg.queue ~batching:cfg.batching ()
+      ~tracing:(not cfg.quiet) ~batching:cfg.batching ()
   in
   let policy_ref = ref (fun _ -> Netsim.Async_net.Deliver) in
   let net =

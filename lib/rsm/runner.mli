@@ -103,12 +103,10 @@ type 'op config = {
           built or retained.  Scheduling, RNG draws and outcomes are
           unaffected — the checker never reads the trace — so quiet
           runs produce the same results as traced runs. *)
-  queue : Dsim.Equeue.backend;
-      (** event-queue backend for the engine (default [Heap]); purely a
-          performance knob — runs are byte-identical either way *)
   batching : bool;
       (** same-tick batch draining in the engine (default [true]);
-          also behaviour-neutral *)
+          purely a performance knob — runs are byte-identical either
+          way *)
   ops : 'op list array;  (** one command list per client *)
   ack_timeout : int;  (** virtual time before a client re-submits *)
   max_events : int;  (** engine event budget (runaway guard) *)

@@ -357,7 +357,7 @@ let prop_determinism =
          in
          String.equal (run_once ()) (run_once ())))
 
-(* --- flat events, queue backends, same-tick batching ------------------- *)
+(* --- flat events, same-tick batching ----------------------------------- *)
 
 let flat_kind_events () =
   (* register_kind/schedule_kind must interleave with closure-based
@@ -388,8 +388,8 @@ let flat_kind_events () =
 
 (* A seeded workload with deliberate same-tick ties: several processes
    sleeping tiny random amounts plus flat-kind events at delay 0. *)
-let mixed_workload ~queue ~batching ~seed =
-  let e = Engine.create ~seed ~queue ~batching () in
+let mixed_workload ~batching ~seed =
+  let e = Engine.create ~seed ~batching () in
   let log = Buffer.create 256 in
   let k =
     Engine.register_kind e (fun arg ->
@@ -414,19 +414,9 @@ let run_testable = Alcotest.pair outcome_testable Alcotest.string
 let batching_toggle_equivalence () =
   (* Batch draining is a pure mechanism: flipping it must not move a
      single event. *)
-  let on = mixed_workload ~queue:Dsim.Equeue.Heap ~batching:true ~seed:5L in
-  let off = mixed_workload ~queue:Dsim.Equeue.Heap ~batching:false ~seed:5L in
+  let on = mixed_workload ~batching:true ~seed:5L in
+  let off = mixed_workload ~batching:false ~seed:5L in
   check run_testable "batching on = batching off" on off
-
-let wheel_backend_equivalence () =
-  (* Same seeded program, heap vs wheel event queue: identical trace. *)
-  let heap = mixed_workload ~queue:Dsim.Equeue.Heap ~batching:true ~seed:5L in
-  let wheel = mixed_workload ~queue:Dsim.Equeue.Wheel ~batching:true ~seed:5L in
-  check run_testable "heap = wheel" heap wheel;
-  let wheel_nb =
-    mixed_workload ~queue:Dsim.Equeue.Wheel ~batching:false ~seed:5L
-  in
-  check run_testable "heap = wheel, batching off" heap wheel_nb
 
 let oracle_bypasses_batching () =
   (* With an oracle installed the engine must fall back to per-event
@@ -682,8 +672,6 @@ let suite =
     Alcotest.test_case "flat kind events" `Quick flat_kind_events;
     Alcotest.test_case "batching toggle equivalence" `Quick
       batching_toggle_equivalence;
-    Alcotest.test_case "wheel backend equivalence" `Quick
-      wheel_backend_equivalence;
     Alcotest.test_case "oracle bypasses batching" `Quick
       oracle_bypasses_batching;
   ]

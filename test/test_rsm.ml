@@ -244,21 +244,19 @@ let prop_total_order =
       r.violations = [] && r.completeness = [] && r.digests_agree
       && r.acked = 6)
 
-(* --- runner: queue backend and same-tick batching are pure mechanism --- *)
+(* --- runner: same-tick batching is pure mechanism ---------------------- *)
 
-(* The engine's raw-speed knobs — event-queue backend and same-tick batch
-   draining — must be invisible at the protocol level: a seeded run gives
-   a byte-identical structured trace and the same checker verdicts across
-   all four combinations. *)
-let queue_and_batching_invariance () =
-  let run_with ~label ~queue ~batching =
+(* The engine's same-tick batch draining must be invisible at the
+   protocol level: a seeded run gives a byte-identical structured trace
+   and the same checker verdicts with it on or off. *)
+let batching_invariance () =
+  let run_with ~label ~batching =
     let ops = Array.init 3 (fun c -> ops_of_n ~client:c 4) in
     let r =
       Runner.run kv_app
         {
           (Runner.default_config ~n:4 ~ops) with
           seed = 11L;
-          queue;
           batching;
         }
     in
@@ -271,15 +269,9 @@ let queue_and_batching_invariance () =
   let fingerprint =
     Alcotest.triple Alcotest.string Alcotest.int Alcotest.int
   in
-  let base = run_with ~label:"heap+batch" ~queue:Dsim.Equeue.Heap ~batching:true in
-  List.iter
-    (fun (label, queue, batching) ->
-      check fingerprint label base (run_with ~label ~queue ~batching))
-    [
-      ("heap, batching off", Dsim.Equeue.Heap, false);
-      ("wheel, batching on", Dsim.Equeue.Wheel, true);
-      ("wheel, batching off", Dsim.Equeue.Wheel, false);
-    ]
+  check fingerprint "batching off"
+    (run_with ~label:"batching on" ~batching:true)
+    (run_with ~label:"batching off" ~batching:false)
 
 let suite =
   List.concat
@@ -296,8 +288,7 @@ let suite =
           log_waits_then_releases_on_crash;
         Alcotest.test_case "duplicate suppression" `Quick duplicate_suppression;
         Alcotest.test_case "batching amortizes consensus" `Quick batching_amortizes;
-        Alcotest.test_case "queue/batching invariance" `Quick
-          queue_and_batching_invariance;
+        Alcotest.test_case "batching invariance" `Quick batching_invariance;
         Alcotest.test_case "cas replicated consistently" `Quick
           cas_replicated_consistently;
       ];

@@ -1,212 +1,248 @@
-(* Tests for the hierarchical timing wheel, centred on its contract
-   with {!Dsim.Heap}: same (key, insertion-seq) order, same tie sets.
-   The engine's determinism across queue backends rests on exactly the
-   equivalences checked here. *)
+(* Tests for the engine's event queue, {!Dsim.Equeue}: a one-level
+   timing wheel of one-tick buckets (the ring) in front of a binary heap.
+   Its contract is a single heap's: (key, insertion-seq) order and the
+   same tie sets, whichever part an entry lives in.  The engine's
+   determinism rests on exactly the equivalence checked here. *)
+
+module Q = Dsim.Equeue
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let pop_all w =
+let pop_all q =
   let rec go acc =
-    match Dsim.Wheel.pop w with
-    | None -> List.rev acc
-    | Some (key, v) -> go ((key, v) :: acc)
+    match Q.pop q with None -> List.rev acc | Some (key, v) -> go ((key, v) :: acc)
   in
   go []
 
 let kv_list = Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)
+let ints = Alcotest.list Alcotest.int
 
-let empty_wheel () =
-  let w = Dsim.Wheel.create () in
-  check Alcotest.bool "is_empty" true (Dsim.Wheel.is_empty w);
-  check Alcotest.int "length" 0 (Dsim.Wheel.length w);
-  check Alcotest.bool "pop None" true (Dsim.Wheel.pop w = None);
-  check Alcotest.bool "peek None" true (Dsim.Wheel.peek_key w = None);
-  check Alcotest.int "time starts at 0" 0 (Dsim.Wheel.time w)
+let empty_queue () =
+  let q = Q.create () in
+  check Alcotest.bool "is_empty" true (Q.is_empty q);
+  check Alcotest.int "length" 0 (Q.length q);
+  check Alcotest.bool "pop None" true (Q.pop q = None);
+  check Alcotest.bool "peek None" true (Q.peek_key q = None);
+  check Alcotest.int "no seq yet" (-1) (Q.last_seq q)
 
 let ordering_across_levels () =
-  (* Keys chosen to straddle level boundaries: same level-0 window,
-     next 256-window (level 1), a level-2 key, and a far level-3 key.
-     Popping must cascade through all of them in sorted order. *)
-  let keys = [ 3; 255; 256; 257; 65_535; 65_536; 16_777_216; 5; 70_000 ] in
-  let w = Dsim.Wheel.create () in
-  List.iteri (fun i k -> Dsim.Wheel.add w ~key:k i) keys;
+  (* In the first window, at its edge, far beyond it (heap), and
+     negative (below the floor, heap). *)
+  let keys = [ 3; 63; 64; 65; 1_000; 5; 70_000; -2; 0 ] in
+  let q = Q.create () in
+  List.iteri (fun i k -> Q.add q ~key:k i) keys;
   let expected =
-    List.stable_sort
-      (fun (k1, _) (k2, _) -> compare k1 k2)
-      (List.mapi (fun i k -> (k, i)) keys)
+    List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2) (List.mapi (fun i k -> (k, i)) keys)
   in
-  check kv_list "sorted across cascade boundaries" expected (pop_all w)
+  check kv_list "sorted across ring and heap" expected (pop_all q)
 
 let fifo_on_ties () =
-  let w = Dsim.Wheel.create () in
-  List.iteri
-    (fun i label -> Dsim.Wheel.add w ~key:(if i mod 2 = 0 then 7 else 9) label)
-    [ 10; 11; 12; 13; 14 ];
+  let q = Q.create () in
+  List.iteri (fun i label -> Q.add q ~key:(if i mod 2 = 0 then 7 else 9) label) [ 10; 11; 12; 13; 14 ];
   check kv_list "insertion order within equal keys"
     [ (7, 10); (7, 12); (7, 14); (9, 11); (9, 13) ]
-    (pop_all w)
+    (pop_all q)
 
-let monotone_violation () =
-  let w = Dsim.Wheel.create () in
-  Dsim.Wheel.add w ~key:100 1;
-  check Alcotest.bool "pop" true (Dsim.Wheel.pop w = Some (100, 1));
-  check Alcotest.int "time advanced" 100 (Dsim.Wheel.time w);
-  Alcotest.check_raises "key below time rejected"
-    (Invalid_argument "Wheel.add: key below the current time (wheel is monotone)")
-    (fun () -> Dsim.Wheel.add w ~key:99 2);
-  (* at the floor is fine *)
-  Dsim.Wheel.add w ~key:100 3;
-  check Alcotest.bool "re-add at floor" true (Dsim.Wheel.pop w = Some (100, 3))
+let keys_below_the_floor () =
+  let q = Q.create () in
+  Q.add q ~key:100 1;
+  check Alcotest.bool "pop" true (Q.pop q = Some (100, 1));
+  (* the floor is now 100: these go to the heap and still sort first *)
+  Q.add q ~key:120 2;
+  Q.add q ~key:99 3;
+  Q.add q ~key:100 4;
+  Q.add q ~key:50 5;
+  check kv_list "below-floor keys pop in order"
+    [ (50, 5); (99, 3); (100, 4); (120, 2) ]
+    (pop_all q)
+
+let split_ties_pop_heap_first () =
+  (* Key 80 enters the heap (beyond the first window), the floor rises
+     to 30, and key 80 is then added to the ring: the heap entry is the
+     older one and must come first — in pops, tie sets and batches. *)
+  let split () =
+    let q = Q.create () in
+    Q.add q ~key:80 0;
+    Q.add q ~key:30 1;
+    check Alcotest.bool "pop 30" true (Q.pop q = Some (30, 1));
+    Q.add q ~key:80 2;
+    Q.add q ~key:80 3;
+    q
+  in
+  let q = split () in
+  check ints "seqs" [ 0; 2; 3 ] (Q.min_key_seqs q);
+  check ints "values" [ 0; 2; 3 ] (Q.min_key_values q);
+  check Alcotest.int "count" 3 (Q.min_key_count q);
+  check kv_list "pops" [ (80, 0); (80, 2); (80, 3) ] (pop_all q);
+  let q = split () in
+  let buf = ref [||] in
+  check Alcotest.int "pop_run count" 3 (Q.pop_run q ~buf ~dummy:(-1));
+  check ints "pop_run order" [ 0; 2; 3 ] (Array.to_list (Array.sub !buf 0 3));
+  check Alcotest.bool "drained" true (Q.is_empty q)
 
 let clear_then_reuse () =
-  let inserts = [ (300, 20); (1, 21); (300, 22); (0, 23); (70_000, 24) ] in
-  let fresh = Dsim.Wheel.create () in
-  List.iter (fun (k, v) -> Dsim.Wheel.add fresh ~key:k v) inserts;
-  let reused = Dsim.Wheel.create () in
+  let inserts = [ (300, 20); (1, 21); (300, 22); (0, 23); (70_000, 24); (1, 25) ] in
+  let fresh = Q.create () in
+  List.iter (fun (k, v) -> Q.add fresh ~key:k v) inserts;
+  let reused = Q.create () in
   for i = 1 to 64 do
-    Dsim.Wheel.add reused ~key:(i * 17) i
+    Q.add reused ~key:(i * 17) i
   done;
   for _ = 1 to 10 do
-    ignore (Dsim.Wheel.pop reused : (int * int) option)
+    ignore (Q.pop reused : (int * int) option)
   done;
-  Dsim.Wheel.clear reused;
-  check Alcotest.int "time reset by clear" 0 (Dsim.Wheel.time reused);
-  List.iter (fun (k, v) -> Dsim.Wheel.add reused ~key:k v) inserts;
-  check kv_list "reused wheel pops like a fresh one" (pop_all fresh)
-    (pop_all reused)
+  Q.clear reused;
+  check Alcotest.int "seqs reset by clear" (-1) (Q.last_seq reused);
+  List.iter (fun (k, v) -> Q.add reused ~key:k v) inserts;
+  check ints "reused queue numbers like a fresh one" (Q.min_key_seqs fresh) (Q.min_key_seqs reused);
+  check kv_list "reused queue pops like a fresh one" (pop_all fresh) (pop_all reused)
 
 let tie_set_operations () =
-  let w = Dsim.Wheel.create () in
-  List.iteri
-    (fun i k -> Dsim.Wheel.add w ~key:k i)
-    [ 5; 9; 5; 5; 12 ];
-  check Alcotest.int "min_key_count" 3 (Dsim.Wheel.min_key_count w);
-  check (Alcotest.list Alcotest.int) "min_key_values in seq order" [ 0; 2; 3 ]
-    (Dsim.Wheel.min_key_values w);
+  let q = Q.create () in
+  List.iteri (fun i k -> Q.add q ~key:k i) [ 5; 9; 5; 5; 12 ];
+  check Alcotest.int "min_key_count" 3 (Q.min_key_count q);
+  check ints "min_key_values in seq order" [ 0; 2; 3 ] (Q.min_key_values q);
   (* remove the middle of the tie set; the rest keeps its order *)
-  check Alcotest.bool "pop_min_nth 1" true
-    (Dsim.Wheel.pop_min_nth w 1 = Some (5, 2));
-  check (Alcotest.list Alcotest.int) "tie set after interior removal" [ 0; 3 ]
-    (Dsim.Wheel.min_key_values w);
+  check Alcotest.bool "pop_min_nth 1" true (Q.pop_min_nth q 1 = Some (5, 2));
+  check ints "tie set after interior removal" [ 0; 3 ] (Q.min_key_values q);
   Alcotest.check_raises "nth outside tied range"
-    (Invalid_argument "Wheel.pop_min_nth: index out of tied range") (fun () ->
-      ignore (Dsim.Wheel.pop_min_nth w 2 : (int * int) option))
+    (Invalid_argument "Equeue.pop_min_nth: index out of tied range") (fun () ->
+      ignore (Q.pop_min_nth q 2 : (int * int) option))
 
-(* --- randomized heap/wheel equivalence (S3) --------------------------- *)
+(* --- the queue against a reference model ------------------------------ *)
 
-(* One weighted random op per int drawn from the generator.  Keys are
-   monotone (the wheel's contract): adds land at or above the current
-   minimum, exactly like the engine's now+delay scheduling.  Deltas mix
-   small same-window steps with jumps that cross level-1/2/3 cascade
-   boundaries. *)
-type equiv_op = Add of int * int | Pop | TieQuery | PopNth of int | Clear
+(* The model is a list of (key, seq, value) kept sorted by (key, seq),
+   with its own seq counter.  Added keys are drawn relative to the
+   floor (the largest key popped since the last clear): inside the
+   window, around its far edge, beyond it and below the floor, so
+   entries land in both parts and equal keys end up split between
+   them. *)
+type op =
+  | Add of int * int  (* offset from the floor, value *)
+  | Pop
+  | Pop_run
+  | Count
+  | Values
+  | Seqs
+  | Pop_nth of int
+  | Last_seq
+  | Repost  (* the engine's time-limit putback: pop, re-add the same key *)
+  | Clear
 
-let gen_ops =
+let gen_op =
   QCheck.Gen.(
-    list_size (int_range 1 120)
-      (int_range 0 99 >>= fun sel ->
-       if sel < 45 then
-         oneofl [ 2; 250; 68_000; 17_000_000 ] >>= fun span ->
-         int_bound span >>= fun delta ->
-         small_nat >>= fun v -> return (Add (delta, v))
-       else if sel < 75 then return Pop
-       else if sel < 85 then return TieQuery
-       else if sel < 95 then small_nat >>= fun n -> return (PopNth n)
-       else return Clear))
+    int_range 0 99 >>= fun sel ->
+    if sel < 40 then
+      frequency
+        [ (4, int_range 0 8); (2, int_range 58 70); (1, int_range 71 200); (2, int_range (-80) (-1)) ]
+      >>= fun off -> small_nat >>= fun v -> return (Add (off, v))
+    else if sel < 55 then return Pop
+    else if sel < 62 then return Pop_run
+    else if sel < 66 then return Count
+    else if sel < 70 then return Values
+    else if sel < 74 then return Seqs
+    else if sel < 84 then small_nat >>= fun n -> return (Pop_nth n)
+    else if sel < 88 then return Last_seq
+    else if sel < 97 then return Repost
+    else return Clear)
 
-let arb_ops = QCheck.make ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l)) gen_ops
+let show_op = function
+  | Add (off, v) -> Printf.sprintf "add(floor%+d,%d)" off v
+  | Pop -> "pop"
+  | Pop_run -> "pop_run"
+  | Count -> "count"
+  | Values -> "values"
+  | Seqs -> "seqs"
+  | Pop_nth n -> Printf.sprintf "pop_nth %d" n
+  | Last_seq -> "last_seq"
+  | Repost -> "repost"
+  | Clear -> "clear"
 
-let prop_heap_wheel_equivalent =
-  QCheck.Test.make ~name:"heap and wheel pop identically (incl. tie sets)"
-    ~count:500 arb_ops (fun ops ->
-      let h = Dsim.Heap.create () and w = Dsim.Wheel.create () in
-      (* The wheel floor: tie-set queries settle it to the current
-         minimum, so adds must stay at or above the min key — the
-         engine guarantees this via now+delay. *)
-      let floor_key = ref 0 in
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(list_size (int_range 1 150) gen_op)
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"queue matches a sorted-list model" ~count:500 arb_ops (fun ops ->
+      let q = Q.create () in
+      let model = ref [] and next_seq = ref 0 and floor = ref 0 in
       let ok = ref true in
       let agree a b = if a <> b then ok := false in
+      let m_add key v =
+        let e = (key, !next_seq, v) in
+        incr next_seq;
+        model := List.merge compare !model [ e ]
+      in
+      let tie () =
+        match !model with [] -> [] | (k, _, _) :: _ -> List.filter (fun (k', _, _) -> k' = k) !model
+      in
+      let remove ((k, _, _) as e) =
+        model := List.filter (fun e' -> e' != e) !model;
+        if k > !floor then floor := k
+      in
+      let m_pop () = match !model with [] -> None | ((k, _, v) as e) :: _ -> remove e; Some (k, v) in
       List.iter
         (fun op ->
           match op with
-          | Add (delta, v) ->
-              let base =
-                match Dsim.Heap.peek_key h with
-                | Some mk -> max !floor_key mk
-                | None -> !floor_key
-              in
-              let k = base + delta in
-              Dsim.Heap.add h ~key:k v;
-              Dsim.Wheel.add w ~key:k v
-          | Pop ->
-              let a = Dsim.Heap.pop h and b = Dsim.Wheel.pop w in
-              agree a b;
-              (match a with
-              | Some (k, _) -> floor_key := max !floor_key k
-              | None -> ())
-          | TieQuery ->
-              agree
-                (Some (Dsim.Heap.min_key_count h, Dsim.Heap.min_key_values h))
-                (Some (Dsim.Wheel.min_key_count w, Dsim.Wheel.min_key_values w));
-              (* the query settled the wheel to the current min *)
-              (match Dsim.Heap.peek_key h with
-              | Some k -> floor_key := max !floor_key k
-              | None -> ())
-          | PopNth n ->
-              let c = Dsim.Heap.min_key_count h in
-              if c > 0 then begin
-                let n = n mod c in
-                let a = Dsim.Heap.pop_min_nth h n in
-                agree a (Dsim.Wheel.pop_min_nth w n);
-                (* the wheel settled to the tie key even when this was the
-                   last element, so take the floor from the popped key *)
-                match a with
-                | Some (k, _) -> floor_key := max !floor_key k
-                | None -> ()
-              end
+          | Add (off, v) ->
+              let key = !floor + off in
+              Q.add q ~key v;
+              m_add key v
+          | Pop -> agree (Q.pop q) (m_pop ())
+          | Pop_run ->
+              let buf = ref [||] in
+              let n = Q.pop_run q ~buf ~dummy:(-1) in
+              let expect = tie () in
+              List.iter remove expect;
+              agree (Array.to_list (Array.sub !buf 0 n)) (List.map (fun (_, _, v) -> v) expect)
+          | Count -> agree (Q.min_key_count q) (List.length (tie ()))
+          | Values -> agree (Q.min_key_values q) (List.map (fun (_, _, v) -> v) (tie ()))
+          | Seqs -> agree (Q.min_key_seqs q) (List.map (fun (_, s, _) -> s) (tie ()))
+          | Pop_nth n -> (
+              match tie () with
+              | [] -> agree (Q.pop_min_nth q n) None
+              | ts when n < List.length ts ->
+                  let ((k, _, v) as e) = List.nth ts n in
+                  remove e;
+                  agree (Q.pop_min_nth q n) (Some (k, v))
+              | _ -> (
+                  match Q.pop_min_nth q n with
+                  | exception Invalid_argument _ -> ()
+                  | _ -> ok := false))
+          | Last_seq -> agree (Q.last_seq q) (!next_seq - 1)
+          | Repost -> (
+              match (Q.pop q, m_pop ()) with
+              | Some (k, v), (Some (k', v') as m) ->
+                  agree (Some (k, v)) m;
+                  Q.add q ~key:k v;
+                  m_add k' v'
+              | a, b -> agree a b)
           | Clear ->
-              Dsim.Heap.clear h;
-              Dsim.Wheel.clear w;
-              floor_key := 0)
+              Q.clear q;
+              model := [];
+              next_seq := 0;
+              floor := 0)
         ops;
-      (* drain both and compare the full (key, value) pop sequence *)
+      agree (Q.length q) (List.length !model);
+      (* drain both and compare the full pop sequence *)
       let rec drain () =
-        let a = Dsim.Heap.pop h and b = Dsim.Wheel.pop w in
-        agree a b;
+        let a = Q.pop q in
+        agree a (m_pop ());
         if a <> None then drain ()
       in
       drain ();
       !ok)
 
-let prop_equeue_backends_agree =
-  QCheck.Test.make ~name:"Equeue dispatch agrees across backends" ~count:200
-    QCheck.(list (pair (int_bound 1000) small_nat))
-    (fun adds ->
-      let qh = Dsim.Equeue.create Dsim.Equeue.Heap
-      and qw = Dsim.Equeue.create Dsim.Equeue.Wheel in
-      (* one monotone pass: sort keys so the wheel accepts them *)
-      let adds = List.sort compare adds in
-      List.iter
-        (fun (k, v) ->
-          Dsim.Equeue.add qh ~key:k v;
-          Dsim.Equeue.add qw ~key:k v)
-        adds;
-      let rec drain acc q =
-        match Dsim.Equeue.pop q with
-        | None -> List.rev acc
-        | Some kv -> drain (kv :: acc) q
-      in
-      drain [] qh = drain [] qw)
-
 let suite =
   [
-    Alcotest.test_case "empty wheel" `Quick empty_wheel;
+    Alcotest.test_case "empty wheel" `Quick empty_queue;
     Alcotest.test_case "ordering across levels" `Quick ordering_across_levels;
     Alcotest.test_case "FIFO on ties" `Quick fifo_on_ties;
-    Alcotest.test_case "monotone violation" `Quick monotone_violation;
+    Alcotest.test_case "keys below the floor" `Quick keys_below_the_floor;
+    Alcotest.test_case "ties split heap first" `Quick split_ties_pop_heap_first;
     Alcotest.test_case "clear then reuse" `Quick clear_then_reuse;
     Alcotest.test_case "tie-set operations" `Quick tie_set_operations;
-    qtest prop_heap_wheel_equivalent;
-    qtest prop_equeue_backends_agree;
+    qtest prop_matches_model;
   ]
