@@ -93,6 +93,64 @@ let detect_pin seed =
           (Array.map (opt (fun b -> if b then "1" else "0")) r.decisions)))
     (String.concat "," (Array.to_list (Array.map (opt string_of_int) r.decided_at)))
 
+(* Stable campaign reports: the whole sweep (key order, per-run gates,
+   derived counts, coverage and the failing-outcome lines) rendered by
+   [pp_report_stable].  The nemesis cell is deliberately
+   under-provisioned (every replica may crash, storage faults on) and
+   the shard and detect mutants trip their gates, so the lines that
+   list failing outcomes are pinned too. *)
+let stable pp r = Format.asprintf "%a" pp r
+
+let nemesis_report () =
+  let module C = Nemesis.Campaign in
+  let n = 3 in
+  let cfg =
+    {
+      (C.default_config ~n ()) with
+      C.backends = Rsm.Backend.all;
+      plans = 4;
+      storage = true;
+      ack_timeout = 200;
+      max_events = 120_000;
+      profile =
+        { (Nemesis.Gen.default ~n) with Nemesis.Gen.max_down = n; max_actions = 12 };
+    }
+  in
+  stable C.pp_report_stable (C.run cfg)
+
+let shard_report ~broken_2pc =
+  let module S = Nemesis.Shard_campaign in
+  let base =
+    {
+      (S.default_config ~shards:2 ()) with
+      S.plans = 3;
+      clients = 8;
+      ops_per_client = 2;
+    }
+  in
+  let cfg =
+    if broken_2pc then { base with S.tx_pct = 40; keys = 32; broken_2pc }
+    else { base with S.storage = true }
+  in
+  stable S.pp_report_stable (S.run cfg)
+
+let detect_report ~plans mutant =
+  let module D = Nemesis.Detect_campaign in
+  stable D.pp_report_stable
+    (D.run { (D.default_config ~n:4 ()) with D.plans; mutant })
+
+let obj_report () =
+  let module O = Nemesis.Obj_campaign in
+  stable O.pp_report_stable
+    (O.run
+       {
+         (O.default_config ~n:5 ()) with
+         O.objects = [ "queue"; "kv" ];
+         backends = [ Rsm.Backend.ben_or; Rsm.Backend.omega ];
+         plans = 2;
+         storage = true;
+       })
+
 let seeds = [ 1; 2; 3; 4; 5 ]
 
 let pins =
@@ -115,6 +173,15 @@ let pins =
         ( "detect/trace/7",
           fun () ->
             trace_md5 (Dsim.Engine.trace (detect_run ~quiet:false 7).Detect.Runner.engine) );
+      ];
+      [
+        ("campaign/nemesis", nemesis_report);
+        ("campaign/shard", fun () -> shard_report ~broken_2pc:false);
+        ("campaign/shard-broken-2pc", fun () -> shard_report ~broken_2pc:true);
+        ("campaign/detect", fun () -> detect_report ~plans:6 Detect.Oracle.Honest);
+        ( "campaign/detect-rotating",
+          fun () -> detect_report ~plans:4 Detect.Oracle.Rotating );
+        ("campaign/obj", obj_report);
       ];
     ]
 
@@ -164,6 +231,55 @@ let expected =
     ("detect/5", "vt=640 msgs=64 hb=40 dec=11111 at=20,21,27,21,25");
     ("nemesis/trace/7", "563a4b42df8a119da786248b98450957");
     ("detect/trace/7", "ca28ece53e0576213f14113e2dd6180c");
+    ( "campaign/nemesis",
+      "nemesis campaign: 16 runs, 128 faults injected\n\
+      \  coverage: crash=36, restart=12, partition=4, heal=4, drop=12, dup=8, \
+       delay=4, torn=8, sync-loss=12, io-err=8, stall=20\n\
+      \  safety failures: 4, incomplete runs: 5, durability failures: 4\n\
+      \  SAFETY ben-or seed=2 (13 actions, 9/9 acked)\n\
+      \  SAFETY phase-king seed=2 (13 actions, 9/9 acked)\n\
+      \  SAFETY raft seed=2 (13 actions, 9/9 acked)\n\
+      \  SAFETY omega seed=2 (13 actions, 9/9 acked)\n\
+      \  DURABILITY ben-or seed=2 (13 actions, 9/9 acked)\n\
+      \  DURABILITY phase-king seed=2 (13 actions, 9/9 acked)\n\
+      \  DURABILITY raft seed=2 (13 actions, 9/9 acked)\n\
+      \  DURABILITY omega seed=2 (13 actions, 9/9 acked)\n" );
+    ( "campaign/shard",
+      "shard campaign: 3 runs, 37 faults injected\n\
+      \  coverage: crash=4, restart=4, partition=5, heal=3, drop=3, dup=3, \
+       delay=4, torn=1, sync-loss=2, io-err=6, stall=2\n\
+      \  safety: 0, atomicity: 0, incomplete: 0, durability: 0\n" );
+    ( "campaign/shard-broken-2pc",
+      "shard campaign: 3 runs, 41 faults injected\n\
+      \  coverage: crash=8, restart=8, partition=7, heal=5, drop=6, dup=3, \
+       delay=4, torn=0, sync-loss=0, io-err=0, stall=0\n\
+      \  safety: 0, atomicity: 2, incomplete: 0, durability: 0\n\
+      \  ATOMICITY ben-or seed=1 (16/16 done, 5/0 tx ok/ab)\n\
+      \  ATOMICITY ben-or seed=3 (16/16 done, 7/0 tx ok/ab)\n" );
+    ( "campaign/detect",
+      "detect campaign: 6 runs, 42 faults injected\n\
+      \  coverage: crash=7, restart=3, partition=7, heal=6, drop=8, dup=7, \
+       delay=4, torn=0, sync-loss=0, io-err=0, stall=0\n\
+      \  stable plans: 6/6, decided runs: 6, livelocked stable runs: 0\n\
+      \  agreement failures: 0, validity failures: 0\n\
+      \  suspicions: 11 (false: 8, rate 0.727), heartbeats: 1845\n\
+      \  mean decision latency: 24.7, mean time-to-omega-stability: 107.2\n" );
+    ( "campaign/detect-rotating",
+      "detect campaign: 4 runs, 32 faults injected\n\
+      \  coverage: crash=5, restart=2, partition=6, heal=5, drop=8, dup=2, \
+       delay=4, torn=0, sync-loss=0, io-err=0, stall=0\n\
+      \  stable plans: 4/4, decided runs: 0, livelocked stable runs: 4\n\
+      \  agreement failures: 0, validity failures: 0\n\
+      \  suspicions: 46 (false: 35, rate 0.761), heartbeats: 7494\n\
+      \  mean decision latency: -, mean time-to-omega-stability: -\n\
+      \  LIVELOCK: params 0 seed 1 (stable plan, undecided)\n\
+      \  LIVELOCK: params 0 seed 2 (stable plan, undecided)\n\
+      \  LIVELOCK: params 0 seed 3 (stable plan, undecided)\n\
+      \  LIVELOCK: params 0 seed 4 (stable plan, undecided)\n" );
+    ( "campaign/obj",
+      "object campaign: 8 runs, 0 failures (0 linearizability)\n\
+      \  kv       4 runs, 0 failures\n\
+      \  queue    4 runs, 0 failures\n" );
   ]
 
 let check_group prefix () =
@@ -178,4 +294,4 @@ let check_group prefix () =
 let suite =
   List.map
     (fun g -> Alcotest.test_case (g ^ " pins unchanged") `Quick (check_group (g ^ "/")))
-    [ "rsm"; "shard"; "obj"; "nemesis"; "detect" ]
+    [ "rsm"; "shard"; "obj"; "nemesis"; "detect"; "campaign" ]
