@@ -240,7 +240,7 @@ let nemesis_run backend seed =
   let cfg = Nemesis.Campaign.default_config ~n:5 () in
   let plan = Nemesis.Campaign.plan_for cfg ~seed in
   ignore
-    (Nemesis.Campaign.run_plan cfg ~backend ~seed plan
+    (Nemesis.Campaign.run_plan ~quiet:false cfg ~backend ~seed plan
       : Obj.Kv.op Rsm.Runner.report)
 
 (* Campaign throughput: a whole seeded sweep through the safety auditor,
@@ -256,13 +256,17 @@ let nemesis_campaign_table ~scale ppf =
     }
   in
   let r = Nemesis.Campaign.run cfg in
+  let failing gate = List.length (Nemesis.Sweep.failing gate r) in
   Format.fprintf ppf
     "@.Nemesis campaign (ben-or, %d plans): %d runs, %d faults injected, \
      %.0f runs/sec, %d safety failures, %d incomplete@."
-    plans r.Nemesis.Campaign.runs r.Nemesis.Campaign.faults_injected
-    r.Nemesis.Campaign.runs_per_sec
-    (List.length r.Nemesis.Campaign.safety_failures)
-    (List.length r.Nemesis.Campaign.incomplete)
+    plans (Nemesis.Sweep.runs r)
+    (List.fold_left
+       (fun a o -> a + Nemesis.Plan.length o.Nemesis.Campaign.plan)
+       0 r.Nemesis.Sweep.outcomes)
+    (Nemesis.Sweep.runs_per_sec r)
+    (failing (fun o -> o.Nemesis.Campaign.safety))
+    (failing (fun o -> o.Nemesis.Campaign.live))
 
 (* --- machine-readable baseline (BENCH_core.json) ----------------------- *)
 
@@ -597,18 +601,17 @@ let bench_core_json () =
     let cap = Domain.recommended_domain_count () in
     let jobs_list = List.sort_uniq compare [ 1; 2; 4; cores ] in
     List.map
-      (fun (jobs, (r : Nemesis.Campaign.report)) ->
+      (fun (jobs, r) ->
+        let failing gate = Json.Int (List.length (Nemesis.Sweep.failing gate r)) in
         Json.Obj
           [
             ("jobs", Json.Int jobs);
             ("oversubscribed", Json.Bool (jobs > cap));
-            ("runs", Json.Int r.Nemesis.Campaign.runs);
-            ("wall_seconds", Json.Float r.Nemesis.Campaign.wall_seconds);
-            ("runs_per_sec", Json.Float r.Nemesis.Campaign.runs_per_sec);
-            ( "safety_failures",
-              Json.Int (List.length r.Nemesis.Campaign.safety_failures) );
-            ( "durability_failures",
-              Json.Int (List.length r.Nemesis.Campaign.durability_failures) );
+            ("runs", Json.Int (Nemesis.Sweep.runs r));
+            ("wall_seconds", Json.Float r.Nemesis.Sweep.wall_seconds);
+            ("runs_per_sec", Json.Float (Nemesis.Sweep.runs_per_sec r));
+            ("safety_failures", failing (fun o -> o.Nemesis.Campaign.safety));
+            ("durability_failures", failing (fun o -> o.Nemesis.Campaign.durable));
           ])
       (campaign_scaling ~plans:300 jobs_list)
   in

@@ -28,6 +28,33 @@ let n_arg default =
   let doc = "Number of processors." in
   Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 
+let backend_arg =
+  let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft, omega." in
+  Arg.(
+    value
+    & opt (enum backend_choices) Rsm.Backend.ben_or
+    & info [ "backend" ] ~docv:"BACKEND" ~doc)
+
+let clients_arg default =
+  let doc = "Closed-loop clients driving the store." in
+  Arg.(value & opt int default & info [ "clients" ] ~docv:"K" ~doc)
+
+let commands_arg default =
+  let doc = "Commands per client." in
+  Arg.(value & opt int default & info [ "commands" ] ~docv:"M" ~doc)
+
+let batch_arg default =
+  let doc = "Max commands batched into one consensus slot." in
+  Arg.(value & opt int default & info [ "batch" ] ~docv:"B" ~doc)
+
+let crashes_arg =
+  let doc = "Replicas to crash-stop (staggered early in the run)." in
+  Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"F" ~doc)
+
+let horizon_arg =
+  let doc = "Virtual-time window fault actions are placed in." in
+  Arg.(value & opt int 800 & info [ "horizon" ] ~docv:"H" ~doc)
+
 let jobs_arg =
   let doc =
     "Worker domains to fan independent runs over (1 = sequential; 0 = one \
@@ -36,6 +63,98 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
 
 let resolve_jobs jobs = if jobs = 0 then Exec.Pool.cores () else jobs
+
+let backends_arg ~doc =
+  Arg.(
+    value
+    & opt
+        (enum
+           (List.map (fun (n, b) -> (n, [ b ])) backend_choices
+           @ [ ("all", Rsm.Backend.all) ]))
+        [ Rsm.Backend.ben_or ]
+    & info [ "backend" ] ~docv:"BACKEND" ~doc)
+
+let expect_violation_arg =
+  let doc =
+    "Invert the exit code: succeed only when a violation IS found (mutant \
+     checks in CI)."
+  in
+  Arg.(value & flag & info [ "expect-violation" ] ~doc)
+
+(* Exit 1 on a violation; under --expect-violation, exit 0 only on one. *)
+let finish ~expect_violation ~violations_found =
+  if expect_violation then
+    if violations_found then begin
+      Format.printf "expected violation found@.";
+      exit 0
+    end
+    else begin
+      Format.eprintf "no violation found but one was expected@.";
+      exit 1
+    end
+  else if violations_found then exit 1
+
+let report_out_arg what =
+  let doc =
+    Printf.sprintf
+      "Write the %s, minus timing figures, to this file — byte-identical \
+       across job counts, so two runs can be diffed."
+      what
+  in
+  Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
+
+let write_stable_report file pp report =
+  Out_channel.with_open_text file (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      pp ppf report;
+      Format.pp_print_flush ppf ());
+  Format.printf "stable report written to %s@." file
+
+(* A plan file, parsed and validated for [n] nodes; exit 2 if it is not. *)
+let read_plan ~n file =
+  let text = In_channel.with_open_text file In_channel.input_all in
+  let plan =
+    try Nemesis.Plan.of_string text
+    with Nemesis.Plan.Parse_error msg ->
+      Format.eprintf "cannot parse plan %s: %s@." file msg;
+      exit 2
+  in
+  match Nemesis.Plan.validate ~n plan with
+  | [] -> plan
+  | problems ->
+      Format.eprintf "ill-formed plan %s:@." file;
+      List.iter (Format.eprintf "  %s@.") problems;
+      exit 2
+
+(* The flags every fault campaign shares; only the --plans default and
+   its wording differ. *)
+type campaign_flags = { plans : int; jobs : int; report_out : string option }
+
+let campaign_flags ~plans ~doc =
+  let plans_arg = Arg.(value & opt int plans & info [ "plans" ] ~docv:"P" ~doc) in
+  Term.(
+    const (fun plans jobs report_out -> { plans; jobs; report_out })
+    $ plans_arg $ jobs_arg $ report_out_arg "campaign report")
+
+(* Sweep a campaign, print its report and write the stable one.  With
+   [~progress:(Some dot)], print one character per finished run. *)
+let run_campaign (type c o)
+    (module C : Nemesis.Sweep.S with type config = c and type outcome = o)
+    ~progress flags (cfg : c) =
+  let on_outcome =
+    Option.map
+      (fun dot o ->
+        print_char (dot o);
+        flush stdout)
+      progress
+  in
+  let report = C.run ~jobs:(resolve_jobs flags.jobs) ?on_outcome cfg in
+  if progress <> None then print_newline ();
+  Format.printf "%a" C.pp_report report;
+  Option.iter
+    (fun file -> write_stable_report file C.pp_report_stable report)
+    flags.report_out;
+  report
 
 let split_inputs n = Array.init n (fun i -> i mod 2 = 0)
 
@@ -277,31 +396,6 @@ let sharedmem_cmd =
 (* ---------------------------------------------------------------- rsm -- *)
 
 let rsm_cmd =
-  let backend_arg =
-    let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft, omega." in
-    Arg.(
-      value
-      & opt
-          (enum backend_choices)
-          Rsm.Backend.ben_or
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let clients_arg =
-    let doc = "Closed-loop clients driving the store." in
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"K" ~doc)
-  in
-  let commands_arg =
-    let doc = "Commands per client." in
-    Arg.(value & opt int 8 & info [ "commands" ] ~docv:"M" ~doc)
-  in
-  let crashes_arg =
-    let doc = "Replicas to crash-stop (staggered early in the run)." in
-    Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"F" ~doc)
-  in
-  let batch_arg =
-    let doc = "Max commands batched into one consensus slot." in
-    Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc)
-  in
   let run n seed backend clients commands crashes batch show_trace =
     if crashes >= n then begin
       Format.eprintf "need at least one live replica (crashes < n)@.";
@@ -353,8 +447,8 @@ let rsm_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg 5 $ seed_arg $ backend_arg $ clients_arg $ commands_arg
-      $ crashes_arg $ batch_arg $ show_trace_arg)
+      const run $ n_arg 5 $ seed_arg $ backend_arg $ clients_arg 4
+      $ commands_arg 8 $ crashes_arg $ batch_arg 8 $ show_trace_arg)
   in
   Cmd.v
     (Cmd.info "rsm"
@@ -366,23 +460,6 @@ let rsm_cmd =
 (* -------------------------------------------------------------- store -- *)
 
 let store_cmd =
-  let backend_arg =
-    let doc = "Consensus backend deciding each log slot: ben-or, phase-king, raft, omega." in
-    Arg.(
-      value
-      & opt
-          (enum backend_choices)
-          Rsm.Backend.ben_or
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let clients_arg =
-    let doc = "Closed-loop clients driving the store." in
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"K" ~doc)
-  in
-  let commands_arg =
-    let doc = "Commands per client." in
-    Arg.(value & opt int 5 & info [ "commands" ] ~docv:"M" ~doc)
-  in
   let crashes_arg =
     let doc = "Replicas to crash (staggered early in the run)." in
     Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"F" ~doc)
@@ -422,21 +499,7 @@ let store_cmd =
     end;
     let inject =
       Option.map
-        (fun file ->
-          let text = In_channel.with_open_text file In_channel.input_all in
-          let plan =
-            try Nemesis.Plan.of_string text
-            with Nemesis.Plan.Parse_error msg ->
-              Format.eprintf "cannot parse plan %s: %s@." file msg;
-              exit 2
-          in
-          (match Nemesis.Plan.validate ~n plan with
-          | [] -> ()
-          | problems ->
-              Format.eprintf "ill-formed plan %s:@." file;
-              List.iter (Format.eprintf "  %s@.") problems;
-              exit 2);
-          Nemesis.Interp.install_rsm plan)
+        (fun file -> Nemesis.Interp.install_rsm (read_plan ~n file))
         plan_file
     in
     let store =
@@ -489,8 +552,8 @@ let store_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg 5 $ seed_arg $ backend_arg $ clients_arg $ commands_arg
-      $ crashes_arg $ restart_after_arg $ snapshot_every_arg
+      const run $ n_arg 5 $ seed_arg $ backend_arg $ clients_arg 3
+      $ commands_arg 5 $ crashes_arg $ restart_after_arg $ snapshot_every_arg
       $ ack_before_fsync_arg $ plan_file_arg $ dump_wal_arg $ show_trace_arg)
   in
   Cmd.v
@@ -505,31 +568,11 @@ let store_cmd =
 
 let nemesis_cmd =
   let backends_arg =
-    let doc = "Backend(s) to campaign against: ben-or, phase-king, raft, omega, all." in
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map (fun (n, b) -> (n, [ b ])) backend_choices
-             @ [ ("all", Rsm.Backend.all) ]))
-          [ Rsm.Backend.ben_or ]
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
+    backends_arg
+      ~doc:"Backend(s) to campaign against: ben-or, phase-king, raft, omega, all."
   in
-  let plans_arg =
-    let doc = "Seeded random fault plans per backend." in
-    Arg.(value & opt int 50 & info [ "plans" ] ~docv:"P" ~doc)
-  in
-  let clients_arg =
-    let doc = "Closed-loop clients driving the store." in
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"K" ~doc)
-  in
-  let commands_arg =
-    let doc = "Commands per client." in
-    Arg.(value & opt int 3 & info [ "commands" ] ~docv:"M" ~doc)
-  in
-  let batch_arg =
-    let doc = "Max commands batched into one consensus slot." in
-    Arg.(value & opt int 4 & info [ "batch" ] ~docv:"B" ~doc)
+  let flags =
+    campaign_flags ~plans:50 ~doc:"Seeded random fault plans per backend."
   in
   let max_actions_arg =
     let doc = "Max fault actions per generated plan." in
@@ -541,10 +584,6 @@ let nemesis_cmd =
        deliberately under-provision)."
     in
     Arg.(value & opt (some int) None & info [ "max-down" ] ~docv:"D" ~doc)
-  in
-  let horizon_arg =
-    let doc = "Virtual-time window fault actions are placed in." in
-    Arg.(value & opt int 800 & info [ "horizon" ] ~docv:"H" ~doc)
   in
   let benign_arg =
     let doc =
@@ -577,17 +616,9 @@ let nemesis_cmd =
     in
     Arg.(value & flag & info [ "storage-faults" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Write the campaign report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
-  let run n seed backends plans clients commands batch max_actions max_down
-      horizon benign storage plan_file dump shrink quiet jobs report_out
-      show_trace =
-    let base = Nemesis.Campaign.default_config ~n () in
+  let run n seed backends flags clients commands batch max_actions max_down
+      horizon benign storage plan_file dump shrink quiet show_trace =
+    let module C = Nemesis.Campaign in
     let profile =
       {
         (Nemesis.Gen.default ~n) with
@@ -600,9 +631,9 @@ let nemesis_cmd =
     in
     let cfg =
       {
-        base with
-        Nemesis.Campaign.backends;
-        plans;
+        (C.default_config ~n ()) with
+        C.backends;
+        plans = flags.plans;
         first_seed = seed;
         clients;
         commands;
@@ -611,37 +642,19 @@ let nemesis_cmd =
         storage;
       }
     in
-    let write_plan file plan =
-      let oc = open_out file in
-      output_string oc (Nemesis.Plan.to_string plan);
-      close_out oc;
-      Format.printf "plan written to %s@." file
-    in
     match plan_file with
     | Some file ->
         (* Single-plan replay mode. *)
-        let text = In_channel.with_open_text file In_channel.input_all in
-        let plan =
-          try Nemesis.Plan.of_string text
-          with Nemesis.Plan.Parse_error msg ->
-            Format.eprintf "cannot parse plan %s: %s@." file msg;
-            exit 2
-        in
-        (match Nemesis.Plan.validate ~n plan with
-        | [] -> ()
-        | problems ->
-            Format.eprintf "ill-formed plan %s:@." file;
-            List.iter (Format.eprintf "  %s@.") problems;
-            exit 2);
+        let plan = read_plan ~n file in
         Format.printf "replaying %s (%d actions) at seed %d:@.%a" file
           (Nemesis.Plan.length plan) seed Nemesis.Plan.pp plan;
         let any_unsafe = ref false in
         List.iter
           (fun backend ->
-            let r = Nemesis.Campaign.run_plan cfg ~backend ~seed plan in
-            let safe = Nemesis.Campaign.safety_ok r in
-            let live = Nemesis.Campaign.complete r in
-            let durable = Nemesis.Campaign.durable_ok r in
+            let r = C.run_plan ~quiet:(show_trace <= 0) cfg ~backend ~seed plan in
+            let safe = C.safety_ok r in
+            let live = C.complete r in
+            let durable = C.durable_ok r in
             if (not safe) || not durable then any_unsafe := true;
             Format.printf
               "%-12s %d/%d acked, %d slots, vt %d — safety %s, complete %s, \
@@ -659,41 +672,31 @@ let nemesis_cmd =
           backends;
         if !any_unsafe then exit 1
     | None ->
-        let on_outcome (o : Nemesis.Campaign.outcome) =
-          if not quiet then begin
-            print_char
-              (if not o.safety then 'X' else if not o.live then '!' else '.');
-            flush stdout
-          end
+        let progress (o : C.outcome) =
+          if not o.safety then 'X' else if not o.live then '!' else '.'
         in
         let report =
-          Nemesis.Campaign.run ~jobs:(resolve_jobs jobs) ~on_outcome cfg
+          run_campaign
+            (module C)
+            ~progress:(if quiet then None else Some progress)
+            flags cfg
         in
-        if not quiet then print_newline ();
-        Format.printf "%a" Nemesis.Campaign.pp_report report;
-        Option.iter
-          (fun file ->
-            Out_channel.with_open_text file (fun oc ->
-                let ppf = Format.formatter_of_out_channel oc in
-                Nemesis.Campaign.pp_report_stable ppf report;
-                Format.pp_print_flush ppf ());
-            Format.printf "stable report written to %s@." file)
-          report_out;
-        let failing, predicate =
-          match
-            (report.safety_failures, report.durability_failures,
-             report.incomplete)
-          with
-          | o :: _, _, _ ->
-              (Some o, fun r -> not (Nemesis.Campaign.safety_ok r))
-          | [], o :: _, _ ->
-              (Some o, fun r -> not (Nemesis.Campaign.durable_ok r))
-          | [], [], o :: _ ->
-              (Some o, fun r -> not (Nemesis.Campaign.complete r))
-          | [], [], [] -> (None, fun _ -> false)
+        (* The first failing run, by gate precedence, and the replay
+           predicate that keeps it failing while it is shrunk. *)
+        let first_failure =
+          List.find_map
+            (fun (gate, fails) ->
+              match Nemesis.Sweep.failing gate report with
+              | o :: _ -> Some (o, fails)
+              | [] -> None)
+            [
+              ((fun o -> o.C.safety), fun r -> not (C.safety_ok r));
+              ((fun o -> o.C.durable), fun r -> not (C.durable_ok r));
+              ((fun o -> o.C.live), fun r -> not (C.complete r));
+            ]
         in
         Option.iter
-          (fun (o : Nemesis.Campaign.outcome) ->
+          (fun ((o : C.outcome), failing) ->
             let backend =
               List.find
                 (fun b -> Rsm.Backend.name b = o.backend_name)
@@ -706,9 +709,8 @@ let nemesis_cmd =
                 let oracle =
                   {
                     Nemesis.Shrink.run =
-                      (fun p ->
-                        Nemesis.Campaign.run_plan cfg ~backend ~seed:o.plan_seed p);
-                    failing = predicate;
+                      (fun p -> C.run_plan cfg ~backend ~seed:o.plan_seed p);
+                    failing;
                   }
                 in
                 let s = Nemesis.Shrink.shrink oracle o.plan in
@@ -719,17 +721,22 @@ let nemesis_cmd =
               end
               else o.plan
             in
-            Option.iter (fun file -> write_plan file final_plan) dump)
-          failing;
-        if report.safety_failures <> [] || report.durability_failures <> []
+            Option.iter
+              (fun file ->
+                Out_channel.with_open_text file (fun oc ->
+                    output_string oc (Nemesis.Plan.to_string final_plan));
+                Format.printf "plan written to %s@." file)
+              dump)
+          first_failure;
+        if Nemesis.Sweep.failing (fun o -> o.C.safety && o.C.durable) report <> []
         then exit 1
   in
   let term =
     Term.(
-      const run $ n_arg 5 $ seed_arg $ backends_arg $ plans_arg $ clients_arg
-      $ commands_arg $ batch_arg $ max_actions_arg $ max_down_arg $ horizon_arg
+      const run $ n_arg 5 $ seed_arg $ backends_arg $ flags $ clients_arg 3
+      $ commands_arg 3 $ batch_arg 4 $ max_actions_arg $ max_down_arg $ horizon_arg
       $ benign_arg $ storage_arg $ plan_file_arg $ dump_arg $ shrink_arg
-      $ quiet_arg $ jobs_arg $ report_out_arg $ show_trace_arg)
+      $ quiet_arg $ show_trace_arg)
   in
   Cmd.v
     (Cmd.info "nemesis"
@@ -797,13 +804,8 @@ let detect_cmd =
     in
     Arg.(value & flag & info [ "campaign" ] ~doc)
   in
-  let plans_arg =
-    let doc = "Seeded random fault plans in --campaign mode." in
-    Arg.(value & opt int 50 & info [ "plans" ] ~docv:"P" ~doc)
-  in
-  let horizon_arg =
-    let doc = "Virtual-time window fault actions are placed in." in
-    Arg.(value & opt int 800 & info [ "horizon" ] ~docv:"H" ~doc)
+  let flags =
+    campaign_flags ~plans:50 ~doc:"Seeded random fault plans in --campaign mode."
   in
   let plan_file_arg =
     let doc = "Inject this plan file into a single run." in
@@ -813,15 +815,9 @@ let detect_cmd =
     let doc = "No per-run progress dots in --campaign mode." in
     Arg.(value & flag & info [ "quiet" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Write the campaign report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
-  let run n seed period timeout cap mutant expect_violation campaign plans
-      horizon plan_file quiet jobs report_out show_trace =
+  let run n seed period timeout cap mutant expect_violation campaign flags
+      horizon plan_file quiet show_trace =
+    let module C = Nemesis.Detect_campaign in
     let params =
       { Detect.Timeout.default with Detect.Timeout.period; initial = timeout; cap }
     in
@@ -852,64 +848,35 @@ let detect_cmd =
     if campaign then begin
       let cfg =
         {
-          (Nemesis.Detect_campaign.default_config ~n ()) with
-          Nemesis.Detect_campaign.plans;
+          (C.default_config ~n ()) with
+          C.plans = flags.plans;
           first_seed = seed;
           params = [ params ];
           mutant = mutant_v;
           profile = { (Nemesis.Gen.default ~n) with Nemesis.Gen.horizon };
         }
       in
-      let on_outcome (o : Nemesis.Detect_campaign.outcome) =
-        if not quiet then begin
-          print_char
-            (if not (o.agreement && o.validity) then 'X'
-             else if o.livelock then '!'
-             else '.');
-          flush stdout
-        end
+      let progress (o : C.outcome) =
+        if not (o.agreement && o.validity) then 'X'
+        else if o.livelock then '!'
+        else '.'
       in
       let report =
-        Nemesis.Detect_campaign.run ~jobs:(resolve_jobs jobs) ~on_outcome cfg
+        run_campaign
+          (module C)
+          ~progress:(if quiet then None else Some progress)
+          flags cfg
       in
-      if not quiet then print_newline ();
-      Format.printf "%a" Nemesis.Detect_campaign.pp_report report;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc ->
-              let ppf = Format.formatter_of_out_channel oc in
-              Nemesis.Detect_campaign.pp_report_stable ppf report;
-              Format.pp_print_flush ppf ());
-          Format.printf "stable report written to %s@." file)
-        report_out;
+      let passes gate = Nemesis.Sweep.failing gate report = [] in
       finish
-        ~safety_ok:
-          (report.Nemesis.Detect_campaign.agreement_failures = []
-          && report.Nemesis.Detect_campaign.validity_failures = [])
-        ~liveness_ok:(report.Nemesis.Detect_campaign.livelocks = [])
+        ~safety_ok:(passes (fun o -> o.C.agreement && o.C.validity))
+        ~liveness_ok:(passes (fun o -> not o.C.livelock))
     end
     else begin
-      let plan =
-        Option.map
-          (fun file ->
-            let text = In_channel.with_open_text file In_channel.input_all in
-            let plan =
-              try Nemesis.Plan.of_string text
-              with Nemesis.Plan.Parse_error msg ->
-                Format.eprintf "cannot parse plan %s: %s@." file msg;
-                exit 2
-            in
-            match Nemesis.Plan.validate ~n plan with
-            | [] -> plan
-            | problems ->
-                Format.eprintf "ill-formed plan %s:@." file;
-                List.iter (Format.eprintf "  %s@.") problems;
-                exit 2)
-          plan_file
-      in
+      let plan = Option.map (read_plan ~n) plan_file in
       let r =
         Detect.Runner.run ~n ~seed:(Int64.of_int seed) ~params ~mutant:mutant_v
-          ~horizon:(horizon + 3000)
+          ~horizon:(horizon + C.horizon_slack)
           ?install:
             (Option.map (fun p f -> Nemesis.Interp.install_detect p f) plan)
           ()
@@ -946,9 +913,8 @@ let detect_cmd =
   let term =
     Term.(
       const run $ n_arg 4 $ seed_arg $ period_arg $ timeout_arg $ cap_arg
-      $ mutant_arg $ expect_violation_arg $ campaign_arg $ plans_arg
-      $ horizon_arg $ plan_file_arg $ quiet_arg $ jobs_arg $ report_out_arg
-      $ show_trace_arg)
+      $ mutant_arg $ expect_violation_arg $ campaign_arg $ flags $ horizon_arg
+      $ plan_file_arg $ quiet_arg $ show_trace_arg)
   in
   Cmd.v
     (Cmd.info "detect"
@@ -1003,10 +969,6 @@ let shard_cmd =
     let doc = "Zipf skew exponent for key popularity (0 = uniform)." in
     Arg.(value & opt float 1.1 & info [ "zipf" ] ~docv:"S" ~doc)
   in
-  let batch_arg =
-    let doc = "Max commands batched into one consensus slot." in
-    Arg.(value & opt int 64 & info [ "batch" ] ~docv:"B" ~doc)
-  in
   let open_loop_arg =
     let doc =
       "Open-loop arrivals with this mean inter-arrival gap (virtual time) \
@@ -1032,13 +994,6 @@ let shard_cmd =
     in
     Arg.(value & flag & info [ "broken-2pc" ] ~doc)
   in
-  let expect_violation_arg =
-    let doc =
-      "Invert the exit code: succeed only when a violation IS found (mutant \
-       checks in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
   let campaign_arg =
     let doc =
       "Run a seed-sweep fault campaign (one generated plan per shard per \
@@ -1046,20 +1001,13 @@ let shard_cmd =
     in
     Arg.(value & flag & info [ "campaign" ] ~doc)
   in
-  let plans_arg =
-    let doc = "Campaign mode: seeded per-shard fault plans per backend." in
-    Arg.(value & opt int 30 & info [ "plans" ] ~docv:"P" ~doc)
+  let flags =
+    campaign_flags ~plans:30
+      ~doc:"Campaign mode: seeded per-shard fault plans per backend."
   in
   let max_events_arg =
     let doc = "Engine event budget." in
     Arg.(value & opt int 20_000_000 & info [ "max-events" ] ~docv:"E" ~doc)
-  in
-  let report_out_arg =
-    let doc =
-      "Campaign mode: write the report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
   in
   (* The default nemesis: a staggered minority partition inside every
      shard (plus, with --storage-faults, a torn-write and an io-error
@@ -1091,23 +1039,12 @@ let shard_cmd =
   in
   let run seed backend shards replicas clients ops keys tx_pct tx_span zipf
       batch open_loop no_nemesis storage broken_2pc expect_violation campaign
-      plans max_events jobs report_out show_trace =
+      flags max_events show_trace =
     if shards < 1 || replicas < 1 then begin
       Format.eprintf "need at least one shard and one replica@.";
       exit 2
     end;
-    let finish ~violations_found =
-      if expect_violation then
-        if violations_found then begin
-          Format.printf "expected violation found@.";
-          exit 0
-        end
-        else begin
-          Format.eprintf "no violation found but one was expected@.";
-          exit 1
-        end
-      else if violations_found then exit 1
-    in
+    let finish = finish ~expect_violation in
     let load =
       {
         Workload.Load.default with
@@ -1120,11 +1057,12 @@ let shard_cmd =
       }
     in
     if campaign then begin
+      let module C = Nemesis.Shard_campaign in
       let cfg =
         {
-          (Nemesis.Shard_campaign.default_config ~shards ~replicas ()) with
-          Nemesis.Shard_campaign.backends = [ backend ];
-          plans;
+          (C.default_config ~shards ~replicas ()) with
+          C.backends = [ backend ];
+          plans = flags.plans;
           first_seed = seed;
           clients;
           ops_per_client = ops;
@@ -1136,23 +1074,13 @@ let shard_cmd =
           broken_2pc;
         }
       in
-      let report =
-        Nemesis.Shard_campaign.run ~jobs:(resolve_jobs jobs) cfg
-      in
-      Format.printf "%a" Nemesis.Shard_campaign.pp_report report;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc ->
-              let ppf = Format.formatter_of_out_channel oc in
-              Nemesis.Shard_campaign.pp_report_stable ppf report;
-              Format.pp_print_flush ppf ());
-          Format.printf "stable report written to %s@." file)
-        report_out;
+      let report = run_campaign (module C) ~progress:None flags cfg in
       finish
         ~violations_found:
-          (report.Nemesis.Shard_campaign.safety_failures <> []
-          || report.Nemesis.Shard_campaign.atomicity_failures <> []
-          || report.Nemesis.Shard_campaign.durability_failures <> [])
+          (Nemesis.Sweep.failing
+             (fun o -> o.C.safety && o.C.atomic && o.C.durable)
+             report
+          <> [])
     end
     else begin
       let inject =
@@ -1233,9 +1161,9 @@ let shard_cmd =
     Term.(
       const run $ seed_arg $ backend_arg $ shards_arg $ replicas_arg
       $ clients_arg $ ops_arg $ keys_arg $ tx_pct_arg $ tx_span_arg $ zipf_arg
-      $ batch_arg $ open_loop_arg $ no_nemesis_arg $ storage_arg $ broken_arg
-      $ expect_violation_arg $ campaign_arg $ plans_arg $ max_events_arg
-      $ jobs_arg $ report_out_arg $ show_trace_arg)
+      $ batch_arg 64 $ open_loop_arg $ no_nemesis_arg $ storage_arg $ broken_arg
+      $ expect_violation_arg $ campaign_arg $ flags $ max_events_arg
+      $ show_trace_arg)
   in
   Cmd.v
     (Cmd.info "shard"
@@ -1251,17 +1179,8 @@ let shard_cmd =
 
 let obj_cmd =
   let backends_arg =
-    let doc =
-      "Consensus backend(s) deciding the log: ben-or, phase-king, raft, omega, all."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map (fun (n, b) -> (n, [ b ])) backend_choices
-             @ [ ("all", Rsm.Backend.all) ]))
-          [ Rsm.Backend.ben_or ]
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
+    backends_arg
+      ~doc:"Consensus backend(s) deciding the log: ben-or, phase-king, raft, omega, all."
   in
   let object_arg =
     let doc =
@@ -1278,14 +1197,6 @@ let obj_cmd =
   let commands_arg =
     let doc = "Commands per client (clients x commands <= 62, the WG cap)." in
     Arg.(value & opt int 6 & info [ "commands" ] ~docv:"M" ~doc)
-  in
-  let batch_arg =
-    let doc = "Max commands batched into one consensus slot." in
-    Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc)
-  in
-  let crashes_arg =
-    let doc = "Replicas to crash-stop (staggered early in the run)." in
-    Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"F" ~doc)
   in
   let restart_after_arg =
     let doc = "Restart each crashed replica this much virtual time later." in
@@ -1304,13 +1215,6 @@ let obj_cmd =
       & opt ~vopt:(Some 1) (some int) None
       & info [ "broken-obj" ] ~docv:"K" ~doc)
   in
-  let expect_violation_arg =
-    let doc =
-      "Invert the exit code: succeed only when a violation IS found (mutant \
-       checks in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
   let campaign_arg =
     let doc =
       "Run a nemesis campaign (objects x backends x fault plans, every run \
@@ -1318,9 +1222,9 @@ let obj_cmd =
     in
     Arg.(value & flag & info [ "campaign" ] ~doc)
   in
-  let plans_arg =
-    let doc = "Campaign mode: fault plans (= seeds) per object x backend." in
-    Arg.(value & opt int 5 & info [ "plans" ] ~docv:"P" ~doc)
+  let flags =
+    campaign_flags ~plans:5
+      ~doc:"Campaign mode: fault plans (= seeds) per object x backend."
   in
   let storage_arg =
     let doc =
@@ -1328,16 +1232,8 @@ let obj_cmd =
     in
     Arg.(value & flag & info [ "storage-faults" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Campaign mode: write the report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
   let run n seed backends object_name clients commands batch crashes
-      restart_after drop_nth expect_violation campaign plans storage jobs
-      report_out =
+      restart_after drop_nth expect_violation campaign flags storage =
     let objects =
       if object_name = "all" then Obj.Registry.names
       else if List.mem object_name Obj.Registry.names then [ object_name ]
@@ -1353,25 +1249,15 @@ let obj_cmd =
         (clients * commands) Workload.Obj_load.max_history;
       exit 2
     end;
-    let finish ~violations_found =
-      if expect_violation then
-        if violations_found then begin
-          Format.printf "expected violation found@.";
-          exit 0
-        end
-        else begin
-          Format.eprintf "no violation found but one was expected@.";
-          exit 1
-        end
-      else if violations_found then exit 1
-    in
+    let finish = finish ~expect_violation in
     if campaign then begin
+      let module C = Nemesis.Obj_campaign in
       let cfg =
         {
-          (Nemesis.Obj_campaign.default_config ~n ()) with
-          Nemesis.Obj_campaign.backends;
+          (C.default_config ~n ()) with
+          C.backends;
           objects;
-          plans;
+          plans = flags.plans;
           first_seed = seed;
           clients;
           commands;
@@ -1379,17 +1265,13 @@ let obj_cmd =
           storage;
         }
       in
-      let report = Nemesis.Obj_campaign.run ~jobs:(resolve_jobs jobs) cfg in
-      Format.printf "%a" Nemesis.Obj_campaign.pp_report report;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc ->
-              let ppf = Format.formatter_of_out_channel oc in
-              Nemesis.Obj_campaign.pp_report_stable ppf report;
-              Format.pp_print_flush ppf ());
-          Format.printf "stable report written to %s@." file)
-        report_out;
-      finish ~violations_found:(report.Nemesis.Obj_campaign.failures <> [])
+      let report = run_campaign (module C) ~progress:None flags cfg in
+      finish
+        ~violations_found:
+          (Nemesis.Sweep.failing
+             (fun o -> o.C.summary.Workload.Obj_load.ok)
+             report
+          <> [])
     end
     else begin
       let summaries =
@@ -1419,9 +1301,8 @@ let obj_cmd =
   let term =
     Term.(
       const run $ n_arg 5 $ seed_arg $ backends_arg $ object_arg $ clients_arg
-      $ commands_arg $ batch_arg $ crashes_arg $ restart_after_arg $ broken_arg
-      $ expect_violation_arg $ campaign_arg $ plans_arg $ storage_arg
-      $ jobs_arg $ report_out_arg)
+      $ commands_arg $ batch_arg 8 $ crashes_arg $ restart_after_arg $ broken_arg
+      $ expect_violation_arg $ campaign_arg $ flags $ storage_arg)
   in
   Cmd.v
     (Cmd.info "obj"
@@ -1537,13 +1418,6 @@ let mcheck_cmd =
     let doc = "Stop each partition at its first violating execution." in
     Arg.(value & flag & info [ "stop-at-first" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Write the exploration report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
   let dump_ce_arg =
     let doc =
       "Minimize the first counterexample and write it as a replay file."
@@ -1557,13 +1431,6 @@ let mcheck_cmd =
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
-  let expect_violation_arg =
-    let doc =
-      "Invert the exit code: succeed only when a violation IS found (mutant \
-       checks in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
   let list_models_arg =
     let doc = "List the explorable models and exit." in
     Arg.(value & flag & info [ "list-models" ] ~doc)
@@ -1571,18 +1438,7 @@ let mcheck_cmd =
   let run model n depth fault_budget reduction no_reduce prune audit frontier
       pct schedules pct_d pct_steps pct_seed max_schedules stop_at_first jobs
       report_out dump_ce replay_file expect_violation list_models =
-    let finish ~violations_found =
-      if expect_violation then
-        if violations_found then begin
-          Format.printf "expected violation found@.";
-          exit 0
-        end
-        else begin
-          Format.eprintf "no violation found but one was expected@.";
-          exit 1
-        end
-      else if violations_found then exit 1
-    in
+    let finish = finish ~expect_violation in
     if list_models then
       List.iter
         (fun name ->
@@ -1627,12 +1483,7 @@ let mcheck_cmd =
           let report = Mcheck.Pct.run ~jobs:(resolve_jobs jobs) ~config m in
           Format.printf "%a" Mcheck.Pct.pp_report report;
           Option.iter
-            (fun file ->
-              Out_channel.with_open_text file (fun oc ->
-                  let ppf = Format.formatter_of_out_channel oc in
-                  Mcheck.Pct.pp_report_stable ppf report;
-                  Format.pp_print_flush ppf ());
-              Format.printf "stable report written to %s@." file)
+            (fun file -> write_stable_report file Mcheck.Pct.pp_report_stable report)
             report_out;
           Option.iter
             (fun file ->
@@ -1681,11 +1532,7 @@ let mcheck_cmd =
           Format.printf "%a" Mcheck.Explorer.pp_report report;
           Option.iter
             (fun file ->
-              Out_channel.with_open_text file (fun oc ->
-                  let ppf = Format.formatter_of_out_channel oc in
-                  Mcheck.Explorer.pp_report_stable ppf report;
-                  Format.pp_print_flush ppf ());
-              Format.printf "stable report written to %s@." file)
+              write_stable_report file Mcheck.Explorer.pp_report_stable report)
             report_out;
           Option.iter
             (fun file ->
@@ -1718,7 +1565,8 @@ let mcheck_cmd =
       const run $ model_arg $ n_opt_arg $ depth_arg $ fault_budget_arg
       $ reduction_arg $ no_reduce_arg $ prune_arg $ audit_arg $ frontier_arg
       $ pct_arg $ schedules_arg $ pct_d_arg $ pct_steps_arg $ pct_seed_arg
-      $ max_schedules_arg $ stop_at_first_arg $ jobs_arg $ report_out_arg
+      $ max_schedules_arg $ stop_at_first_arg $ jobs_arg
+      $ report_out_arg "exploration report"
       $ dump_ce_arg $ replay_arg $ expect_violation_arg $ list_models_arg)
   in
   Cmd.v

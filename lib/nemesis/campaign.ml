@@ -9,7 +9,6 @@ type config = {
   profile : Gen.profile;
   ack_timeout : int;
   max_events : int;
-  trace_capacity : int;
   storage : bool;
 }
 
@@ -25,7 +24,6 @@ let default_config ?(n = 5) () =
     profile = Gen.default ~n;
     ack_timeout = 400;
     max_events = 400_000;
-    trace_capacity = 2_000;
     storage = false;
   }
 
@@ -51,25 +49,11 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;
-  safety_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
-
-let run_plan ?(quiet = false) cfg ~backend ~seed plan =
+let run_plan ?(quiet = true) cfg ~backend ~seed plan =
   fst
     (Workload.Rsm_load.run_one ~n:cfg.n ~clients:cfg.clients
-       ~commands:cfg.commands ~batch:cfg.batch ~seed
-       ~trace_capacity:cfg.trace_capacity ~quiet ~ack_timeout:cfg.ack_timeout
-       ~max_events:cfg.max_events
+       ~commands:cfg.commands ~batch:cfg.batch ~seed ~trace_capacity:2_000
+       ~quiet ~ack_timeout:cfg.ack_timeout ~max_events:cfg.max_events
        ~inject:(Interp.install_rsm plan)
        ?store:
          (if cfg.storage then Some Rsm.Runner.default_store_config else None)
@@ -80,138 +64,51 @@ let plan_for cfg ~seed =
     { cfg.profile with n = cfg.n; storage = cfg.profile.storage || cfg.storage }
     ~seed
 
-let empty_report =
-  {
-    runs = 0;
-    outcomes = [];
-    safety_failures = [];
-    incomplete = [];
-    durability_failures = [];
-    faults_injected = 0;
-    coverage = List.map (fun k -> (k, 0)) Plan.kinds;
-    cpu_seconds = 0.;
-    wall_seconds = 0.;
-    runs_per_sec = 0.;
-  }
+include Sweep.Make (struct
+  type nonrec config = config
+  type key = Rsm.Backend.t * int
+  type nonrec outcome = outcome
 
-let report_of_outcome o =
-  {
-    empty_report with
-    runs = 1;
-    outcomes = [ o ];
-    safety_failures = (if o.safety then [] else [ o ]);
-    incomplete = (if o.live then [] else [ o ]);
-    durability_failures = (if o.durable then [] else [ o ]);
-    faults_injected = Plan.length o.plan;
-    coverage = Plan.count_kinds o.plan;
-  }
+  let keys cfg =
+    List.concat_map
+      (fun backend -> List.init cfg.plans (fun k -> (backend, cfg.first_seed + k)))
+      cfg.backends
 
-(* Associative, order-preserving: counts add, outcome lists
-   concatenate, timing takes the envelope (max wall / summed cpu).
-   Folding singleton reports in work order rebuilds exactly the report
-   a sequential sweep produces, which is what lets parallel chunks be
-   aggregated without caring when they finished. *)
-let merge a b =
-  let wall = Float.max a.wall_seconds b.wall_seconds in
-  let runs = a.runs + b.runs in
-  {
-    runs;
-    outcomes = a.outcomes @ b.outcomes;
-    safety_failures = a.safety_failures @ b.safety_failures;
-    incomplete = a.incomplete @ b.incomplete;
-    durability_failures = a.durability_failures @ b.durability_failures;
-    faults_injected = a.faults_injected + b.faults_injected;
-    coverage =
-      List.map2 (fun (k, x) (k', y) -> assert (k = k'); (k, x + y))
-        a.coverage b.coverage;
-    cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int runs /. wall);
-  }
+  let seed = snd
 
-let run ?(jobs = 1) ?on_outcome cfg =
-  let t0_cpu = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let work =
-    Array.of_list
-      (List.concat_map
-         (fun backend ->
-           List.init cfg.plans (fun k -> (backend, cfg.first_seed + k)))
-         cfg.backends)
-  in
-  let progress = Mutex.create () in
-  let one (backend, seed) =
+  let run_key cfg (backend, seed) =
     let plan = plan_for cfg ~seed in
-    (* Sweep runs are quiet: nothing reads their traces, and skipping
-       trace-string construction is most of the campaign's allocation.
-       Replaying a single plan through [run_plan] still traces. *)
-    let r = run_plan ~quiet:true cfg ~backend ~seed plan in
-    let o =
-      {
-        backend_name = Rsm.Backend.name backend;
-        plan_seed = seed;
-        plan;
-        safety = safety_ok r;
-        live = complete r;
-        durable = durable_ok r;
-        acked = r.Rsm.Runner.acked;
-        submitted = r.Rsm.Runner.submitted;
-        virtual_time = r.Rsm.Runner.virtual_time;
-        engine_outcome = r.Rsm.Runner.engine_outcome;
-      }
+    let r = run_plan cfg ~backend ~seed plan in
+    {
+      backend_name = Rsm.Backend.name backend;
+      plan_seed = seed;
+      plan;
+      safety = safety_ok r;
+      live = complete r;
+      durable = durable_ok r;
+      acked = r.Rsm.Runner.acked;
+      submitted = r.Rsm.Runner.submitted;
+      virtual_time = r.Rsm.Runner.virtual_time;
+      engine_outcome = r.Rsm.Runner.engine_outcome;
+    }
+
+  let headline r =
+    Sweep.fault_headline "nemesis" r (List.map (fun o -> o.plan) r.Sweep.outcomes)
+
+  let pp_body ppf r =
+    Sweep.pp_coverage ppf (List.map (fun o -> o.plan) r.Sweep.outcomes);
+    let safety = Sweep.failing (fun o -> o.safety) r
+    and durability = Sweep.failing (fun o -> o.durable) r in
+    Format.fprintf ppf
+      "  safety failures: %d, incomplete runs: %d, durability failures: %d@."
+      (List.length safety)
+      (List.length (Sweep.failing (fun o -> o.live) r))
+      (List.length durability);
+    let dump tag =
+      List.iter (fun o ->
+          Format.fprintf ppf "  %s %s seed=%d (%d actions, %d/%d acked)@." tag
+            o.backend_name o.plan_seed (Plan.length o.plan) o.acked o.submitted)
     in
-    (* Completion order under jobs > 1 is nondeterministic; the mutex
-       only keeps concurrent observers from interleaving output. *)
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> snd work.(i)) one work
-  in
-  let r =
-    Array.fold_left
-      (fun acc o -> merge acc (report_of_outcome o))
-      empty_report outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    r with
-    cpu_seconds = Sys.time () -. t0_cpu;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int r.runs /. wall);
-  }
-
-(* Everything below the first line is deterministic for a given
-   campaign; only that header line carries timing.  [pp_report_stable]
-   drops it so reports can be byte-compared across job counts. *)
-let pp_report_body ppf r =
-  Format.fprintf ppf "  coverage: %s@."
-    (String.concat ", "
-       (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) r.coverage));
-  Format.fprintf ppf
-    "  safety failures: %d, incomplete runs: %d, durability failures: %d@."
-    (List.length r.safety_failures)
-    (List.length r.incomplete)
-    (List.length r.durability_failures);
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  SAFETY %s seed=%d (%d actions, %d/%d acked)@."
-        o.backend_name o.plan_seed (Plan.length o.plan) o.acked o.submitted)
-    r.safety_failures;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  DURABILITY %s seed=%d (%d actions, %d/%d acked)@."
-        o.backend_name o.plan_seed (Plan.length o.plan) o.acked o.submitted)
-    r.durability_failures
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "nemesis campaign: %d runs, %d faults injected, %.1f runs/sec (%.2fs wall, \
-     %.2fs cpu)@."
-    r.runs r.faults_injected r.runs_per_sec r.wall_seconds r.cpu_seconds;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "nemesis campaign: %d runs, %d faults injected@." r.runs
-    r.faults_injected;
-  pp_report_body ppf r
+    dump "SAFETY" safety;
+    dump "DURABILITY" durability
+end)

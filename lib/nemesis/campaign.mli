@@ -1,12 +1,12 @@
-(** Campaign runner: sweep seeded random fault plans x consensus
-    backends over the RSM workload, auditing every run with
+(** The RSM fault campaign, a {!Sweep} cell: seeded random fault plans
+    x consensus backends over the KV workload, every run audited with
     {!Rsm.Checker} (total order, integrity, no-duplication,
-    completeness) plus the state-digest comparison, and aggregate a
-    coverage/violation report.
+    completeness), the state-digest comparison and, with storage, the
+    durability audit.  Keys are backend-major, then seed.
 
-    The run set a campaign explores is named by [(profile, first_seed,
-    plans)] alone — re-running the same campaign replays exactly the
-    same runs, so a failure report is a reproduction recipe. *)
+    The run set is named by [(profile, first_seed, plans)] alone —
+    re-running the same campaign replays exactly the same runs, so a
+    failure report is a reproduction recipe. *)
 
 type config = {
   backends : Rsm.Backend.t list;
@@ -19,7 +19,6 @@ type config = {
   profile : Gen.profile;  (** plan-generation shape ([profile.n] is forced to [n]) *)
   ack_timeout : int;
   max_events : int;  (** per-run budget: bounds runs a hostile plan wedges *)
-  trace_capacity : int;  (** bound per-run trace retention *)
   storage : bool;
       (** give every run a WAL-backed store ({!Rsm.Runner.default_store_config}),
           draw storage faults in generated plans, and audit durability *)
@@ -52,20 +51,6 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** in plan order (backend-major), at every job count *)
-  safety_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;  (** total plan actions across the campaign *)
-  coverage : (string * int) list;  (** injected actions by kind *)
-  cpu_seconds : float;
-      (** process CPU, summed across worker domains under [jobs > 1] *)
-  wall_seconds : float;  (** elapsed wall-clock time for the sweep *)
-  runs_per_sec : float;  (** [runs / wall_seconds] *)
-}
-
 val plan_for : config -> seed:int -> Plan.t
 (** The plan a given seed names under this campaign's profile. *)
 
@@ -78,27 +63,7 @@ val run_plan :
   Obj.Kv.op Rsm.Runner.report
 (** One deterministic run: the RSM workload for [seed] under the given
     plan.  This is also the shrinker's replay function.  [quiet]
-    (default false) runs the engine without tracing — identical report
-    fields, no trace. *)
+    (default true) runs the engine without tracing; [~quiet:false]
+    keeps the last 2,000 trace events and changes no other field. *)
 
-val merge : report -> report -> report
-(** Associative aggregation: counts add, outcome lists concatenate in
-    argument order, coverage sums per kind; [wall_seconds] takes the
-    max (parallel chunks overlap) and [cpu_seconds] the sum.  Folding
-    per-run reports in plan order reproduces {!run}'s report. *)
-
-val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The full sweep.  [jobs] (default 1) fans the runs over that many
-    domains ({!Exec.Pool}); every run is an isolated simulation keyed
-    only by its seed, so the report is identical — field for field,
-    modulo timing — at every job count.  Sweep runs execute quiet (no
-    trace retention).  [on_outcome] observes each run as it completes
-    (progress reporting); under [jobs > 1] completion order is
-    nondeterministic, though calls never interleave. *)
-
-val pp_report : Format.formatter -> report -> unit
-
-val pp_report_stable : Format.formatter -> report -> unit
-(** [pp_report] minus the timing figures: deterministic for a given
-    campaign, so reports from different job counts (or machines) can
-    be diffed byte-for-byte. *)
+include Sweep.S with type config := config and type outcome := outcome

@@ -1,22 +1,10 @@
-(* Detector-accuracy campaigns: sweep detector parameter sets x seeded
-   fault plans through the indulgent consensus runner and audit every
-   run for the indulgence contract — agreement and validity must hold
-   unconditionally, and every run whose plan is eventually stable
-   (majority live at the end, no unhealed cut) must decide.  A run
-   that is stable yet undecided is a livelock: with an honest detector
-   the campaign must count zero of them, while the lying mutants are
-   expected to produce them (liveness lost, safety intact). *)
-
 type config = {
   plans : int;
   first_seed : int;
   n : int;
-  params : Detect.Timeout.params list;  (** detector parameter grid *)
+  params : Detect.Timeout.params list;
   mutant : Detect.Oracle.mutant;
   profile : Gen.profile;
-  horizon_slack : int;
-      (** virtual time granted past the plan horizon for recovery —
-          capped timeouts and round backoff need room after a heal *)
   max_events : int;
 }
 
@@ -28,9 +16,10 @@ let default_config ?(n = 4) () =
     params = [ Detect.Timeout.default ];
     mutant = Detect.Oracle.Honest;
     profile = Gen.default ~n;
-    horizon_slack = 3000;
     max_events = 400_000;
   }
+
+let horizon_slack = 3000
 
 (* Does the plan leave the network in a state where the detector can
    stabilise and a quorum can form?  No unhealed cut, and a strict
@@ -52,14 +41,14 @@ let eventually_stable ~n plan =
 
 type outcome = {
   plan_seed : int;
-  params_ix : int;  (** index into the config's parameter grid *)
+  params_ix : int;
   plan : Plan.t;
-  stable : bool;  (** {!eventually_stable} of the plan *)
-  decided : bool;  (** every live node learned the decision *)
+  stable : bool;
+  decided : bool;
   agreement : bool;
   validity : bool;
-  livelock : bool;  (** [stable && not decided] — must not happen honest *)
-  decision_latency : int option;  (** virtual time of the first decision *)
+  livelock : bool;
+  decision_latency : int option;
   suspicions : int;
   false_suspicions : int;
   omega_stable_at : int option;
@@ -68,107 +57,13 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** params-major, then plan order *)
-  agreement_failures : outcome list;
-  validity_failures : outcome list;
-  livelocks : outcome list;
-  stable_runs : int;
-  decided_runs : int;
-  latency_sum : int;  (** summed decision latencies over decided runs *)
-  latency_runs : int;
-  suspicions : int;
-  false_suspicions : int;
-  stability_sum : int;  (** summed omega_stable_at over stabilised runs *)
-  stability_runs : int;
-  heartbeats : int;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
-
-let empty_report =
-  {
-    runs = 0;
-    outcomes = [];
-    agreement_failures = [];
-    validity_failures = [];
-    livelocks = [];
-    stable_runs = 0;
-    decided_runs = 0;
-    latency_sum = 0;
-    latency_runs = 0;
-    suspicions = 0;
-    false_suspicions = 0;
-    stability_sum = 0;
-    stability_runs = 0;
-    heartbeats = 0;
-    faults_injected = 0;
-    coverage = List.map (fun k -> (k, 0)) Plan.kinds;
-    cpu_seconds = 0.;
-    wall_seconds = 0.;
-    runs_per_sec = 0.;
-  }
-
-let report_of_outcome o =
-  {
-    empty_report with
-    runs = 1;
-    outcomes = [ o ];
-    agreement_failures = (if o.agreement then [] else [ o ]);
-    validity_failures = (if o.validity then [] else [ o ]);
-    livelocks = (if o.livelock then [ o ] else []);
-    stable_runs = (if o.stable then 1 else 0);
-    decided_runs = (if o.decided then 1 else 0);
-    latency_sum = Option.value o.decision_latency ~default:0;
-    latency_runs = (if o.decision_latency <> None then 1 else 0);
-    suspicions = o.suspicions;
-    false_suspicions = o.false_suspicions;
-    stability_sum = Option.value o.omega_stable_at ~default:0;
-    stability_runs = (if o.omega_stable_at <> None then 1 else 0);
-    heartbeats = o.heartbeats;
-    faults_injected = Plan.length o.plan;
-    coverage = Plan.count_kinds o.plan;
-  }
-
-let merge a b =
-  {
-    runs = a.runs + b.runs;
-    outcomes = a.outcomes @ b.outcomes;
-    agreement_failures = a.agreement_failures @ b.agreement_failures;
-    validity_failures = a.validity_failures @ b.validity_failures;
-    livelocks = a.livelocks @ b.livelocks;
-    stable_runs = a.stable_runs + b.stable_runs;
-    decided_runs = a.decided_runs + b.decided_runs;
-    latency_sum = a.latency_sum + b.latency_sum;
-    latency_runs = a.latency_runs + b.latency_runs;
-    suspicions = a.suspicions + b.suspicions;
-    false_suspicions = a.false_suspicions + b.false_suspicions;
-    stability_sum = a.stability_sum + b.stability_sum;
-    stability_runs = a.stability_runs + b.stability_runs;
-    heartbeats = a.heartbeats + b.heartbeats;
-    faults_injected = a.faults_injected + b.faults_injected;
-    coverage =
-      List.map2
-        (fun (k1, c1) (k2, c2) ->
-          assert (String.equal k1 k2);
-          (k1, c1 + c2))
-        a.coverage b.coverage;
-    cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
-    wall_seconds = Float.max a.wall_seconds b.wall_seconds;
-    runs_per_sec = 0.;
-  }
-
 let plan_for cfg ~seed = Gen.generate { cfg.profile with Gen.n = cfg.n } ~seed
 
 let run_plan ?(quiet = true) cfg ~params ~seed plan =
   Detect.Runner.run ~n:cfg.n
     ~seed:(Int64.of_int seed)
     ~params ~mutant:cfg.mutant
-    ~horizon:(cfg.profile.Gen.horizon + cfg.horizon_slack)
+    ~horizon:(cfg.profile.Gen.horizon + horizon_slack)
     ~max_events:cfg.max_events ~quiet
     ~install:(fun f -> Interp.install_detect plan f)
     ()
@@ -193,89 +88,68 @@ let outcome_of_run cfg ~params_ix ~seed plan (r : Detect.Runner.report) =
     engine_outcome = r.Detect.Runner.outcome;
   }
 
-let run ?(jobs = 1) ?on_outcome cfg =
-  let t0_cpu = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let n_params = List.length cfg.params in
-  if n_params = 0 then invalid_arg "Detect_campaign.run: empty parameter grid";
-  let params = Array.of_list cfg.params in
-  let work =
-    Array.init (n_params * cfg.plans) (fun i ->
-        (i / cfg.plans, cfg.first_seed + (i mod cfg.plans)))
-  in
-  let progress = Mutex.create () in
-  let one (params_ix, seed) =
+include Sweep.Make (struct
+  type nonrec config = config
+  type key = int * int
+  type nonrec outcome = outcome
+
+  let keys cfg =
+    if cfg.params = [] then
+      invalid_arg "Detect_campaign.run: empty parameter grid";
+    List.concat
+      (List.mapi
+         (fun ix _ -> List.init cfg.plans (fun k -> (ix, cfg.first_seed + k)))
+         cfg.params)
+
+  let seed = snd
+
+  let run_key cfg (params_ix, seed) =
     let plan = plan_for cfg ~seed in
-    let r = run_plan cfg ~params:params.(params_ix) ~seed plan in
-    let o = outcome_of_run cfg ~params_ix ~seed plan r in
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> snd work.(i)) one work
-  in
-  let r =
-    Array.fold_left
-      (fun acc o -> merge acc (report_of_outcome o))
-      empty_report outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    r with
-    cpu_seconds = Sys.time () -. t0_cpu;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int r.runs /. wall);
-  }
+    outcome_of_run cfg ~params_ix ~seed plan
+      (run_plan cfg ~params:(List.nth cfg.params params_ix) ~seed plan)
 
-(* Only the header line carries timing; everything below it is
-   deterministic for a given campaign. *)
-let pp_report_body ppf r =
-  Format.fprintf ppf "  coverage: %s@."
-    (String.concat ", "
-       (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) r.coverage));
-  Format.fprintf ppf
-    "  stable plans: %d/%d, decided runs: %d, livelocked stable runs: %d@."
-    r.stable_runs r.runs r.decided_runs (List.length r.livelocks);
-  Format.fprintf ppf "  agreement failures: %d, validity failures: %d@."
-    (List.length r.agreement_failures)
-    (List.length r.validity_failures);
-  Format.fprintf ppf
-    "  suspicions: %d (false: %d, rate %.3f), heartbeats: %d@." r.suspicions
-    r.false_suspicions
-    (if r.suspicions = 0 then 0.
-     else float_of_int r.false_suspicions /. float_of_int r.suspicions)
-    r.heartbeats;
-  Format.fprintf ppf
-    "  mean decision latency: %s, mean time-to-omega-stability: %s@."
-    (if r.latency_runs = 0 then "-"
-     else Printf.sprintf "%.1f" (float_of_int r.latency_sum /. float_of_int r.latency_runs))
-    (if r.stability_runs = 0 then "-"
-     else
-       Printf.sprintf "%.1f"
-         (float_of_int r.stability_sum /. float_of_int r.stability_runs));
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  AGREEMENT VIOLATION: params %d seed %d@."
-        o.params_ix o.plan_seed)
-    r.agreement_failures;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  VALIDITY VIOLATION: params %d seed %d@."
-        o.params_ix o.plan_seed)
-    r.validity_failures;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  LIVELOCK: params %d seed %d (stable plan, undecided)@."
-        o.params_ix o.plan_seed)
-    r.livelocks
+  let headline r =
+    Sweep.fault_headline "detect" r (List.map (fun o -> o.plan) r.Sweep.outcomes)
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "detect campaign: %d runs, %d faults injected (%.1f runs/s, %.2fs wall, %.2fs cpu)@."
-    r.runs r.faults_injected r.runs_per_sec r.wall_seconds r.cpu_seconds;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "detect campaign: %d runs, %d faults injected@." r.runs
-    r.faults_injected;
-  pp_report_body ppf r
+  let pp_body ppf r =
+    let sum f = List.fold_left (fun a o -> a + f o) 0 r.Sweep.outcomes in
+    let count p = sum (fun o -> if p o then 1 else 0) in
+    (* mean of the [Some] values, "-" when there are none *)
+    let mean f =
+      match count (fun o -> f o <> None) with
+      | 0 -> "-"
+      | k ->
+          Printf.sprintf "%.1f"
+            (float_of_int (sum (fun o -> Option.value (f o) ~default:0))
+            /. float_of_int k)
+    in
+    let suspicions = sum (fun o -> o.suspicions)
+    and false_suspicions = sum (fun o -> o.false_suspicions)
+    and agreement = Sweep.failing (fun o -> o.agreement) r
+    and validity = Sweep.failing (fun o -> o.validity) r
+    and livelocks = Sweep.failing (fun o -> not o.livelock) r in
+    Sweep.pp_coverage ppf (List.map (fun o -> o.plan) r.Sweep.outcomes);
+    Format.fprintf ppf
+      "  stable plans: %d/%d, decided runs: %d, livelocked stable runs: %d@."
+      (count (fun o -> o.stable))
+      (Sweep.runs r)
+      (count (fun o -> o.decided))
+      (List.length livelocks);
+    Format.fprintf ppf "  agreement failures: %d, validity failures: %d@."
+      (List.length agreement) (List.length validity);
+    Format.fprintf ppf "  suspicions: %d (false: %d, rate %.3f), heartbeats: %d@."
+      suspicions false_suspicions
+      (if suspicions = 0 then 0.
+       else float_of_int false_suspicions /. float_of_int suspicions)
+      (sum (fun o -> o.heartbeats));
+    Format.fprintf ppf
+      "  mean decision latency: %s, mean time-to-omega-stability: %s@."
+      (mean (fun o -> o.decision_latency))
+      (mean (fun o -> o.omega_stable_at));
+    let dump fmt =
+      List.iter (fun o -> Format.fprintf ppf fmt o.params_ix o.plan_seed)
+    in
+    dump "  AGREEMENT VIOLATION: params %d seed %d@." agreement;
+    dump "  VALIDITY VIOLATION: params %d seed %d@." validity;
+    dump "  LIVELOCK: params %d seed %d (stable plan, undecided)@." livelocks
+end)

@@ -1,33 +1,34 @@
-(** Detector-accuracy campaigns over the indulgent consensus runner.
+(** Detector-accuracy campaigns over the indulgent consensus runner, a
+    {!Sweep} cell.
 
-    Sweeps a detector parameter grid x seeded fault plans, auditing
-    every run for the indulgence contract: agreement/validity must
-    hold in {e every} run (detector-free safety), and every run whose
-    plan is {!eventually_stable} must decide — a stable-but-undecided
-    run is a {e livelock}, of which an honest campaign must count
-    zero, while the lying mutants are expected to produce them
-    (liveness lost, safety intact: exactly what the gate checks).
-
-    Like {!Campaign}, the run set is named by [(profile, params,
-    first_seed, plans)] alone, runs are isolated simulations keyed by
-    seed, and reports are byte-identical at every job count. *)
+    Sweeps a detector parameter grid x seeded fault plans (keys are
+    params-major, then seed), auditing every run for the indulgence
+    contract: agreement/validity must hold in {e every} run
+    (detector-free safety), and every run whose plan is
+    {!eventually_stable} must decide — a stable-but-undecided run is a
+    {e livelock}, of which an honest campaign must count zero, while
+    the lying mutants are expected to produce them (liveness lost,
+    safety intact: exactly what the gate checks). *)
 
 type config = {
   plans : int;
   first_seed : int;
   n : int;
-  params : Detect.Timeout.params list;  (** detector parameter grid *)
+  params : Detect.Timeout.params list;
+      (** detector parameter grid; must not be empty *)
   mutant : Detect.Oracle.mutant;
   profile : Gen.profile;
-  horizon_slack : int;
-      (** extra virtual time past the plan horizon for post-heal
-          recovery (capped timeouts and round backoff need room) *)
   max_events : int;
 }
 
 val default_config : ?n:int -> unit -> config
 (** 50 plans from seed 1 at n=4, default timeout parameters, honest
     detector, default minority-crash profile. *)
+
+val horizon_slack : int
+(** Virtual time a run gets past the plan horizon (3,000) for
+    post-heal recovery: capped timeouts and round backoff need room
+    after a heal. *)
 
 val eventually_stable : n:int -> Plan.t -> bool
 (** Whether the plan's final state lets the detector stabilise and a
@@ -39,12 +40,12 @@ type outcome = {
   plan_seed : int;
   params_ix : int;  (** index into the config's parameter grid *)
   plan : Plan.t;
-  stable : bool;
+  stable : bool;  (** {!eventually_stable} of the plan *)
   decided : bool;  (** every live node learned the decision *)
   agreement : bool;
   validity : bool;
   livelock : bool;  (** [stable && not decided] *)
-  decision_latency : int option;
+  decision_latency : int option;  (** virtual time of the first decision *)
   suspicions : int;
   false_suspicions : int;
   omega_stable_at : int option;
@@ -52,30 +53,6 @@ type outcome = {
   virtual_time : int;
   engine_outcome : Dsim.Engine.outcome;
 }
-
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** params-major, then plan order *)
-  agreement_failures : outcome list;
-  validity_failures : outcome list;
-  livelocks : outcome list;
-  stable_runs : int;
-  decided_runs : int;
-  latency_sum : int;
-  latency_runs : int;
-  suspicions : int;
-  false_suspicions : int;
-  stability_sum : int;
-  stability_runs : int;
-  heartbeats : int;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
-
-val empty_report : report
 
 val plan_for : config -> seed:int -> Plan.t
 
@@ -89,16 +66,5 @@ val run_plan :
 (** One deterministic run (the shrinker's replay function).  [quiet]
     defaults to true — pass false to retain the trace. *)
 
-val merge : report -> report -> report
-(** Associative aggregation (see {!Campaign.merge}). *)
-
-val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The full sweep.  [jobs] (default 1) fans runs over that many
-    domains; the report is identical — field for field, modulo timing
-    — at every job count. *)
-
-val pp_report : Format.formatter -> report -> unit
-
-val pp_report_stable : Format.formatter -> report -> unit
-(** {!pp_report} minus the timing header — byte-identical across job
-    counts. *)
+include Sweep.S with type config := config and type outcome := outcome
+(** [run] raises [Invalid_argument] on an empty parameter grid. *)

@@ -1,9 +1,3 @@
-(* Nemesis sweeps for the universal construction: every object in the
-   registry, over every requested backend, under [plans] generated
-   fault plans each — with the Wing–Gong linearizability gate on every
-   run, on top of the order/digest/durability gates the KV campaign
-   already applies. *)
-
 type config = {
   backends : Rsm.Backend.t list;
   objects : string list;
@@ -37,15 +31,6 @@ type outcome = {
   plan : Plan.t;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** object-major, then backend, then seed *)
-  failures : outcome list;  (** any gate tripped: order, digest, or WG *)
-  wg_failures : outcome list;  (** the WG gate specifically *)
-  wall_seconds : float;
-  runs_per_sec : float;
-}
-
 let plan_for cfg ~seed =
   Gen.generate
     { cfg.profile with n = cfg.n; storage = cfg.profile.storage || cfg.storage }
@@ -60,87 +45,50 @@ let run_plan ?(quiet = true) cfg ~object_name ~backend ~seed plan =
     ?store:(if cfg.storage then Some Rsm.Runner.default_store_config else None)
     ~backend ~object_name ()
 
-let run ?(jobs = 1) ?on_outcome cfg =
-  let t0 = Unix.gettimeofday () in
-  let work =
-    Array.of_list
-      (List.concat_map
-         (fun object_name ->
-           List.concat_map
-             (fun backend ->
-               List.init cfg.plans (fun k ->
-                   (object_name, backend, cfg.first_seed + k)))
-             cfg.backends)
-         cfg.objects)
-  in
-  let progress = Mutex.create () in
-  let one (object_name, backend, seed) =
+let ok o = o.summary.Workload.Obj_load.ok
+
+include Sweep.Make (struct
+  type nonrec config = config
+  type key = string * Rsm.Backend.t * int
+  type nonrec outcome = outcome
+
+  let keys cfg =
+    List.concat_map
+      (fun object_name ->
+        List.concat_map
+          (fun backend ->
+            List.init cfg.plans (fun k -> (object_name, backend, cfg.first_seed + k)))
+          cfg.backends)
+      cfg.objects
+
+  let seed (_, _, s) = s
+
+  let run_key cfg (object_name, backend, seed) =
     let plan = plan_for cfg ~seed in
-    let summary = run_plan cfg ~object_name ~backend ~seed plan in
-    let o = { summary; plan_seed = seed; plan } in
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> let _, _, s = work.(i) in s) one work
-  in
-  let outcomes = Array.to_list outcomes in
-  let failures = List.filter (fun o -> not o.summary.Workload.Obj_load.ok) outcomes in
-  let wg_failures =
-    List.filter
-      (fun o -> o.summary.Workload.Obj_load.wg_violations <> [])
-      outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let runs = List.length outcomes in
-  {
-    runs;
-    outcomes;
-    failures;
-    wg_failures;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int runs /. wall);
-  }
+    { summary = run_plan cfg ~object_name ~backend ~seed plan; plan_seed = seed; plan }
 
-let pp_report_body ppf r =
-  let by_object =
-    List.sort_uniq compare
-      (List.map (fun o -> o.summary.Workload.Obj_load.object_name) r.outcomes)
-  in
-  List.iter
-    (fun name ->
-      let mine =
-        List.filter
-          (fun o -> o.summary.Workload.Obj_load.object_name = name)
-          r.outcomes
-      in
-      let bad = List.filter (fun o -> not o.summary.Workload.Obj_load.ok) mine in
-      Format.fprintf ppf "  %-8s %d runs, %d failures@." name
-        (List.length mine) (List.length bad))
-    by_object;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  FAIL %s/%s seed=%d (%d actions): %s@."
-        o.summary.Workload.Obj_load.object_name
-        o.summary.Workload.Obj_load.backend_name o.plan_seed (Plan.length o.plan)
-        (match o.summary.Workload.Obj_load.wg_violations with
-        | v :: _ -> v
-        | [] -> "order/digest gate"))
-    r.failures
+  let headline r =
+    Printf.sprintf "object campaign: %d runs, %d failures (%d linearizability)"
+      (Sweep.runs r)
+      (List.length (Sweep.failing ok r))
+      (List.length
+         (Sweep.failing (fun o -> o.summary.Workload.Obj_load.wg_violations = []) r))
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "object campaign: %d runs, %d failures (%d linearizability), %.1f \
-     runs/sec@."
-    r.runs
-    (List.length r.failures)
-    (List.length r.wg_failures)
-    r.runs_per_sec;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "object campaign: %d runs, %d failures (%d linearizability)@."
-    r.runs
-    (List.length r.failures)
-    (List.length r.wg_failures);
-  pp_report_body ppf r
+  let pp_body ppf r =
+    let name o = o.summary.Workload.Obj_load.object_name in
+    List.iter
+      (fun object_name ->
+        let mine = List.filter (fun o -> name o = object_name) r.Sweep.outcomes in
+        Format.fprintf ppf "  %-8s %d runs, %d failures@." object_name
+          (List.length mine)
+          (List.length (List.filter (fun o -> not (ok o)) mine)))
+      (List.sort_uniq compare (List.map name r.Sweep.outcomes));
+    List.iter
+      (fun o ->
+        Format.fprintf ppf "  FAIL %s/%s seed=%d (%d actions): %s@." (name o)
+          o.summary.Workload.Obj_load.backend_name o.plan_seed (Plan.length o.plan)
+          (match o.summary.Workload.Obj_load.wg_violations with
+          | v :: _ -> v
+          | [] -> "order/digest gate"))
+      (Sweep.failing ok r)
+end)

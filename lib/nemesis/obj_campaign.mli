@@ -1,11 +1,11 @@
-(** Nemesis campaigns over the universal construction: sweep
-    objects x backends x plan seeds, Wing–Gong-checking every run.
+(** The universal-construction fault campaign, a {!Sweep} cell:
+    objects x backends x plan seeds (keys in that order, object-major),
+    Wing–Gong-checking every run.
 
-    The per-run gates are {!Workload.Obj_load.summary.ok}: zero
+    The per-run gate is {!Workload.Obj_load.summary.ok}: zero
     total-order/completeness/durability violations, agreeing
     live-replica digests, a quiescent engine, {e and} a linearizable
-    history w.r.t. the object's sequential spec.  Deterministic: the
-    same config yields the same outcomes at every job count. *)
+    history w.r.t. the object's sequential spec. *)
 
 type config = {
   backends : Rsm.Backend.t list;
@@ -30,15 +30,6 @@ type outcome = {
   plan : Plan.t;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** object-major, then backend, then seed *)
-  failures : outcome list;  (** any gate tripped: order, digest, or WG *)
-  wg_failures : outcome list;  (** the WG gate specifically *)
-  wall_seconds : float;
-  runs_per_sec : float;
-}
-
 val plan_for : config -> seed:int -> Plan.t
 (** The plan a given seed names under this campaign's profile. *)
 
@@ -51,16 +42,6 @@ val run_plan :
   Plan.t ->
   Workload.Obj_load.summary
 (** One deterministic run: the object's workload for [seed] under the
-    given plan ([quiet] defaults to true here — campaigns don't read
-    traces). *)
+    given plan ([quiet] defaults to true). *)
 
-val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The sweep.  [jobs] fans cells over domains ({!Exec.Pool});
-    [on_outcome] observes completions (mutex-serialized, order
-    nondeterministic under [jobs > 1]).  The report is identical at
-    every job count. *)
-
-val pp_report : Format.formatter -> report -> unit
-val pp_report_stable : Format.formatter -> report -> unit
-(** [pp_report] with the timing header dropped, for byte-stable
-    comparison across job counts. *)
+include Sweep.S with type config := config and type outcome := outcome

@@ -10,7 +10,6 @@ type config = {
   tx_pct : int;
   batch : int;
   profile : Gen.profile;
-  ack_timeout : int;
   max_events : int;
   storage : bool;
   broken_2pc : bool;
@@ -31,7 +30,6 @@ let default_config ?(shards = 4) ?(replicas = 3) () =
     (* benign by default: every shard-local disturbance heals before the
        horizon, so clean backends should also stay live *)
     profile = { (Gen.default ~n:replicas) with Gen.benign = true };
-    ack_timeout = 2_000;
     max_events = 4_000_000;
     storage = false;
     broken_2pc = false;
@@ -40,7 +38,7 @@ let default_config ?(shards = 4) ?(replicas = 3) () =
 type outcome = {
   backend_name : string;
   plan_seed : int;
-  plans : Plan.t array;  (** index = shard *)
+  plans : Plan.t array;
   safety : bool;
   atomic : bool;
   live : bool;
@@ -51,20 +49,6 @@ type outcome = {
   txs_aborted : int;
   virtual_time : int;
   engine_outcome : Dsim.Engine.outcome;
-}
-
-type report = {
-  runs : int;
-  outcomes : outcome list;
-  safety_failures : outcome list;
-  atomicity_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
 }
 
 (* One plan per shard, all derived from the campaign seed; the prime
@@ -80,6 +64,7 @@ let plans_for cfg ~seed =
   Array.init cfg.shards (fun shard ->
       Gen.generate profile ~seed:((seed * 1009) + shard))
 
+(* The ack timeout is Shard.Runner's default (2,000). *)
 let run_plans ?(quiet = true) cfg ~backend ~seed plans =
   let load =
     {
@@ -92,8 +77,8 @@ let run_plans ?(quiet = true) cfg ~backend ~seed plans =
   in
   fst
     (Workload.Shard_load.run_one ~shards:cfg.shards ~replicas:cfg.replicas
-       ~batch:cfg.batch ~seed ~load ~quiet ~ack_timeout:cfg.ack_timeout
-       ~max_events:cfg.max_events ~broken_2pc:cfg.broken_2pc
+       ~batch:cfg.batch ~seed ~load ~quiet ~max_events:cfg.max_events
+       ~broken_2pc:cfg.broken_2pc
        ~inject:(Interp.install_shard plans)
        ?store:
          (if cfg.storage then Some Rsm.Runner.default_store_config else None)
@@ -129,134 +114,43 @@ let outcome_of_report ~backend ~seed plans (r : Shard.Runner.report) =
     engine_outcome = r.Shard.Runner.engine_outcome;
   }
 
-let empty_report =
-  {
-    runs = 0;
-    outcomes = [];
-    safety_failures = [];
-    atomicity_failures = [];
-    incomplete = [];
-    durability_failures = [];
-    faults_injected = 0;
-    coverage = List.map (fun k -> (k, 0)) Plan.kinds;
-    cpu_seconds = 0.;
-    wall_seconds = 0.;
-    runs_per_sec = 0.;
-  }
+include Sweep.Make (struct
+  type nonrec config = config
+  type key = Rsm.Backend.t * int
+  type nonrec outcome = outcome
 
-let count_kinds_all plans =
-  Array.fold_left
-    (fun acc plan ->
-      List.map2
-        (fun (k, x) (k', y) ->
-          assert (k = k');
-          (k, x + y))
-        acc (Plan.count_kinds plan))
-    (List.map (fun k -> (k, 0)) Plan.kinds)
-    plans
+  let keys (cfg : config) =
+    List.concat_map
+      (fun backend -> List.init cfg.plans (fun k -> (backend, cfg.first_seed + k)))
+      cfg.backends
 
-let report_of_outcome o =
-  {
-    empty_report with
-    runs = 1;
-    outcomes = [ o ];
-    safety_failures = (if o.safety then [] else [ o ]);
-    atomicity_failures = (if o.atomic then [] else [ o ]);
-    incomplete = (if o.live then [] else [ o ]);
-    durability_failures = (if o.durable then [] else [ o ]);
-    faults_injected =
-      Array.fold_left (fun a p -> a + Plan.length p) 0 o.plans;
-    coverage = count_kinds_all o.plans;
-  }
+  let seed = snd
 
-(* Same associativity argument as {!Campaign.merge}: folding singleton
-   reports in work order rebuilds the sequential report exactly. *)
-let merge a b =
-  let wall = Float.max a.wall_seconds b.wall_seconds in
-  let runs = a.runs + b.runs in
-  {
-    runs;
-    outcomes = a.outcomes @ b.outcomes;
-    safety_failures = a.safety_failures @ b.safety_failures;
-    atomicity_failures = a.atomicity_failures @ b.atomicity_failures;
-    incomplete = a.incomplete @ b.incomplete;
-    durability_failures = a.durability_failures @ b.durability_failures;
-    faults_injected = a.faults_injected + b.faults_injected;
-    coverage =
-      List.map2
-        (fun (k, x) (k', y) ->
-          assert (k = k');
-          (k, x + y))
-        a.coverage b.coverage;
-    cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int runs /. wall);
-  }
-
-let run ?(jobs = 1) ?on_outcome (cfg : config) =
-  let t0_cpu = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let work =
-    Array.of_list
-      (List.concat_map
-         (fun backend ->
-           List.init cfg.plans (fun k -> (backend, cfg.first_seed + k)))
-         cfg.backends)
-  in
-  let progress = Mutex.create () in
-  let one (backend, seed) =
+  let run_key cfg (backend, seed) =
     let plans = plans_for cfg ~seed in
-    let r = run_plans ~quiet:true cfg ~backend ~seed plans in
-    let o = outcome_of_report ~backend ~seed plans r in
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> snd work.(i)) one work
-  in
-  let r =
-    Array.fold_left
-      (fun acc o -> merge acc (report_of_outcome o))
-      empty_report outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    r with
-    cpu_seconds = Sys.time () -. t0_cpu;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int r.runs /. wall);
-  }
+    outcome_of_report ~backend ~seed plans
+      (run_plans cfg ~backend ~seed plans)
 
-let pp_report_body ppf r =
-  Format.fprintf ppf "  coverage: %s@."
-    (String.concat ", "
-       (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) r.coverage));
-  Format.fprintf ppf
-    "  safety: %d, atomicity: %d, incomplete: %d, durability: %d@."
-    (List.length r.safety_failures)
-    (List.length r.atomicity_failures)
-    (List.length r.incomplete)
-    (List.length r.durability_failures);
-  let dump tag os =
-    List.iter
-      (fun o ->
-        Format.fprintf ppf "  %s %s seed=%d (%d/%d done, %d/%d tx ok/ab)@." tag
-          o.backend_name o.plan_seed o.completed o.total_ops o.txs_committed
-          o.txs_aborted)
-      os
-  in
-  dump "SAFETY" r.safety_failures;
-  dump "ATOMICITY" r.atomicity_failures;
-  dump "DURABILITY" r.durability_failures
+  let all_plans r = List.concat_map (fun o -> Array.to_list o.plans) r.Sweep.outcomes
+  let headline r = Sweep.fault_headline "shard" r (all_plans r)
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "shard campaign: %d runs, %d faults injected, %.1f runs/sec (%.2fs wall, \
-     %.2fs cpu)@."
-    r.runs r.faults_injected r.runs_per_sec r.wall_seconds r.cpu_seconds;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "shard campaign: %d runs, %d faults injected@." r.runs
-    r.faults_injected;
-  pp_report_body ppf r
+  let pp_body ppf r =
+    Sweep.pp_coverage ppf (all_plans r);
+    let safety = Sweep.failing (fun o -> o.safety) r
+    and atomicity = Sweep.failing (fun o -> o.atomic) r
+    and durability = Sweep.failing (fun o -> o.durable) r in
+    Format.fprintf ppf
+      "  safety: %d, atomicity: %d, incomplete: %d, durability: %d@."
+      (List.length safety) (List.length atomicity)
+      (List.length (Sweep.failing (fun o -> o.live) r))
+      (List.length durability);
+    let dump tag =
+      List.iter (fun o ->
+          Format.fprintf ppf "  %s %s seed=%d (%d/%d done, %d/%d tx ok/ab)@." tag
+            o.backend_name o.plan_seed o.completed o.total_ops o.txs_committed
+            o.txs_aborted)
+    in
+    dump "SAFETY" safety;
+    dump "ATOMICITY" atomicity;
+    dump "DURABILITY" durability
+end)

@@ -1,5 +1,4 @@
-(** Seed-sweep fault campaigns against the sharded multi-group RSM —
-    the {!Campaign} analogue for {!Shard.Runner}.
+(** The sharded fault campaign, a {!Sweep} cell over {!Shard.Runner}.
 
     Every campaign seed expands into {e one fault plan per shard}
     (derived seeds, installed via {!Interp.install_shard}), so
@@ -7,7 +6,8 @@
     while a mixed single/multi-shard workload runs over them.  Each run
     is scored on four properties: per-shard safety (total order +
     digest agreement), cross-shard {e atomicity} (the 2PC checker),
-    liveness (every operation completes), and durability. *)
+    liveness (every operation completes), and durability.  Keys are
+    backend-major, then seed. *)
 
 type config = {
   backends : Rsm.Backend.t list;
@@ -21,7 +21,6 @@ type config = {
   tx_pct : int;  (** % multi-shard transactions in the workload *)
   batch : int;
   profile : Gen.profile;  (** per-shard plan profile ([n] = replicas) *)
-  ack_timeout : int;
   max_events : int;
   storage : bool;  (** give every replica a WAL and draw storage faults *)
   broken_2pc : bool;  (** run the commit-without-quorum mutant *)
@@ -47,20 +46,6 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;
-  safety_failures : outcome list;
-  atomicity_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;
-  coverage : (string * int) list;  (** action-kind occurrence counts *)
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
-
 val plans_for : config -> seed:int -> Plan.t array
 (** The per-shard plans a campaign seed expands into (deterministic). *)
 
@@ -71,19 +56,7 @@ val run_plans :
   seed:int ->
   Plan.t array ->
   Shard.Runner.report
-(** Replay one campaign cell — e.g. to re-run a failure with tracing
-    on ([quiet:false]). *)
+(** Replay one campaign cell; [quiet] defaults to true — pass
+    [~quiet:false] to re-run a failure with tracing on. *)
 
-val merge : report -> report -> report
-(** Associative and order-preserving, like {!Campaign.merge}. *)
-
-val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The sweep: every backend x seed cell, fanned over [jobs] domains
-    ({!Exec.Pool}); the report is identical at every job count (only
-    the timing fields differ — compare with {!pp_report_stable}). *)
-
-val pp_report : Format.formatter -> report -> unit
-
-val pp_report_stable : Format.formatter -> report -> unit
-(** {!pp_report} minus the timing header line: byte-identical across
-    job counts for the same campaign. *)
+include Sweep.S with type config := config and type outcome := outcome

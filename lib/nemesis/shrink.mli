@@ -8,7 +8,10 @@
     plan, the minimized plan is a standalone reproduction recipe. *)
 
 type 'r oracle = {
-  run : Plan.t -> 'r;  (** deterministic replay (e.g. {!Campaign.run_plan}) *)
+  run : Plan.t -> 'r;
+      (** deterministic replay, e.g. a campaign cell's [run_plan]
+          ({!Campaign.run_plan}); replays may run quiet, since tracing
+          never changes the schedule *)
   failing : 'r -> bool;  (** does this replay exhibit the failure? *)
 }
 

@@ -109,115 +109,6 @@ type 'op report = {
 (* Globally unique command ids: client in the high bits, sequence low. *)
 let cid ~client ~k = (client lsl 20) lor k
 
-(* {2 WAL record format}
-
-   One line per record.  A slot is written as its freshly applied
-   entries followed by a commit marker; recovery only trusts slots whose
-   marker made it to disk, so a batch is committed atomically.
-
-     E <slot> <cid> <encoded command>
-     C <slot> <winner>
-
-   A snapshot payload is three lines: covered slot, serialized app
-   state, comma-separated delivered cids (the encodings contain no raw
-   newlines). *)
-
-type 'op wal_item =
-  | W_entry of int * int * 'op
-  | W_commit of int * int
-
-let encode_entry ~op_to_string slot (e : _ Tob.entry) =
-  Printf.sprintf "E %d %d %s" slot e.Tob.cid (op_to_string e.Tob.op)
-
-let encode_commit slot winner = Printf.sprintf "C %d %d" slot winner
-
-let decode_record ~op_of_string s =
-  if String.length s > 0 && s.[0] = 'C' then
-    Scanf.sscanf s "C %d %d" (fun slot w -> W_commit (slot, w))
-  else
-    Scanf.sscanf s "E %d %d %[^\n]" (fun slot cid rest ->
-        W_entry (slot, cid, op_of_string rest))
-
-let encode_snapshot ~upto ~state ~cids =
-  Printf.sprintf "%d\n%s\n%s" upto state
-    (String.concat "," (List.map string_of_int cids))
-
-let decode_snapshot payload =
-  match String.split_on_char '\n' payload with
-  | upto :: state :: cids :: _ ->
-      ( int_of_string upto,
-        state,
-        if cids = "" then []
-        else List.map int_of_string (String.split_on_char ',' cids) )
-  | _ -> invalid_arg "Runner: malformed snapshot payload"
-
-type 'op recovered_disk = {
-  r_snap : (int * string * int list) option;  (* upto, app state, cids *)
-  r_slots : (int * int * 'op Tob.entry list) list;
-      (* every committed slot on disk (slot, winner, entries), ascending *)
-  r_next_slot : int;  (* end of the contiguous committed prefix *)
-  r_cids : int list;  (* delivered set recovery reproduces *)
-}
-
-(* Read a disk back the way recovery would: latest snapshot, then the
-   WAL, trusting only slots whose commit marker survived, and only up to
-   the first gap in slot numbers (a gap means that slot's batch was
-   still volatile at the crash, so everything logically after it must be
-   re-delivered). *)
-let recover_disk ~op_of_string disk =
-  let r_snap =
-    Option.map
-      (fun s -> decode_snapshot s.Store.Disk.payload)
-      (Store.Disk.latest_snapshot disk)
-  in
-  let base_slot = match r_snap with Some (upto, _, _) -> upto | None -> -1 in
-  let entries : (int, _ Tob.entry list ref) Hashtbl.t = Hashtbl.create 32 in
-  let committed : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Store.Disk.record) ->
-      match decode_record ~op_of_string r.Store.Disk.data with
-      | W_entry (slot, cid, op) when slot > base_slot ->
-          let l =
-            match Hashtbl.find_opt entries slot with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace entries slot l;
-                l
-          in
-          (* retries may append a slot's records twice; replay is
-             idempotent per (slot, cid) *)
-          if not (List.exists (fun (e : _ Tob.entry) -> e.Tob.cid = cid) !l)
-          then l := !l @ [ { Tob.cid; op } ]
-      | W_commit (slot, w) when slot > base_slot ->
-          if not (Hashtbl.mem committed slot) then Hashtbl.replace committed slot w
-      | W_entry _ | W_commit _ -> ())
-    (Store.Disk.read_back disk);
-  let entries_of slot =
-    match Hashtbl.find_opt entries slot with Some l -> !l | None -> []
-  in
-  let r_slots =
-    Hashtbl.fold (fun slot w acc -> (slot, w, entries_of slot) :: acc) committed []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  let rec prefix_end s = if Hashtbl.mem committed s then prefix_end (s + 1) else s in
-  let r_next_slot = prefix_end (base_slot + 1) in
-  let cid_set = Hashtbl.create 64 in
-  (match r_snap with
-  | Some (_, _, cids) -> List.iter (fun c -> Hashtbl.replace cid_set c ()) cids
-  | None -> ());
-  List.iter
-    (fun (slot, _, es) ->
-      if slot < r_next_slot then
-        List.iter
-          (fun (e : _ Tob.entry) -> Hashtbl.replace cid_set e.Tob.cid ())
-          es)
-    r_slots;
-  let r_cids =
-    Hashtbl.fold (fun c _ acc -> c :: acc) cid_set [] |> List.sort compare
-  in
-  { r_snap; r_slots; r_next_slot; r_cids }
-
 (* Internal per-command history record; frozen into ['op hist] for the
    report.  The response is recorded at the {e first} application
    anywhere in the cluster — the log is totally ordered and [apply]
@@ -320,9 +211,9 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
       in
       if
         List.for_all
-          (fun e -> append (encode_entry ~op_to_string:app.op_to_string slot e))
+          (fun e -> append (Wal.encode_entry ~op_to_string:app.op_to_string slot e))
           fresh
-        && append (encode_commit slot winner)
+        && append (Wal.encode_commit slot winner)
       then begin
         awaiting.(pid) <-
           awaiting.(pid) @ List.map (fun (e : _ Tob.entry) -> e.Tob.cid) fresh;
@@ -336,7 +227,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
     let disk = disks.(pid) in
     let state = app.state_to_string apps.(pid) in
     let cids = Tob.delivered_cids (the_tob ()) ~pid in
-    let payload = encode_snapshot ~upto ~state ~cids in
+    let payload = Wal.encode_snapshot ~upto ~state ~cids in
     let watermark = last_seq.(pid) in
     let flying = awaiting.(pid) in
     awaiting.(pid) <- [];
@@ -373,7 +264,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
     if store_on then begin
       (* persist the received snapshot so this replica's own next
          recovery starts from it, and drop the WAL it supersedes *)
-      let payload = encode_snapshot ~upto ~state ~cids in
+      let payload = Wal.encode_snapshot ~upto ~state ~cids in
       let watermark = last_seq.(pid) in
       match
         Store.Disk.save_snapshot disks.(pid) ~upto payload ~k:(fun () ->
@@ -470,7 +361,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
         Store.Disk.crash disks.(victim);
         awaiting.(victim) <- [];
         (* judge this replica's history by what its disk can reproduce *)
-        let rd = recover_disk ~op_of_string:app.op_of_string disks.(victim) in
+        let rd = Wal.recover ~op_of_string:app.op_of_string disks.(victim) in
         Checker.record_crashed checker ~replica:victim
           ~survived:(List.length rd.r_cids);
         if live () = [] then Log.forget_volatile log
@@ -484,7 +375,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
     if Netsim.Async_net.is_crashed net victim then begin
       Netsim.Async_net.restart net victim;
       if store_on then begin
-        let rd = recover_disk ~op_of_string:app.op_of_string disks.(victim) in
+        let rd = Wal.recover ~op_of_string:app.op_of_string disks.(victim) in
         (match rd.r_snap with
         | Some (upto, state, cids) ->
             apps.(victim) <- app.state_of_string state;

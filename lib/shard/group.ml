@@ -1,97 +1,7 @@
-(* One shard's consensus group in a shared engine.  The WAL format,
-   recovery rules and snapshot flow are ported from Rsm.Runner (same
-   record grammar, Cmd codec instead of the kv one), so a shard's
-   crash–recovery behaviour is exactly the single-group model's. *)
-
-type wal_item = W_entry of int * int * Cmd.t | W_commit of int * int
-
-let encode_entry slot (e : Cmd.t Rsm.Tob.entry) =
-  Printf.sprintf "E %d %d %s" slot e.Rsm.Tob.cid (Cmd.to_string e.Rsm.Tob.op)
-
-let encode_commit slot winner = Printf.sprintf "C %d %d" slot winner
-
-let decode_record s =
-  if String.length s > 0 && s.[0] = 'C' then
-    Scanf.sscanf s "C %d %d" (fun slot w -> W_commit (slot, w))
-  else
-    Scanf.sscanf s "E %d %d %[^\n]" (fun slot cid rest ->
-        W_entry (slot, cid, Cmd.of_string rest))
-
-let encode_snapshot ~upto ~state ~cids =
-  Printf.sprintf "%d\n%s\n%s" upto state
-    (String.concat "," (List.map string_of_int cids))
-
-let decode_snapshot payload =
-  match String.split_on_char '\n' payload with
-  | upto :: state :: cids :: _ ->
-      ( int_of_string upto,
-        state,
-        if cids = "" then []
-        else List.map int_of_string (String.split_on_char ',' cids) )
-  | _ -> invalid_arg "Group: malformed snapshot payload"
-
-type recovered_disk = {
-  r_snap : (int * string * int list) option;
-  r_slots : (int * int * Cmd.t Rsm.Tob.entry list) list;
-  r_next_slot : int;
-  r_cids : int list;
-}
-
-let recover_disk disk =
-  let r_snap =
-    Option.map
-      (fun s -> decode_snapshot s.Store.Disk.payload)
-      (Store.Disk.latest_snapshot disk)
-  in
-  let base_slot = match r_snap with Some (upto, _, _) -> upto | None -> -1 in
-  let entries : (int, Cmd.t Rsm.Tob.entry list ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let committed : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Store.Disk.record) ->
-      match decode_record r.Store.Disk.data with
-      | W_entry (slot, cid, op) when slot > base_slot ->
-          let l =
-            match Hashtbl.find_opt entries slot with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace entries slot l;
-                l
-          in
-          if
-            not
-              (List.exists (fun (e : _ Rsm.Tob.entry) -> e.Rsm.Tob.cid = cid) !l)
-          then l := !l @ [ { Rsm.Tob.cid; op } ]
-      | W_commit (slot, w) when slot > base_slot ->
-          if not (Hashtbl.mem committed slot) then Hashtbl.replace committed slot w
-      | W_entry _ | W_commit _ -> ())
-    (Store.Disk.read_back disk);
-  let entries_of slot =
-    match Hashtbl.find_opt entries slot with Some l -> !l | None -> []
-  in
-  let r_slots =
-    Hashtbl.fold (fun slot w acc -> (slot, w, entries_of slot) :: acc) committed []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  let rec prefix_end s = if Hashtbl.mem committed s then prefix_end (s + 1) else s in
-  let r_next_slot = prefix_end (base_slot + 1) in
-  let cid_set = Hashtbl.create 64 in
-  (match r_snap with
-  | Some (_, _, cids) -> List.iter (fun c -> Hashtbl.replace cid_set c ()) cids
-  | None -> ());
-  List.iter
-    (fun (slot, _, es) ->
-      if slot < r_next_slot then
-        List.iter
-          (fun (e : _ Rsm.Tob.entry) -> Hashtbl.replace cid_set e.Rsm.Tob.cid ())
-          es)
-    r_slots;
-  let r_cids =
-    Hashtbl.fold (fun c _ acc -> c :: acc) cid_set [] |> List.sort compare
-  in
-  { r_snap; r_slots; r_next_slot; r_cids }
+(* One shard's consensus group in a shared engine.  It keeps its WAL in
+   Rsm.Wal's format with the Cmd codec, and its snapshot flow and
+   recovery rules are Rsm.Runner's, so a shard's crash–recovery
+   behaviour is exactly the single-group model's. *)
 
 type t = {
   engine : Dsim.Engine.t;
@@ -176,8 +86,10 @@ let rec log_slot t pid slot fresh epoch0 () =
       | None -> pid
     in
     if
-      List.for_all (fun e -> append (encode_entry slot e)) fresh
-      && append (encode_commit slot winner)
+      List.for_all
+        (fun e -> append (Rsm.Wal.encode_entry ~op_to_string:Cmd.to_string slot e))
+        fresh
+      && append (Rsm.Wal.encode_commit slot winner)
     then begin
       t.awaiting.(pid) <-
         t.awaiting.(pid)
@@ -193,7 +105,7 @@ let take_snapshot t pid ~upto =
   let disk = t.disks.(pid) in
   let state = Machine.snapshot t.machines.(pid) in
   let cids = Rsm.Tob.delivered_cids (the_tob t) ~pid in
-  let payload = encode_snapshot ~upto ~state ~cids in
+  let payload = Rsm.Wal.encode_snapshot ~upto ~state ~cids in
   let watermark = t.last_seq.(pid) in
   let flying = t.awaiting.(pid) in
   t.awaiting.(pid) <- [];
@@ -291,7 +203,7 @@ let create ~engine ~shard ~replicas:n ~backend ~seed
         Printf.sprintf "shard %d replica %d installed snapshot upto %d from %d"
           t.shard pid upto owner);
     if t.store_on then begin
-      let payload = encode_snapshot ~upto ~state ~cids in
+      let payload = Rsm.Wal.encode_snapshot ~upto ~state ~cids in
       let watermark = t.last_seq.(pid) in
       match
         Store.Disk.save_snapshot t.disks.(pid) ~upto payload ~k:(fun () ->
@@ -326,7 +238,7 @@ let crash t victim =
       Rsm.Tob.crash (the_tob t) victim;
       Store.Disk.crash t.disks.(victim);
       t.awaiting.(victim) <- [];
-      let rd = recover_disk t.disks.(victim) in
+      let rd = Rsm.Wal.recover ~op_of_string:Cmd.of_string t.disks.(victim) in
       Rsm.Checker.record_crashed t.checker ~replica:victim
         ~survived:(List.length rd.r_cids);
       if live t = [] then Rsm.Log.forget_volatile t.log
@@ -340,7 +252,7 @@ let restart t victim =
   if is_crashed t victim then begin
     Netsim.Async_net.restart t.net victim;
     if t.store_on then begin
-      let rd = recover_disk t.disks.(victim) in
+      let rd = Rsm.Wal.recover ~op_of_string:Cmd.of_string t.disks.(victim) in
       (match rd.r_snap with
       | Some (_, state, _) -> t.machines.(victim) <- Machine.restore state
       | None -> t.machines.(victim) <- Machine.create ~shard:t.shard);

@@ -3,7 +3,7 @@
 
     This is the multi-group refactor of {!Rsm.Runner}: the same stack —
     {!Netsim.Async_net} + {!Rsm.Log} + {!Rsm.Tob} + per-replica
-    {!Machine} + {!Rsm.Checker}, with the same WAL record format,
+    {!Machine} + {!Rsm.Checker}, with the same {!Rsm.Wal} records,
     snapshotting and crash-recovery rules when a [store] is configured
     — but it does not own the engine or the client loop, so a
     {!Runner} can stand up N of these side by side and layer 2PC over

@@ -12,9 +12,9 @@
      so the supervisor never stops the run early, and count heartbeats
      over the full fixed horizon.
 
-   Campaign-grade sweeps (parameter grid x random fault plans) live in
-   [Nemesis.Detect_campaign]; these are the deterministic single-run
-   cells the benchmark baseline records. *)
+   Campaign-grade sweeps (parameter grid x random fault plans) are the
+   [Nemesis.Detect_campaign] cell of [Nemesis.Sweep]; these are the
+   deterministic single-run cells the benchmark baseline records. *)
 
 module Runner = Detect.Runner
 module Timeout = Detect.Timeout

@@ -9,8 +9,9 @@
       permanently so the run lasts the full horizon, and heartbeats
       are counted over fixed virtual time.
 
-    Campaign-grade sweeps over random fault plans live in
-    [Nemesis.Detect_campaign] (which sits above this library). *)
+    Campaign-grade sweeps over random fault plans are the
+    [Nemesis.Detect_campaign] cell of [Nemesis.Sweep] (which sits above
+    this library). *)
 
 type summary = {
   period : int;

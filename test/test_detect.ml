@@ -143,13 +143,14 @@ let honest_campaign_has_no_livelocks () =
     { (Detect_campaign.default_config ~n:4 ()) with Detect_campaign.plans = 25 }
   in
   let r = Detect_campaign.run ~jobs:2 cfg in
-  check Alcotest.int "all runs executed" 25 r.Detect_campaign.runs;
+  let failing gate = List.length (Nemesis.Sweep.failing gate r) in
+  check Alcotest.int "all runs executed" 25 (Nemesis.Sweep.runs r);
   check Alcotest.int "no agreement failures" 0
-    (List.length r.Detect_campaign.agreement_failures);
+    (failing (fun o -> o.Detect_campaign.agreement));
   check Alcotest.int "no validity failures" 0
-    (List.length r.Detect_campaign.validity_failures);
+    (failing (fun o -> o.Detect_campaign.validity));
   check Alcotest.int "every stable plan decides (no livelock)" 0
-    (List.length r.Detect_campaign.livelocks)
+    (failing (fun o -> not o.Detect_campaign.livelock))
 
 let rotating_campaign_flags_liveness_loss () =
   let cfg =
@@ -160,11 +161,13 @@ let rotating_campaign_flags_liveness_loss () =
     }
   in
   let r = Detect_campaign.run cfg in
+  let failing gate = List.length (Nemesis.Sweep.failing gate r) in
   check Alcotest.bool "livelocks flagged" true
-    (List.length r.Detect_campaign.livelocks > 0);
-  check Alcotest.int "decided runs" 0 r.Detect_campaign.decided_runs;
+    (failing (fun o -> not o.Detect_campaign.livelock) > 0);
+  check Alcotest.int "decided runs" 0
+    (Nemesis.Sweep.runs r - failing (fun o -> o.Detect_campaign.decided));
   check Alcotest.int "agreement intact under the lying detector" 0
-    (List.length r.Detect_campaign.agreement_failures)
+    (failing (fun o -> o.Detect_campaign.agreement))
 
 let campaign_report_stable_across_jobs () =
   let cfg =

@@ -80,18 +80,11 @@ let campaign_report_independent_of_jobs () =
   in
   let r1 = Nemesis.Campaign.run ~jobs:1 cfg in
   let r4 = Nemesis.Campaign.run ~jobs:4 cfg in
-  check Alcotest.int "runs" r1.Nemesis.Campaign.runs r4.Nemesis.Campaign.runs;
-  check Alcotest.int "faults injected" r1.Nemesis.Campaign.faults_injected
-    r4.Nemesis.Campaign.faults_injected;
+  check Alcotest.int "runs" 12 (Nemesis.Sweep.runs r4);
+  (* Counts, failure lists and coverage are derived from the outcomes,
+     so equal outcomes make them equal too. *)
   check Alcotest.bool "outcomes field-for-field" true
-    (r1.Nemesis.Campaign.outcomes = r4.Nemesis.Campaign.outcomes);
-  check Alcotest.bool "coverage" true
-    (r1.Nemesis.Campaign.coverage = r4.Nemesis.Campaign.coverage);
-  check Alcotest.bool "failure lists" true
-    (r1.Nemesis.Campaign.safety_failures = r4.Nemesis.Campaign.safety_failures
-    && r1.Nemesis.Campaign.incomplete = r4.Nemesis.Campaign.incomplete
-    && r1.Nemesis.Campaign.durability_failures
-       = r4.Nemesis.Campaign.durability_failures);
+    (r1.Nemesis.Sweep.outcomes = r4.Nemesis.Sweep.outcomes);
   (* The stable printer is the CI diff contract: byte-identical. *)
   let stable r = Format.asprintf "%a" Nemesis.Campaign.pp_report_stable r in
   check Alcotest.string "stable report byte-identical" (stable r1) (stable r4)
@@ -104,31 +97,6 @@ let sweep_cells_independent_of_jobs () =
       ~jobs null_ppf
   in
   check Alcotest.bool "identical cells" true (sweep 1 = sweep 3)
-
-let merge_matches_sequential_aggregation () =
-  let cfg =
-    {
-      (Nemesis.Campaign.default_config ~n:5 ()) with
-      Nemesis.Campaign.plans = 6;
-    }
-  in
-  let full = Nemesis.Campaign.run cfg in
-  let a =
-    Nemesis.Campaign.run { cfg with Nemesis.Campaign.plans = 3 }
-  in
-  let b =
-    Nemesis.Campaign.run
-      { cfg with Nemesis.Campaign.plans = 3; first_seed = cfg.first_seed + 3 }
-  in
-  let m = Nemesis.Campaign.merge a b in
-  check Alcotest.int "merged runs" full.Nemesis.Campaign.runs
-    m.Nemesis.Campaign.runs;
-  check Alcotest.bool "merged outcomes" true
-    (m.Nemesis.Campaign.outcomes = full.Nemesis.Campaign.outcomes);
-  check Alcotest.bool "merged coverage" true
-    (m.Nemesis.Campaign.coverage = full.Nemesis.Campaign.coverage);
-  check Alcotest.int "merged faults" full.Nemesis.Campaign.faults_injected
-    m.Nemesis.Campaign.faults_injected
 
 let suite =
   [
@@ -146,6 +114,4 @@ let suite =
       campaign_report_independent_of_jobs;
     Alcotest.test_case "sweep cells independent of jobs" `Quick
       sweep_cells_independent_of_jobs;
-    Alcotest.test_case "merge matches sequential aggregation" `Quick
-      merge_matches_sequential_aggregation;
   ]

@@ -8,6 +8,7 @@ module Gen = Nemesis.Gen
 module Interp = Nemesis.Interp
 module Campaign = Nemesis.Campaign
 module Shard_campaign = Nemesis.Shard_campaign
+module Sweep = Nemesis.Sweep
 module Shrink = Nemesis.Shrink
 
 let check = Alcotest.check
@@ -222,13 +223,15 @@ let campaign_smoke () =
     { (Campaign.default_config ~n:4 ()) with Campaign.plans = 12; first_seed = 7 }
   in
   let r = Campaign.run cfg in
-  check Alcotest.int "all runs executed" 12 r.Campaign.runs;
-  check Alcotest.int "no safety failures" 0 (List.length r.Campaign.safety_failures);
-  check Alcotest.int "no incomplete runs" 0 (List.length r.Campaign.incomplete);
-  check Alcotest.int "coverage sums to faults injected" r.Campaign.faults_injected
-    (List.fold_left (fun a (_, c) -> a + c) 0 r.Campaign.coverage);
+  let failing gate = List.length (Sweep.failing gate r) in
+  let injected = List.concat_map (fun o -> o.Campaign.plan) r.Sweep.outcomes in
+  check Alcotest.int "all runs executed" 12 (Sweep.runs r);
+  check Alcotest.int "no safety failures" 0 (failing (fun o -> o.Campaign.safety));
+  check Alcotest.int "no incomplete runs" 0 (failing (fun o -> o.Campaign.live));
+  check Alcotest.int "coverage sums to faults injected" (Plan.length injected)
+    (List.fold_left (fun a (_, c) -> a + c) 0 (Plan.count_kinds injected));
   check Alcotest.bool "some faults were actually injected" true
-    (r.Campaign.faults_injected > 0)
+    (Plan.length injected > 0)
 
 let campaign_replay_is_deterministic () =
   let cfg = Campaign.default_config ~n:4 () in
@@ -277,15 +280,19 @@ let storage_campaign_durability () =
     }
   in
   let r = Campaign.run cfg in
+  let failing gate = List.length (Sweep.failing gate r) in
   check Alcotest.int "all runs executed"
     (7 * List.length Rsm.Backend.all)
-    r.Campaign.runs;
+    (Sweep.runs r);
   check Alcotest.int "no durability failures" 0
-    (List.length r.Campaign.durability_failures);
-  check Alcotest.int "no safety failures" 0 (List.length r.Campaign.safety_failures);
+    (failing (fun o -> o.Campaign.durable));
+  check Alcotest.int "no safety failures" 0 (failing (fun o -> o.Campaign.safety));
+  let coverage =
+    Plan.count_kinds (List.concat_map (fun o -> o.Campaign.plan) r.Sweep.outcomes)
+  in
   let storage_faults =
     List.fold_left
-      (fun a k -> a + List.assoc k r.Campaign.coverage)
+      (fun a k -> a + List.assoc k coverage)
       0
       [ "torn"; "sync-loss"; "io-err"; "stall" ]
   in
@@ -441,31 +448,40 @@ let small_shard_cfg ?(plans = 6) ?(storage = false) () =
     storage;
   }
 
+(* Every step of every per-shard plan the campaign installed. *)
+let shard_injected r =
+  List.concat_map
+    (fun o -> List.concat (Array.to_list o.Shard_campaign.plans))
+    r.Sweep.outcomes
+
 let shard_campaign_smoke () =
   let r = Shard_campaign.run (small_shard_cfg ()) in
-  check Alcotest.int "all runs executed" 6 r.Shard_campaign.runs;
+  let failing gate = List.length (Sweep.failing gate r) in
+  let injected = shard_injected r in
+  check Alcotest.int "all runs executed" 6 (Sweep.runs r);
   check Alcotest.int "no safety failures" 0
-    (List.length r.Shard_campaign.safety_failures);
+    (failing (fun o -> o.Shard_campaign.safety));
   check Alcotest.int "no atomicity failures" 0
-    (List.length r.Shard_campaign.atomicity_failures);
+    (failing (fun o -> o.Shard_campaign.atomic));
   check Alcotest.int "no incomplete runs" 0
-    (List.length r.Shard_campaign.incomplete);
-  check Alcotest.int "coverage sums to faults injected"
-    r.Shard_campaign.faults_injected
-    (List.fold_left (fun a (_, c) -> a + c) 0 r.Shard_campaign.coverage);
+    (failing (fun o -> o.Shard_campaign.live));
+  check Alcotest.int "coverage sums to faults injected" (Plan.length injected)
+    (List.fold_left (fun a (_, c) -> a + c) 0 (Plan.count_kinds injected));
   check Alcotest.bool "some faults were actually injected" true
-    (r.Shard_campaign.faults_injected > 0)
+    (Plan.length injected > 0)
 
 let shard_campaign_storage_durability () =
   let r = Shard_campaign.run (small_shard_cfg ~plans:4 ~storage:true ()) in
-  check Alcotest.int "all runs executed" 4 r.Shard_campaign.runs;
+  let failing gate = List.length (Sweep.failing gate r) in
+  check Alcotest.int "all runs executed" 4 (Sweep.runs r);
   check Alcotest.int "no durability failures" 0
-    (List.length r.Shard_campaign.durability_failures);
+    (failing (fun o -> o.Shard_campaign.durable));
   check Alcotest.int "no atomicity failures" 0
-    (List.length r.Shard_campaign.atomicity_failures);
+    (failing (fun o -> o.Shard_campaign.atomic));
+  let coverage = Plan.count_kinds (shard_injected r) in
   let storage_faults =
     List.fold_left
-      (fun a k -> a + List.assoc k r.Shard_campaign.coverage)
+      (fun a k -> a + List.assoc k coverage)
       0
       [ "torn"; "sync-loss"; "io-err"; "stall" ]
   in

@@ -284,11 +284,16 @@ let campaign_config =
     plans = 2;
   }
 
+let campaign_failures r =
+  List.length
+    (Nemesis.Sweep.failing
+       (fun o -> o.Nemesis.Obj_campaign.summary.Workload.Obj_load.ok)
+       r)
+
 let campaign_all_gates_pass () =
   let r = Nemesis.Obj_campaign.run ~jobs:1 campaign_config in
-  check Alcotest.int "runs" 4 r.Nemesis.Obj_campaign.runs;
-  check Alcotest.int "no failures" 0
-    (List.length r.Nemesis.Obj_campaign.failures)
+  check Alcotest.int "runs" 4 (Nemesis.Sweep.runs r);
+  check Alcotest.int "no failures" 0 (campaign_failures r)
 
 let campaign_deterministic_across_jobs () =
   let render r =
@@ -308,9 +313,8 @@ let campaign_storage_faults_pass () =
     }
   in
   let r = Nemesis.Obj_campaign.run ~jobs:1 cfg in
-  check Alcotest.int "durable runs" 2 r.Nemesis.Obj_campaign.runs;
-  check Alcotest.int "no failures under storage faults" 0
-    (List.length r.Nemesis.Obj_campaign.failures)
+  check Alcotest.int "durable runs" 2 (Nemesis.Sweep.runs r);
+  check Alcotest.int "no failures under storage faults" 0 (campaign_failures r)
 
 (* --- the shared-memory universal construction -------------------------- *)
 
