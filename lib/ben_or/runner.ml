@@ -47,11 +47,13 @@ type report = {
   trace : Dsim.Trace.t;
 }
 
-let run config =
+let run ?(settle = false) config =
   if Array.length config.inputs <> config.n then
     invalid_arg "Ben_or.Runner.run: inputs length must equal n";
   if 2 * config.faults >= config.n then
     invalid_arg "Ben_or.Runner.run: requires 2t < n";
+  if settle && Option.is_some config.oracle then
+    invalid_arg "Ben_or.Runner.run: settle under an oracle";
   let eng = Engine.create ~seed:config.seed ~trace_capacity:10_000 () in
   Engine.set_oracle eng config.oracle;
   let net =
@@ -67,6 +69,7 @@ let run config =
       config.common_coin
   in
   let pids = Array.make config.n (-1) in
+  let returned = ref 0 in
   for i = 0 to config.n - 1 do
     Bool_monitor.record_initial monitor ~pid:i config.inputs.(i);
     let body ctx =
@@ -92,7 +95,8 @@ let run config =
       let (_ : bool * int) =
         consensus ~max_rounds:config.max_rounds ~observer pctx config.inputs.(i)
       in
-      ()
+      incr returned;
+      if settle && !returned = config.n then Engine.settle eng
     in
     pids.(i) <- Engine.spawn eng ~name:(Printf.sprintf "benor-%d" i) body
   done;

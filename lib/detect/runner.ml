@@ -75,9 +75,9 @@ type round = {
   mutable nacked : bool;
 }
 
-let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Honest)
-    ?inputs ?(horizon = 5000) ?(max_events = 2_000_000) ?(quiet = false)
-    ?install () =
+let run ?(settle = false) ?(n = 4) ?(seed = 1L) ?(params = Timeout.default)
+    ?(mutant = Oracle.Honest) ?inputs ?(horizon = 5000) ?(max_events = 2_000_000)
+    ?(quiet = false) ?install () =
   let inputs =
     match inputs with
     | Some a ->
@@ -263,14 +263,16 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
      may restart later, and only live heartbeat gossip can hand it the
      decision — stopping early would strand it undecided forever.  A
      permanently-crashed node merely keeps the run going to the
-     horizon. *)
+     horizon.  With [settle], what is left then (heartbeats, gossip,
+     round deadlines) is dropped instead of simulated. *)
   ignore
     (Engine.spawn engine ~name:"supervisor" (fun _ctx ->
          Engine.await_cond decided (fun () ->
              Array.for_all (fun d -> d <> None) decisions);
          stopped := true;
          Array.iter Engine.signal changed;
-         Oracle.stop oracle));
+         Oracle.stop oracle;
+         if settle then Engine.settle engine));
   (match install with
   | Some f ->
       f
@@ -338,7 +340,7 @@ let decide ~seed ~inputs =
   if n = 1 then (inputs.(0), 0)
   else
     let r =
-      run ~n ~seed ~inputs ~quiet:true
+      run ~settle:true ~n ~seed ~inputs ~quiet:true
         ~params:{ Timeout.default with period = 40; initial = 120 }
         ~horizon:4000 ()
     in

@@ -53,6 +53,7 @@ type report = {
 }
 
 val run :
+  ?settle:bool ->
   ?n:int ->
   ?seed:int64 ->
   ?params:Timeout.params ->
@@ -67,7 +68,13 @@ val run :
 (** One simulated instance.  Defaults: [n = 4], disagreeing inputs,
     honest detector, [horizon = 5000].  [install] runs after setup and
     before the engine, so a nemesis plan can be scheduled against the
-    run.  Deterministic in all arguments. *)
+    run.  Deterministic in all arguments.
+
+    [settle] (default [false]) ends the run once every node has
+    decided, with {!Dsim.Engine.settle}.  The decisions and their times
+    are then those of the full run; [outcome], [virtual_time] and the
+    message, heartbeat and detector counts stop there.  Only for
+    {!decide}, which reads the decision and the last decision time. *)
 
 val decide : seed:int64 -> inputs:bool array -> bool * int
 (** The {!Rsm.Backend.S} contract: a fresh fault-free nested instance

@@ -57,8 +57,20 @@ type proc = {
   mutable p_failure : exn option;
   mutable p_k : (unit, unit) Effect.Deep.continuation option;
       (* pending sleep/yield resume — a fiber has one suspension point *)
+  mutable p_poll : poll;
   mutable p_wait : wait;
 }
+
+(* A process parked in [poll_every]: its resume events run the check in
+   scheduler context and continue the fiber only once it holds. *)
+and poll =
+  | No_poll
+  | Poll : {
+      e_period : int;
+      e_check : unit -> 'a option;
+      e_k : ('a, unit) Effect.Deep.continuation;
+    }
+      -> poll
 
 (* A process blocked in [await]: its poll and continuation, and whether
    a signal has marked it for re-polling since its last false poll. *)
@@ -103,7 +115,8 @@ and t = {
   mutable kind_count : int;
   closures : (unit -> unit) Arena.t;  (* pending [schedule]d thunks *)
   (* same-tick batch buffer; [buf_pos < buf_len] only while a drained
-     tick is mid-execution (an [Event_limit] can stop inside one) *)
+     tick is mid-execution (an [Event_limit] can stop inside one), and
+     [buf_pos] is the next event to run, also while one runs *)
   ebuf : int array ref;
   mutable buf_pos : int;
   mutable buf_len : int;
@@ -116,6 +129,7 @@ type outcome = Quiescent | Deadlock of pid list | Time_limit | Event_limit
 type _ Effect.t +=
   | Await : queue * queue list * (unit -> 'a option) -> 'a Effect.t
   | Sleep : int -> unit Effect.t
+  | Poll_every : int * (unit -> 'a option) -> 'a Effect.t
   | Yield : unit Effect.t
 
 let dummy_proc =
@@ -125,17 +139,9 @@ let dummy_proc =
     p_state = Dead;
     p_failure = None;
     p_k = None;
+    p_poll = No_poll;
     p_wait = Idle;
   }
-
-let resume_proc t pid =
-  let p = t.parr.(pid) in
-  match p.p_k with
-  | None -> ()
-  | Some k ->
-      p.p_k <- None;
-      if p.p_state = Running then Effect.Deep.continue k ()
-      else Effect.Deep.discontinue k Killed
 
 (* ---------------------------------------------------------- wait queues -- *)
 
@@ -305,6 +311,54 @@ let register_kind t handler =
   t.kind_count <- k + 1;
   k
 
+(* Record who scheduled the event the last [Equeue.add] enqueued.  Seqs
+   are dense from 0, so a flat array indexed by seq suffices. *)
+let note_created t =
+  let s = Equeue.last_seq t.events in
+  let cap = Array.length t.creators in
+  if s >= cap then begin
+    let ncap = max 64 (max (s + 1) (2 * cap)) in
+    let nc = Array.make ncap (-1) in
+    Array.blit t.creators 0 nc 0 cap;
+    t.creators <- nc
+  end;
+  t.creators.(s) <- t.cur_seq
+
+let schedule_kind t ~owner ~delay ~kind arg =
+  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+  Equeue.add t.events ~key:(t.now + delay) (pack ~kind ~owner ~arg);
+  if t.lineage then note_created t
+
+(* A resume event continues the process's sleep or yield, or runs its
+   [poll_every] check: the fiber wakes only when the check holds, and
+   otherwise the check books the next one — the event the fiber's own
+   [sleep] would have scheduled. *)
+let resume_proc t pid =
+  let p = t.parr.(pid) in
+  match p.p_k with
+  | Some k ->
+      p.p_k <- None;
+      if p.p_state = Running then Effect.Deep.continue k ()
+      else Effect.Deep.discontinue k Killed
+  | None -> (
+      match p.p_poll with
+      | No_poll -> ()
+      | Poll w -> (
+          if p.p_state <> Running then begin
+            p.p_poll <- No_poll;
+            Effect.Deep.discontinue w.e_k Killed
+          end
+          else
+            match w.e_check () with
+            | None -> schedule_kind t ~owner:(-1) ~delay:w.e_period ~kind:k_resume pid
+            | Some v ->
+                p.p_poll <- No_poll;
+                Effect.Deep.continue w.e_k v
+            | exception exn ->
+                (* raised where the fiber's own check would have raised *)
+                p.p_poll <- No_poll;
+                Effect.Deep.discontinue w.e_k exn))
+
 let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(batching = true) () =
   let events = Equeue.create ()
   and tr = Trace.create ?capacity:trace_capacity ()
@@ -360,24 +414,6 @@ let emit t ?pid ~tag detail =
 let emitk t ?pid ~tag detail =
   if t.tracing then Trace.emit t.tr ~time:t.now ?pid ~tag (detail ())
 
-(* Record who scheduled the event the last [Equeue.add] enqueued.  Seqs
-   are dense from 0, so a flat array indexed by seq suffices. *)
-let note_created t =
-  let s = Equeue.last_seq t.events in
-  let cap = Array.length t.creators in
-  if s >= cap then begin
-    let ncap = max 64 (max (s + 1) (2 * cap)) in
-    let nc = Array.make ncap (-1) in
-    Array.blit t.creators 0 nc 0 cap;
-    t.creators <- nc
-  end;
-  t.creators.(s) <- t.cur_seq
-
-let schedule_kind t ~owner ~delay ~kind arg =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  Equeue.add t.events ~key:(t.now + delay) (pack ~kind ~owner ~arg);
-  if t.lineage then note_created t
-
 let schedule t ?owner ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let ow = match owner with None -> -1 | Some p -> p in
@@ -428,6 +464,13 @@ let sleep _ctx d =
 let yield _ctx =
   try Effect.perform Yield with Effect.Unhandled _ -> raise Not_in_process
 
+let poll_every _ctx ~period poll =
+  match poll () with
+  | Some v -> v
+  | None -> (
+      try Effect.perform (Poll_every (period, poll))
+      with Effect.Unhandled _ -> raise Not_in_process)
+
 (* Fiber plumbing -------------------------------------------------------- *)
 
 let run_fiber t (p : proc) body =
@@ -462,6 +505,12 @@ let run_fiber t (p : proc) body =
           (fun k ->
             p.p_k <- Some k;
             schedule_kind t ~owner:(-1) ~delay:0 ~kind:k_resume p.p_pid)
+    | Poll_every (d, poll) ->
+        Some
+          (fun k ->
+            let d = if d < 0 then 0 else d in
+            p.p_poll <- Poll { e_period = d; e_check = poll; e_k = k };
+            schedule_kind t ~owner:(-1) ~delay:d ~kind:k_resume p.p_pid)
     | _ -> None
   in
   Effect.Deep.match_with body ()
@@ -493,7 +542,7 @@ let spawn t ?name body =
   end;
   let p =
     { p_pid = pid; p_name = name; p_state = Running; p_failure = None; p_k = None;
-      p_wait = Idle }
+      p_poll = No_poll; p_wait = Idle }
   in
   t.parr.(pid) <- p;
   let proc_rng = Rng.split t.engine_rng in
@@ -521,6 +570,36 @@ let kill t pid =
           Effect.Deep.discontinue w.w_k Killed
     end
   end
+
+(* Drop every pending event as if it had run and done nothing: the clock
+   moves to the latest of their times, which one scan of the queue finds
+   here, so the schedule paths keep no running maximum.  [run] has popped
+   the rest of a same-tick batch already ([buf_pos] is always the next
+   one to run), so those go too, at the current time.  A dropped resume
+   event belongs to a process parked in [sleep], [yield] or [poll_every];
+   once the queue is empty it is killed and unwound, as [kill] would have
+   left it to unwind at that event, in pid order. *)
+let settle t =
+  (match t.oracle with
+  | Some _ -> invalid_arg "Engine.settle: a choice oracle is installed"
+  | None -> ());
+  let parked = ref [] in
+  let discard ev =
+    let kind = ev land kind_mask and arg = ev lsr arg_shift in
+    if kind = k_closure then ignore (Arena.take t.closures arg : unit -> unit)
+    else if kind = k_resume then parked := arg :: !parked
+  in
+  let buf = !(t.ebuf) in
+  for i = t.buf_pos to t.buf_len - 1 do
+    discard buf.(i)
+  done;
+  t.buf_len <- t.buf_pos;
+  advance t (max t.now (Equeue.drain t.events discard));
+  List.iter
+    (fun pid ->
+      kill t pid;
+      resume_proc t pid)
+    (List.sort compare !parked)
 
 (* [lsr], not [asr]: the arg field reaches bit 62 (the sign bit of a
    63-bit int), so an arithmetic shift would sign-extend args with the
@@ -594,8 +673,9 @@ let run ?until ?max_events t =
   (* First finish any same-tick batch a previous [Event_limit] stopped
      inside; [t.now] is already the batch's tick. *)
   while (not !stop) && t.buf_pos < t.buf_len do
-    exec t (!(t.ebuf)).(t.buf_pos);
+    let ev = (!(t.ebuf)).(t.buf_pos) in
     t.buf_pos <- t.buf_pos + 1;
+    exec t ev;
     drain_ready t;
     incr executed;
     if !executed >= budget then finish_with Event_limit
@@ -663,8 +743,9 @@ let run ?until ?max_events t =
               t.buf_len <- n;
               let buf = !(t.ebuf) in
               while (not !stop) && t.buf_pos < t.buf_len do
-                exec t buf.(t.buf_pos);
+                let ev = buf.(t.buf_pos) in
                 t.buf_pos <- t.buf_pos + 1;
+                exec t ev;
                 drain_ready t;
                 incr executed;
                 if !executed >= budget then finish_with Event_limit

@@ -2,9 +2,9 @@
 
     The engine owns a virtual clock and an event queue.  Simulated
     processes are written in direct style as ordinary OCaml functions; they
-    suspend through effects ({!await}, {!sleep}, {!yield}) and the engine
-    resumes them when their wake-up condition is met.  All scheduling is
-    deterministic: same seed, same program — same trace.
+    suspend through effects ({!await}, {!sleep}, {!yield}, {!poll_every})
+    and the engine resumes them when their wake-up condition is met.  All
+    scheduling is deterministic: same seed, same program — same trace.
 
     Waiting is event-driven.  An {!await} names the {!queue}s whose
     owners change what its poll reads; an owner calls {!signal} after
@@ -225,6 +225,36 @@ val run_quiet : ?until:int -> ?max_events:int -> t -> outcome
     previous flag is restored afterwards) — the profile campaigns and
     benches use when nobody will read the trace. *)
 
+val settle : t -> unit
+(** Discard every pending event and move the clock to the latest of
+    their times: the state {!run} would reach if those events did
+    nothing.  Call it from a process body or between runs, once the
+    result the caller reads is fixed; a {!run} in progress then finds
+    the queue empty.
+
+    The contract: [settle] is sound only when every remaining event is
+    inert to the caller — running it, and whatever it schedules, would
+    change nothing the caller reads afterwards.  The engine cannot
+    check that.  The clock counts as read: {!now} is then the full
+    run's final clock if the remaining events schedule nothing further,
+    and a lower bound of it otherwise.  A nested consensus instance
+    whose nodes have all returned is the intended case: what is left
+    are deliveries into tallies nobody reads, and the caller reads only
+    the decision and the clock.  Layers that keep state for their own
+    events (a network's in-flight messages and delivery counts) are not
+    told, so read nothing from them afterwards that a full run would
+    have changed.
+
+    Processes parked in {!sleep}, {!yield} or {!poll_every} lose their
+    wake-up event, so they are killed and unwound with {!Killed}
+    (finalizers run), as {!kill} does, in pid order; events scheduled
+    while they unwind stay queued.  Processes blocked in {!await} stay
+    blocked, and a process whose first step is still pending never
+    runs.  The latest key is found by scanning the queue here, so
+    scheduling and {!run} do no bookkeeping for it.
+    @raise Invalid_argument under a choice oracle: every event there is
+    a choice the explorer must see. *)
+
 (** {1 Wait queues}
 
     A queue stands for a piece of state and the owner that changes it:
@@ -281,6 +311,23 @@ val sleep : ctx -> int -> unit
 
 val yield : ctx -> unit
 (** Suspend until the current tick's already-queued events have run. *)
+
+val poll_every : ctx -> period:int -> (unit -> 'a option) -> 'a
+(** [poll_every ctx ~period poll] evaluates [poll ()] now and then every
+    [period] ticks until it returns [Some v], and evaluates to [v].  A
+    negative period counts as 0.
+
+    The contract: it is identical to the loop
+    [let rec go () = match poll () with Some v -> v | None -> sleep ctx period; go ()]
+    — the same events at the same times, with the same owner (none) and
+    creation order, so traces, event seqs and choice points cannot
+    tell them apart.  Only host work differs: between checks the
+    process stays parked, and each check runs [poll] from the engine
+    without resuming the fiber.  A process killed while parked unwinds
+    with {!Killed} at its next check, as a sleeping one does at its
+    wake-up, and an exception [poll] raises there is raised in the
+    process, where the loop would have raised it.  Unlike {!await},
+    [poll] may read anything, including {!now}; it must not suspend. *)
 
 (**/**)
 

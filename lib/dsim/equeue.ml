@@ -238,6 +238,30 @@ let pop_min_nth t n =
     popped
   end
 
+(* Inside the window each bucket holds one key, the one congruent to the
+   bucket: recover it from the floor.  Once the ring is empty every pool
+   entry is free, so the pool restarts instead of relinking each. *)
+let drain t f =
+  let last = ref min_int in
+  if t.rlen > 0 then
+    for b = 0 to mask do
+      let e = ref t.head.(b) in
+      if !e >= 0 then begin
+        let key = t.floor + ((b - t.floor) land mask) in
+        if key > !last then last := key;
+        while !e >= 0 do
+          f t.vals.(!e);
+          e := t.next.(!e)
+        done;
+        t.head.(b) <- -1;
+        t.tail.(b) <- -1
+      end
+    done;
+  t.rlen <- 0;
+  t.free <- -1;
+  t.top <- 0;
+  max !last (Heap.drain t.heap f)
+
 let clear t =
   Heap.clear t.heap;
   Array.fill t.head 0 width (-1);

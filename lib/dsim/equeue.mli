@@ -58,6 +58,13 @@ val pop_min_nth : t -> int -> (int * int) option
     the minimum-key tie set; [None] when empty.
     @raise Invalid_argument when [i] is outside the tied range. *)
 
+val drain : t -> (int -> unit) -> int
+(** [drain t f] empties the queue, applying [f] to every element in no
+    particular order, and returns the largest key it held ([min_int]
+    when empty): one pass over the entries, no pops.  The seq counter
+    and the floor are kept, so later adds number and order as if the
+    entries had been popped.  [f] must not touch the queue. *)
+
 val clear : t -> unit
 (** Drop everything and reset the seqs and the floor, keeping the
     storage: a cleared queue behaves exactly like a fresh one. *)

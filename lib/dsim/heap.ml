@@ -230,3 +230,12 @@ let pop_run t ~buf ~dummy =
 let clear t =
   t.size <- 0;
   t.next_seq <- 0
+
+let drain t f =
+  let last = ref min_int in
+  for i = 0 to t.size - 1 do
+    if t.keys.(i) > !last then last := t.keys.(i);
+    f t.vals.(i)
+  done;
+  t.size <- 0;
+  !last

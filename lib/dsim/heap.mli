@@ -86,3 +86,9 @@ val clear : t -> unit
 (** Drop all elements and reset the tiebreak sequence, keeping the
     backing storage for reuse — a cleared heap is observationally a
     fresh one, without the regrowth ramp. *)
+
+val drain : t -> (int -> unit) -> int
+(** [drain t f] empties the heap, applying [f] to every element in
+    array order (not key order), and returns the largest key it held
+    ([min_int] when empty).  The tiebreak sequence is kept.  [f] must
+    not touch the heap. *)

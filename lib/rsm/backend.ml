@@ -2,7 +2,11 @@
    repository's algorithms in a fresh nested sub-simulation.  The nested
    run is fault-free — RSM-level crashes are expressed by shrinking the
    input array, not by crashing nested processors — and reports how much
-   virtual time it consumed, which the log charges to the slot. *)
+   virtual time it consumed, which the log charges to the slot.  Once
+   every node has returned (Omega: decided) the result is fixed, so the
+   Raft, Ben-Or and Omega runs settle their engine there instead of
+   simulating the deliveries still in flight; decision and duration
+   are the full run's (DESIGN §19). *)
 
 module type S = sig
   val name : string
@@ -23,7 +27,7 @@ module Ben_or_backend = struct
     if n = 1 then (inputs.(0), 0)
     else
       let cfg = { (Ben_or.Runner.default_config ~n ~inputs) with seed } in
-      let r = Ben_or.Runner.run cfg in
+      let r = Ben_or.Runner.run ~settle:true cfg in
       let v =
         match r.Ben_or.Runner.decisions with
         | (_, v, _) :: _ -> v
@@ -77,6 +81,7 @@ module Raft_backend = struct
       let net = Netsim.Async_net.create eng ~n ~retain_inbox:false () in
       let faults = (n - 1) / 2 in
       let decision = ref None in
+      let returned = ref 0 in
       for i = 0 to n - 1 do
         ignore
           (Dsim.Engine.spawn eng (fun _ectx ->
@@ -86,7 +91,10 @@ module Raft_backend = struct
                  Raft.Decentralized.Consensus_decentralized.consensus
                    ~max_rounds:500 ctx input
                in
-               if !decision = None then decision := Some v)
+               if !decision = None then decision := Some v;
+               (* the rest is in-flight deliveries nobody reads *)
+               incr returned;
+               if !returned = n then Dsim.Engine.settle eng)
             : Dsim.Engine.pid)
       done;
       ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);

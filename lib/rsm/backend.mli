@@ -9,9 +9,10 @@
 
     Faults are modelled at the RSM layer (a crashed replica stops
     proposing and drops out of the participant set), so the nested
-    instances themselves run fault-free; their role is to resolve genuine
-    input disagreement, which the log's candidate reduction feeds them
-    whenever replicas race proposals for the same slot. *)
+    instances themselves run fault-free; they decide the binary
+    candidate instances of the log's reduction, whose inputs are split
+    by proposer, not by batch contents (see {!Log} for how often that
+    is a real disagreement). *)
 
 module type S = sig
   val name : string
@@ -22,7 +23,11 @@ module type S = sig
       virtual time the instance took.  The RSM log charges that duration
       to the slot in the {e outer} simulation, so consensus latency is
       what batching amortizes.  Deterministic in [(seed, inputs)].
-      [inputs] must be non-empty. *)
+      [inputs] must be non-empty.
+
+      The duration is the one the full nested run reaches; the Raft,
+      Ben-Or and Omega backends stop simulating once their result is
+      fixed ({!Dsim.Engine.settle}) and return the same pair. *)
 end
 
 type t = (module S)

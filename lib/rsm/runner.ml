@@ -318,15 +318,13 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
             (pick 0);
           incr attempt;
           let deadline = Dsim.Engine.now eng + cfg.ack_timeout in
-          let rec wait_ack () =
-            if ack_ready cid then true
-            else if Dsim.Engine.now eng >= deadline then false
-            else begin
-              Dsim.Engine.sleep ctx 10;
-              wait_ack ()
-            end
+          let got_ack =
+            Dsim.Engine.poll_every ctx ~period:10 (fun () ->
+                if ack_ready cid then Some true
+                else if Dsim.Engine.now eng >= deadline then Some false
+                else None)
           in
-          if not (wait_ack ()) then submit_round ()
+          if not got_ack then submit_round ()
         in
         submit_round ();
         Checker.record_acked checker ~cid;

@@ -35,6 +35,7 @@ let () =
       ("workload", Test_workload.suite);
       ("nemesis", Test_nemesis.suite);
       ("detect", Test_detect.suite);
+      ("settle", Test_settle.suite);
       ("mcheck", Test_mcheck.suite);
       ("dpor", Test_dpor.suite);
       ("exec", Test_exec.suite);

@@ -599,6 +599,251 @@ let killed_while_running_unwinds_at_wait () =
   check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
   check Alcotest.bool "finalizer ran" true !cleaned
 
+(* --- poll_every and settle --------------------------------------------- *)
+
+(* The loop [poll_every] replaces. *)
+let sleep_loop ctx ~period poll =
+  let rec go () =
+    match poll () with
+    | Some v -> v
+    | None ->
+        Engine.sleep ctx period;
+        go ()
+  in
+  go ()
+
+let show_choice (c : Engine.choice) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let owners =
+    Array.map (function Some o -> o | None -> -1) c.Engine.c_owners
+  in
+  Printf.sprintf "t=%d seqs=%s owners=%s creators=%s" c.Engine.c_time
+    (ints c.Engine.c_seqs) (ints owners) (ints c.Engine.c_creators)
+
+(* A poller waits through [wait] for a flag (or [deadline] ticks) while a
+   noise process sleeps seeded random amounts beside it, so its checks
+   tie with other events; a flipper sets the flag [flip_at] ticks in,
+   after a few yields.  The poll emits its reading, so the trace shows
+   every check.  With [oracle], a FIFO oracle records every "sched"
+   choice: the tie sets' seqs, owners and creators. *)
+let poll_scenario ~wait ~period ~flag0 ~flip_at ~deadline ~oracle =
+  let e = Engine.create ~seed:7L () in
+  let choices = ref [] in
+  if oracle then
+    Engine.set_oracle e
+      (Some
+         {
+           Engine.choose =
+             (fun c ->
+               if c.Engine.c_domain = "sched" then choices := show_choice c :: !choices;
+               0);
+         });
+  let flag = ref flag0 and result = ref "none" in
+  ignore
+    (Engine.spawn e ~name:"poller" (fun ctx ->
+         Engine.sleep ctx 3;
+         let dl = Engine.now e + deadline in
+         let r =
+           wait ctx ~period (fun () ->
+               Engine.emitk e ~pid:ctx.Engine.pid ~tag:"poll" (fun () ->
+                   string_of_bool !flag);
+               if !flag then Some "acked"
+               else if Engine.now e >= dl then Some "timeout"
+               else None)
+         in
+         result := Printf.sprintf "%s@%d" r (Engine.now e);
+         Engine.emit e ~pid:ctx.Engine.pid ~tag:"done" r)
+      : Engine.pid);
+  ignore
+    (Engine.spawn e ~name:"noise" (fun ctx ->
+         for _ = 1 to 12 do
+           Engine.sleep ctx (Dsim.Rng.int ctx.Engine.rng 5);
+           Engine.emit e ~pid:ctx.Engine.pid ~tag:"noise" ""
+         done)
+      : Engine.pid);
+  Option.iter
+    (fun at ->
+      ignore
+        (Engine.spawn e ~name:"flipper" (fun ctx ->
+             Engine.sleep ctx at;
+             for _ = 1 to 3 do
+               Engine.yield ctx
+             done;
+             flag := true;
+             Engine.emit e ~tag:"flip" "")
+          : Engine.pid))
+    flip_at;
+  let o = Engine.run e in
+  let lines =
+    List.map (Format.asprintf "%a" Dsim.Trace.pp_event) (Dsim.Trace.events (Engine.trace e))
+  in
+  (o, Engine.now e, !result, lines, List.rev !choices)
+
+let check_poll_identity ~what ~period ~flag0 ~flip_at ~deadline =
+  List.iter
+    (fun oracle ->
+      let run wait = poll_scenario ~wait ~period ~flag0 ~flip_at ~deadline ~oracle in
+      let o1, now1, r1, tr1, ch1 = run sleep_loop in
+      let o2, now2, r2, tr2, ch2 = run Engine.poll_every in
+      let what = Printf.sprintf "%s, period %d, oracle %b" what period oracle in
+      check outcome_testable (what ^ ": outcome") o1 o2;
+      check Alcotest.int (what ^ ": final clock") now1 now2;
+      check Alcotest.string (what ^ ": result") r1 r2;
+      check (Alcotest.list Alcotest.string) (what ^ ": trace") tr1 tr2;
+      check (Alcotest.list Alcotest.string) (what ^ ": choices") ch1 ch2;
+      if oracle then check Alcotest.bool (what ^ ": ties seen") true (ch1 <> []))
+    [ false; true ]
+
+let poll_every_matches_sleep_loop () =
+  (* period 0 spins within the flip's tick, so it flips there *)
+  check_poll_identity ~what:"flip" ~period:0 ~flag0:false ~flip_at:(Some 3)
+    ~deadline:1000;
+  check_poll_identity ~what:"flip" ~period:1 ~flag0:false ~flip_at:(Some 20)
+    ~deadline:1000;
+  check_poll_identity ~what:"flip" ~period:10 ~flag0:false ~flip_at:(Some 37)
+    ~deadline:1000;
+  let _, _, r, _, _ =
+    poll_scenario ~wait:Engine.poll_every ~period:10 ~flag0:false ~flip_at:(Some 37)
+      ~deadline:1000 ~oracle:false
+  in
+  check Alcotest.string "acked at the first check after the flip" "acked@43" r
+
+let poll_every_true_at_entry () =
+  check_poll_identity ~what:"true at entry" ~period:10 ~flag0:true ~flip_at:None
+    ~deadline:1000;
+  let _, _, r, _, _ =
+    poll_scenario ~wait:Engine.poll_every ~period:10 ~flag0:true ~flip_at:None
+      ~deadline:1000 ~oracle:false
+  in
+  check Alcotest.string "returned without parking" "acked@3" r
+
+let poll_every_deadline () =
+  check_poll_identity ~what:"deadline" ~period:10 ~flag0:false ~flip_at:None
+    ~deadline:45;
+  let _, _, r, _, _ =
+    poll_scenario ~wait:Engine.poll_every ~period:10 ~flag0:false ~flip_at:None
+      ~deadline:45 ~oracle:false
+  in
+  check Alcotest.string "timed out at the first check past t=48" "timeout@53" r
+
+(* A poller that never succeeds (or raises at its third check), killed
+   at t=25 between checks. *)
+let parked_poller ~wait ~raise_at =
+  let e = Engine.create () in
+  let cleaned = ref (-1) and checks = ref 0 in
+  let p =
+    Engine.spawn e (fun ctx ->
+        Fun.protect
+          ~finally:(fun () -> cleaned := Engine.now e)
+          (fun () ->
+            wait ctx ~period:10 (fun () ->
+                incr checks;
+                if !checks = raise_at then failwith "check failed" else None)))
+  in
+  Engine.schedule e ~delay:25 (fun () -> Engine.kill e p);
+  let o = Engine.run e in
+  let failure = Option.map Printexc.to_string (Engine.process_failed e p) in
+  (o, !cleaned, !checks, Engine.alive e p, failure)
+
+let poll_every_kill_unwinds_at_check () =
+  let result =
+    Alcotest.(
+      pair outcome_testable
+        (pair int (pair int (pair bool (option string)))))
+  in
+  let flat (o, c, n, a, f) = (o, (c, (n, (a, f)))) in
+  let slept = parked_poller ~wait:sleep_loop ~raise_at:0 in
+  let polled = parked_poller ~wait:Engine.poll_every ~raise_at:0 in
+  check result "killed: same as the sleep loop" (flat slept) (flat polled);
+  check result "unwound at the check after the kill"
+    (Engine.Quiescent, (30, (3, (false, None))))
+    (flat polled);
+  let slept = parked_poller ~wait:sleep_loop ~raise_at:2 in
+  let polled = parked_poller ~wait:Engine.poll_every ~raise_at:2 in
+  check result "raising check: same as the sleep loop" (flat slept) (flat polled);
+  check (Alcotest.option Alcotest.string) "failure recorded"
+    (Some (Printexc.to_string (Failure "check failed")))
+    (let _, _, _, _, f = polled in f)
+
+let settle_under_oracle_raises () =
+  let e = Engine.create () in
+  Engine.set_oracle e (Some { Engine.choose = (fun _ -> 0) });
+  Engine.schedule e ~delay:5 ignore;
+  Alcotest.check_raises "oracle"
+    (Invalid_argument "Engine.settle: a choice oracle is installed") (fun () ->
+      Engine.settle e)
+
+let settle_unwinds_parked () =
+  (* At t=25 a sleeper (due at 100) and a poller (next check at 30) are
+     parked and a closure waits at 130: settle drops all three events,
+     unwinds both processes with their finalizers, and moves the clock
+     to 130 without running the closure. *)
+  let e = Engine.create () in
+  let cleaned = ref [] and resumed = ref false and fired = ref false in
+  let guarded name body =
+    Engine.spawn e ~name (fun ctx ->
+        Fun.protect
+          ~finally:(fun () -> cleaned := (name, Engine.now e) :: !cleaned)
+          (fun () -> body ctx))
+  in
+  let sleeper =
+    guarded "sleeper" (fun ctx ->
+        Engine.sleep ctx 100;
+        resumed := true)
+  in
+  let poller =
+    guarded "poller" (fun ctx ->
+        if Engine.poll_every ctx ~period:10 (fun () -> None) then resumed := true)
+  in
+  Engine.schedule e ~delay:130 (fun () -> fired := true);
+  let settler =
+    Engine.spawn e (fun ctx ->
+        Engine.sleep ctx 25;
+        Engine.settle e;
+        check Alcotest.int "clock at the latest dropped event" 130 (Engine.now e))
+  in
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "finalizers ran at settle time, in pid order"
+    [ ("sleeper", 130); ("poller", 130) ]
+    (List.rev !cleaned);
+  check Alcotest.bool "neither resumed" false !resumed;
+  check Alcotest.bool "dropped closure never ran" false !fired;
+  check Alcotest.bool "sleeper dead" false (Engine.alive e sleeper);
+  check Alcotest.bool "poller dead" false (Engine.alive e poller);
+  check Alcotest.bool "settler finished" false (Engine.alive e settler);
+  check Alcotest.int "final clock" 130 (Engine.now e)
+
+let settle_drops_rest_of_tick () =
+  (* Settling from the middle of a tick drops the tick's later events
+     too, whether [run] drained them as a batch or not, and from
+     between runs it drops what an event limit left of a batch. *)
+  List.iter
+    (fun batching ->
+      let e = Engine.create ~batching () in
+      let ran = ref [] in
+      let ev name f = Engine.schedule e ~delay:25 (fun () -> ran := name :: !ran; f ()) in
+      ev "a" ignore;
+      ev "b" (fun () -> Engine.settle e);
+      ev "c" ignore;
+      Engine.schedule e ~delay:40 (fun () -> ran := "d" :: !ran);
+      check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+      check (Alcotest.list Alcotest.string) "a and b only" [ "a"; "b" ] (List.rev !ran);
+      check Alcotest.int "clock at d's time" 40 (Engine.now e))
+    [ true; false ];
+  let e = Engine.create () in
+  let ran = ref [] in
+  List.iter
+    (fun name -> Engine.schedule e ~delay:25 (fun () -> ran := name :: !ran))
+    [ "a"; "b"; "c" ];
+  check outcome_testable "stopped inside the tick" Engine.Event_limit
+    (Engine.run ~max_events:2 e);
+  Engine.settle e;
+  check outcome_testable "nothing left" Engine.Quiescent (Engine.run e);
+  check (Alcotest.list Alcotest.string) "c dropped" [ "a"; "b" ] (List.rev !ran);
+  check Alcotest.int "clock stays" 25 (Engine.now e)
+
 (* --- bit-width limits, checked where values are created --------------- *)
 
 let pid_limit () =
@@ -647,6 +892,15 @@ let suite =
     Alcotest.test_case "queue of another engine" `Quick queue_of_another_engine;
     Alcotest.test_case "killed while running unwinds" `Quick
       killed_while_running_unwinds_at_wait;
+    Alcotest.test_case "poll_every matches sleep loop" `Quick
+      poll_every_matches_sleep_loop;
+    Alcotest.test_case "poll_every true at entry" `Quick poll_every_true_at_entry;
+    Alcotest.test_case "poll_every deadline branch" `Quick poll_every_deadline;
+    Alcotest.test_case "poll_every kill unwinds at check" `Quick
+      poll_every_kill_unwinds_at_check;
+    Alcotest.test_case "settle under oracle raises" `Quick settle_under_oracle_raises;
+    Alcotest.test_case "settle unwinds parked processes" `Quick settle_unwinds_parked;
+    Alcotest.test_case "settle drops rest of tick" `Quick settle_drops_rest_of_tick;
     Alcotest.test_case "pid limit" `Quick pid_limit;
     Alcotest.test_case "arena limit" `Quick arena_limit;
     Alcotest.test_case "sleep accumulates" `Quick sleep_accumulates;

@@ -98,6 +98,29 @@ let clear_then_reuse () =
   check ints "reused queue numbers like a fresh one" (Q.min_key_seqs fresh) (Q.min_key_seqs reused);
   check kv_list "reused queue pops like a fresh one" (pop_all fresh) (pop_all reused)
 
+let drain_then_reuse () =
+  (* Ring entries (their keys recovered from the floor, which is not a
+     multiple of the width) and heap entries all go in one pass; later
+     adds keep numbering and pop as usual. *)
+  let q = Q.create () in
+  Q.add q ~key:100 0;
+  check Alcotest.bool "pop raises the floor" true (Q.pop q = Some (100, 0));
+  List.iter (fun (k, v) -> Q.add q ~key:k v) [ (130, 1); (101, 2); (40, 3); (101, 4) ];
+  let seen = ref [] in
+  check Alcotest.int "largest key, from the ring" 130
+    (Q.drain q (fun v -> seen := v :: !seen));
+  check ints "every value once" [ 1; 2; 3; 4 ] (List.sort compare !seen);
+  check Alcotest.bool "empty" true (Q.is_empty q);
+  check Alcotest.int "empty drain" min_int (Q.drain q (fun _ -> assert false));
+  check Alcotest.int "seqs continue" 4 (Q.last_seq q);
+  List.iter (fun (k, v) -> Q.add q ~key:k v) [ (120, 5); (101, 6); (120, 7); (9_000, 8) ];
+  check Alcotest.int "next seq" 8 (Q.last_seq q);
+  check kv_list "pops in order after a drain"
+    [ (101, 6); (120, 5); (120, 7); (9_000, 8) ]
+    (pop_all q);
+  List.iter (fun (k, v) -> Q.add q ~key:k v) [ (9_100, 9); (9_001, 10); (10_000, 11) ];
+  check Alcotest.int "largest key, from the heap" 10_000 (Q.drain q ignore)
+
 let tie_set_operations () =
   let q = Q.create () in
   List.iteri (fun i k -> Q.add q ~key:k i) [ 5; 9; 5; 5; 12 ];
@@ -113,11 +136,11 @@ let tie_set_operations () =
 (* --- the queue against a reference model ------------------------------ *)
 
 (* The model is a list of (key, seq, value) kept sorted by (key, seq),
-   with its own seq counter.  Added keys are drawn relative to the
-   floor (the largest key popped since the last clear): inside the
-   window, around its far edge, beyond it and below the floor, so
-   entries land in both parts and equal keys end up split between
-   them. *)
+   with its own seq counter, which a drain keeps and a clear resets.
+   Added keys are drawn relative to the floor (the largest key popped
+   since the last clear): inside the window, around its far edge,
+   beyond it and below the floor, so entries land in both parts and
+   equal keys end up split between them. *)
 type op =
   | Add of int * int  (* offset from the floor, value *)
   | Pop
@@ -128,6 +151,7 @@ type op =
   | Pop_nth of int
   | Last_seq
   | Repost  (* the engine's time-limit putback: pop, re-add the same key *)
+  | Drain
   | Clear
 
 let gen_op =
@@ -144,7 +168,8 @@ let gen_op =
     else if sel < 74 then return Seqs
     else if sel < 84 then small_nat >>= fun n -> return (Pop_nth n)
     else if sel < 88 then return Last_seq
-    else if sel < 97 then return Repost
+    else if sel < 95 then return Repost
+    else if sel < 97 then return Drain
     else return Clear)
 
 let show_op = function
@@ -157,6 +182,7 @@ let show_op = function
   | Pop_nth n -> Printf.sprintf "pop_nth %d" n
   | Last_seq -> "last_seq"
   | Repost -> "repost"
+  | Drain -> "drain"
   | Clear -> "clear"
 
 let arb_ops =
@@ -219,6 +245,13 @@ let prop_matches_model =
                   Q.add q ~key:k v;
                   m_add k' v'
               | a, b -> agree a b)
+          | Drain ->
+              let seen = ref [] in
+              let last = Q.drain q (fun v -> seen := v :: !seen) in
+              agree last (List.fold_left (fun m (k, _, _) -> max m k) min_int !model);
+              agree (List.sort compare !seen)
+                (List.sort compare (List.map (fun (_, _, v) -> v) !model));
+              model := []
           | Clear ->
               Q.clear q;
               model := [];
@@ -243,6 +276,7 @@ let suite =
     Alcotest.test_case "keys below the floor" `Quick keys_below_the_floor;
     Alcotest.test_case "ties split heap first" `Quick split_ties_pop_heap_first;
     Alcotest.test_case "clear then reuse" `Quick clear_then_reuse;
+    Alcotest.test_case "drain then reuse" `Quick drain_then_reuse;
     Alcotest.test_case "tie-set operations" `Quick tie_set_operations;
     qtest prop_matches_model;
   ]
