@@ -1,4 +1,5 @@
-(* A bank sharded across four consensus groups.
+(* A bank sharded across four consensus groups — four Rsm.Groups in one
+   engine, each replica running its own Shard.Machine.
 
    Accounts are hash-partitioned over the shards by the router; a
    transfer between accounts on different shards is a cross-shard
@@ -8,8 +9,8 @@
    other, the total balance drifts.  We check it two ways: the
    cross-shard checker certifies every transaction's votes/outcomes,
    and we sum the final balances directly off a live replica of every
-   shard — committed and aborted transfers alike must leave the total
-   at zero.
+   shard (Rsm.Group.state) — committed and aborted transfers alike must
+   leave the total at zero.
 
      dune exec examples/sharded_bank.exe *)
 
@@ -70,9 +71,9 @@ let () =
   for a = 0 to accounts - 1 do
     let shard = Shard.Router.shard_of_key r.Shard.Runner.router (acct a) in
     let group = r.Shard.Runner.groups.(shard) in
-    let replica = List.hd (Shard.Group.live group) in
+    let replica = List.hd (Rsm.Group.live group) in
     let balance =
-      match Shard.Machine.lookup (Shard.Group.machine group replica) (acct a) with
+      match Shard.Machine.lookup (Rsm.Group.state group replica) (acct a) with
       | Some v -> int_of_string v
       | None -> 0
     in

@@ -107,7 +107,7 @@ let generate p ~seed =
     end
   done;
   (* A cut that never heals stalls every quorum-gated slot to the
-     horizon by design (the DESIGN §12 fix in Rsm.Log.majority_view),
+     horizon by design (the DESIGN §12 fix: Rsm.Group's majority view),
      which would turn whole campaigns into liveness noise: generated
      plans therefore always heal — partitions are windows, only
      crashes may persist (in non-benign mode). *)

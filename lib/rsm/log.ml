@@ -46,29 +46,6 @@ let create ~engine ~backend ~seed ~live ?view ?topology () =
     instances_total = 0;
   }
 
-(* Partition-aware quorum view over an [Async_net]: with the network
-   whole every live replica counts (crash-only behaviour unchanged);
-   under a cut only the side holding a strict majority of the live
-   replicas may decide, and with no such side every slot stalls until
-   heal. *)
-let majority_view ~net ~live () =
-  match Netsim.Async_net.partition_groups net with
-  | None -> Some (live ())
-  | Some groups ->
-      let lv = live () in
-      let best =
-        List.fold_left
-          (fun best g ->
-            let lg = List.filter (fun p -> List.mem p g) lv in
-            match best with
-            | Some b when List.length b >= List.length lg -> best
-            | _ -> Some lg)
-          None groups
-      in
-      (match best with
-      | Some b when 2 * List.length b > List.length lv -> Some b
-      | _ -> None)
-
 let mix seed ~slot ~attempt =
   Int64.add (Int64.mul seed 1_000_003L) (Int64.of_int ((slot * 7919) + attempt + 1))
 

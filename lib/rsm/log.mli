@@ -62,21 +62,14 @@ val create :
     [fun () -> Some (live ())], the pre-partition-aware behaviour.
 
     [topology] must be signalled whenever what [live] or [view] reads
-    changes (for {!majority_view}: [Netsim.Async_net.topology net]).
-    Default: a queue nobody signals, right for a fixed membership. *)
+    changes (for {!Group}'s majority view over its network, the
+    network's [Netsim.Async_net.topology]).  Default: a queue nobody
+    signals, right for a fixed membership. *)
 
 val changed : 'cmd t -> Dsim.Engine.queue
 (** Signalled whenever a slot opens, gains a proposal, is decided or
     reseeded, the floor rises, or the cache is forgotten: the queue an
     [Engine.await] over {!opened}, {!decided} or {!floor} names. *)
-
-val majority_view :
-  net:'msg Netsim.Async_net.t -> live:(unit -> int list) -> unit -> int list option
-(** The standard [view] implementation: [Some (live ())] while the
-    network is whole; under a partition, the cut side holding a strict
-    majority of the live replicas (or [None], stalling every slot,
-    when no side does).  Pass the network's
-    [Netsim.Async_net.topology] as [create]'s [topology]. *)
 
 val propose : 'cmd t -> slot:int -> pid:int -> batch:'cmd list -> unit
 (** Register [pid]'s proposal.  The first proposal opens the slot (its

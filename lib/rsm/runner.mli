@@ -1,20 +1,20 @@
-(** End-to-end RSM harness: K closed-loop clients drive a replicated
-    object through the total-order-broadcast layer over a simulated
-    asynchronous network, under a fault schedule, with the total-order
-    checker watching every application.
+(** End-to-end RSM harness: K closed-loop clients drive one {!Group}
+    under a fault schedule.
 
     The harness is a universal construction: it is parameterized by an
     {!app} — any pure sequential object with single-line codecs — and
-    replicates it by totally ordering its operations.  The KV store of
-    earlier versions is now just one instance ([Obj.Kv] lifted via
-    [Obj.Replicated]).
+    adapts it to the group's per-replica {!Group.machine}.  The KV store
+    is one instance ([Obj.Kv] lifted via [Obj.Replicated]).  The group
+    owns the replicas, their disks and what a crash erases; the runner
+    owns only the clients, the supervisor that winds the group down,
+    the fault schedules and the report.
 
     Clients are closed-loop with retry: each submits its next command to
-    a live replica, waits for the ack (the command to-delivered
-    somewhere), and re-submits through another replica on timeout — so a
-    command whose entry replica crashed mid-broadcast is still
-    eventually ordered, and the duplicate-suppression path is exercised
-    whenever the first copy survives after all.
+    a live replica, waits for the group's ack rule ({!Group.is_ready}),
+    and re-submits through another replica on timeout — so a command
+    whose entry replica crashed mid-broadcast is still eventually
+    ordered, and the duplicate-suppression path is exercised whenever
+    the first copy survives after all.
 
     Faults come in three layers: the static [crash_schedule] /
     [restart_schedule] pairs (crash–stop and crash–recovery), and the
@@ -24,13 +24,8 @@
 
 type 'op faults = {
   engine : Dsim.Engine.t;
-  crash : int -> unit;
-      (** crash-stop the replica: freeze its inbox and kill its TOB
-          process (idempotent) *)
-  restart : int -> unit;
-      (** crash–recovery: resume reception and respawn the TOB loop; the
-          replica catches up from the log's cached decisions (no-op on a
-          live replica) *)
+  crash : int -> unit;  (** {!Group.crash} *)
+  restart : int -> unit;  (** {!Group.restart} *)
   partition : int list list -> unit;  (** install a network partition *)
   heal : unit -> unit;  (** remove any partition *)
   set_policy :
@@ -66,17 +61,12 @@ type ('op, 'st) app = {
 (** What the runner needs to know about the replicated object.  Build
     instances from any [Obj.Spec.S] via [Obj.Replicated.app]. *)
 
-type store_config = {
-  policy : Store.Policy.t;  (** initial storage fault policy *)
+type store_config = Group.store_config = {
+  policy : Store.Policy.t;
   snapshot_every : int;
-      (** take a snapshot + compact every this many non-empty slots per
-          replica (0 = never snapshot) *)
   ack_before_fsync : bool;
-      (** deliberately broken mode: ack a command as soon as it is
-          delivered, without waiting for its WAL records to be durable.
-          Exists so the durability audit has a bug to catch; keep
-          [false] for honest runs. *)
 }
+(** See {!Group.store_config}. *)
 
 val default_store_config : store_config
 (** Honest disks ({!Store.Policy.none}), snapshot every 4 non-empty
@@ -111,14 +101,10 @@ type 'op config = {
   ack_timeout : int;  (** virtual time before a client re-submits *)
   max_events : int;  (** engine event budget (runaway guard) *)
   store : store_config option;
-      (** [Some _] gives every replica a simulated disk: slots are
-          written to a per-replica WAL (entries + commit marker, then
-          fsync), clients are acked only once durable, snapshots
-          compact the WAL, and crash–restart goes through real recovery
-          — a restarted replica resumes from exactly what its disk
-          reproduces, catching up (or installing a peer snapshot) for
-          the rest.  [None] keeps the legacy recoverable model where
-          memory survives crashes. *)
+      (** [Some _] gives every replica a disk and a WAL, acks only
+          durable commands, and recovers a restarted replica from what
+          its disk reproduces (see {!Group}); [None] keeps the
+          recoverable model where memory survives crashes. *)
 }
 
 val default_config : n:int -> ops:'op list array -> 'op config

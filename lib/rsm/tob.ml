@@ -22,7 +22,6 @@ type 'cmd t = {
   changed : Dsim.Engine.queue array;
       (* per replica: signalled when its pending set, or [stopped], changes *)
   processes : Dsim.Engine.pid array;
-  delivered_any : (int, unit) Hashtbl.t;
   mutable stopped : bool;
 }
 
@@ -55,7 +54,6 @@ let install_floor t pid (r : _ replica) (f : Log.floor) =
   List.iter
     (fun cid ->
       Hashtbl.replace r.delivered cid ();
-      Hashtbl.replace t.delivered_any cid ();
       Hashtbl.remove r.pending cid)
     f.Log.cids;
   r.delivered_count <- List.length f.Log.cids;
@@ -102,7 +100,6 @@ let replica_loop t pid _ctx =
               (fun (e : _ entry) ->
                 Hashtbl.replace r.delivered e.cid ();
                 r.delivered_count <- r.delivered_count + 1;
-                Hashtbl.replace t.delivered_any e.cid ();
                 t.deliver ~pid ~slot e)
               fresh;
             r.next_slot <- slot + 1;
@@ -135,7 +132,6 @@ let create ~engine ~net ~log ~batch ~deliver
             });
       changed = Array.init n (fun _ -> Dsim.Engine.queue engine);
       processes = Array.make n (-1);
-      delivered_any = Hashtbl.create 64;
       stopped = false;
     }
   in
@@ -157,14 +153,15 @@ let submit t ~replica e =
     true
   end
 
-let process t pid = t.processes.(pid)
-
 (* Under the in-memory (recoverable) model a crash leaves replica state
-   intact; under the durable model the Runner calls this to lose what a
-   real crash loses at the TOB layer: the undelivered pending set. *)
-let crash t pid =
-  Hashtbl.reset t.replicas.(pid).pending;
-  Dsim.Engine.signal t.changed.(pid)
+   intact; under the durable model it also loses what a real crash loses
+   at the TOB layer: the undelivered pending set. *)
+let crash t ~lose_pending pid =
+  Dsim.Engine.kill t.engine t.processes.(pid);
+  if lose_pending then begin
+    Hashtbl.reset t.replicas.(pid).pending;
+    Dsim.Engine.signal t.changed.(pid)
+  end
 
 let restart t ?recovery pid =
   if not (Dsim.Engine.alive t.engine t.processes.(pid)) then begin
@@ -174,11 +171,7 @@ let restart t ?recovery pid =
         let r = t.replicas.(pid) in
         Hashtbl.reset r.delivered;
         Hashtbl.reset r.pending;
-        List.iter
-          (fun cid ->
-            Hashtbl.replace r.delivered cid ();
-            Hashtbl.replace t.delivered_any cid ())
-          rc.delivered_cids;
+        List.iter (fun cid -> Hashtbl.replace r.delivered cid ()) rc.delivered_cids;
         r.delivered_count <- List.length rc.delivered_cids;
         r.next_slot <- rc.next_slot;
         Dsim.Engine.signal t.changed.(pid));
@@ -195,7 +188,6 @@ let delivered_cids t ~pid =
   |> List.sort compare
 
 let next_slot t ~pid = t.replicas.(pid).next_slot
-let is_delivered t ~cid = Hashtbl.mem t.delivered_any cid
 let pending_count t ~pid = Hashtbl.length t.replicas.(pid).pending
 let stop t =
   t.stopped <- true;

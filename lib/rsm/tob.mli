@@ -47,12 +47,11 @@ val create :
     identical order across replicas, which {!Checker} verifies.
 
     [on_slot_applied] fires after a replica finishes a slot (even an
-    empty one), with the entries it freshly applied there — the hook the
-    durable runner uses to write and fsync WAL records at slot
-    granularity.  [on_install] fires when a replica adopts a snapshot
-    from the log's state-transfer floor (see {!Log.set_floor}) instead
-    of replaying slots; the receiver must restore the app state from
-    [state]. *)
+    empty one), with the entries it freshly applied there — the hook
+    {!Group} uses to write and fsync WAL records at slot granularity.
+    [on_install] fires when a replica adopts a snapshot from the log's
+    state-transfer floor (see {!Log.set_floor}) instead of replaying
+    slots; the receiver must restore the app state from [state]. *)
 
 val submit : 'cmd t -> replica:int -> 'cmd entry -> bool
 (** Inject a command at [replica] (the client RPC): [false] if that
@@ -60,13 +59,10 @@ val submit : 'cmd t -> replica:int -> 'cmd entry -> bool
     is broadcast to the others.  Safe to re-submit the same [cid]
     through any replica; duplicates are suppressed at delivery. *)
 
-val process : 'cmd t -> int -> Dsim.Engine.pid
-(** The engine process driving the given replica (kill it on crash). *)
-
-val crash : 'cmd t -> int -> unit
-(** Drop the replica's pending (undelivered) command set — what a real
-    crash loses at the TOB layer.  The durable runner calls this when it
-    crashes a replica; the legacy in-memory model does not. *)
+val crash : 'cmd t -> lose_pending:bool -> int -> unit
+(** Kill the replica's loop.  With [lose_pending], also drop its pending
+    (undelivered) command set — what a real crash loses at the TOB
+    layer; the recoverable model, where memory survives, keeps it. *)
 
 val restart : 'cmd t -> ?recovery:recovery -> int -> unit
 (** Respawn the replica loop after its process was killed.  Without
@@ -84,8 +80,6 @@ val delivered_cids : 'cmd t -> pid:int -> int list
     of a snapshot payload. *)
 
 val next_slot : 'cmd t -> pid:int -> int
-val is_delivered : 'cmd t -> cid:int -> bool
-(** Has {e some} replica to-delivered this command? (the client's ack) *)
 
 val pending_count : 'cmd t -> pid:int -> int
 

@@ -1,5 +1,5 @@
-(** The replica WAL format and its recovery read-back, shared by
-    {!Runner} and [Shard.Group]; the op codec is a parameter.
+(** The replica WAL format and its recovery read-back, written and read
+    only by {!Group}; the op codec is a parameter.
 
     One line per record.  A slot is written as its freshly applied
     entries followed by a commit marker; recovery only trusts slots

@@ -11,11 +11,12 @@
     {b Command-id scheme.}  Every submission carries a [cid] the TOB
     layer de-duplicates on.  A transaction id packs the issuing client
     in the high bits ([txid = client lsl 20 lor seq], the same scheme
-    {!Rsm.Runner} uses for plain commands); the cids of the records a
-    transaction spawns are [txid * 8 + tag] with a distinct tag per
-    record kind {e and} decision polarity, so a commit-decide and an
-    abort-decide for the same transaction never collide while identical
-    re-submissions still deduplicate. *)
+    {!Rsm.Runner} uses for plain commands, so [seq < 2^20]:
+    {!Runner.run} refuses longer op lists, whose ids would collide); the
+    cids of the records a transaction spawns are [txid * 8 + tag] with a
+    distinct tag per record kind {e and} decision polarity, so a
+    commit-decide and an abort-decide for the same transaction never
+    collide while identical re-submissions still deduplicate. *)
 
 (** A write operation inside a transaction ([W_add] is the bank
     example's increment — it makes transfer conservation checkable). *)

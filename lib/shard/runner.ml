@@ -1,3 +1,5 @@
+module Group = Rsm.Group
+
 type faults = {
   engine : Dsim.Engine.t;
   crash : shard:int -> replica:int -> unit;
@@ -96,7 +98,7 @@ type report = {
   tx_latencies : float list;
   abort_rate : float;
   trace : Dsim.Trace.t;
-  groups : Group.t array;
+  groups : (Cmd.t, Machine.t, Machine.output) Group.t array;
   router : Router.t;
 }
 
@@ -131,8 +133,25 @@ type single_rt = {
   mutable s_attempt : int;
 }
 
+(* What a shard's group runs on each replica.  The machine is mutable:
+   [apply] returns the same value, and every replica and every reset
+   gets its own [create], since one shared initial value would alias all
+   replicas. *)
+let replica_machine ~shard =
+  {
+    Group.fresh = (fun () -> Machine.create ~shard);
+    apply = (fun m c -> (m, Machine.apply m c));
+    snapshot = Machine.snapshot;
+    restore = Machine.restore;
+    op_to_string = Cmd.to_string;
+    op_of_string = Cmd.of_string;
+    digest = Machine.digest;
+  }
+
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Shard.Runner.run: need at least one shard";
+  if Array.exists (fun l -> List.compare_length_with l (1 lsl 20) >= 0) cfg.ops
+  then invalid_arg "Shard.Runner.run: a client has 2^20 or more ops";
   let eng =
     Dsim.Engine.create ~seed:cfg.seed ?trace_capacity:cfg.trace_capacity
       ~tracing:(not cfg.quiet) ()
@@ -153,6 +172,11 @@ let run cfg =
   let tx_latencies = ref [] in
   let groups_ref = ref [||] in
   let group s = !groups_ref.(s) in
+  (* inject at a live replica, rotating by [cid + attempt] so that
+     re-submissions spread *)
+  let submit s ~attempt ~cid op =
+    ignore (Group.submit (group s) ~start:(cid + attempt) ~cid op : bool)
+  in
   let now () = Dsim.Engine.now eng in
   (* closed-loop continuation, filled in by the client layer below *)
   let op_completed_hook = ref (fun (_client : int) -> ()) in
@@ -161,11 +185,8 @@ let run cfg =
   let submit_decide trt commit =
     let txid = trt.tx.Cmd.txid in
     trt.attempt <- trt.attempt + 1;
-    ignore
-      (Group.submit (group trt.coord) ~attempt:trt.attempt
-         ~cid:(Cmd.decide_cid ~txid ~commit)
-         (Cmd.Decide { txid; commit })
-        : bool)
+    submit trt.coord ~attempt:trt.attempt ~cid:(Cmd.decide_cid ~txid ~commit)
+      (Cmd.Decide { txid; commit })
   in
   let submit_outcomes trt commit =
     let txid = trt.tx.Cmd.txid in
@@ -173,21 +194,15 @@ let run cfg =
       (fun s ->
         if s <> trt.coord && not (List.mem_assoc s trt.ready) then begin
           trt.attempt <- trt.attempt + 1;
-          ignore
-            (Group.submit (group s) ~attempt:trt.attempt
-               ~cid:(Cmd.outcome_cid ~txid ~commit)
-               (Cmd.Outcome { txid; commit })
-              : bool)
+          submit s ~attempt:trt.attempt ~cid:(Cmd.outcome_cid ~txid ~commit)
+            (Cmd.Outcome { txid; commit })
         end)
       trt.tx.Cmd.participants
   in
   let submit_prepare trt s =
     let txid = trt.tx.Cmd.txid in
     trt.attempt <- trt.attempt + 1;
-    ignore
-      (Group.submit (group s) ~attempt:trt.attempt ~cid:(Cmd.prepare_cid ~txid)
-         (Cmd.Prepare trt.tx)
-        : bool)
+    submit s ~attempt:trt.attempt ~cid:(Cmd.prepare_cid ~txid) (Cmd.Prepare trt.tx)
   in
   (* Re-derive the next protocol step from what the logs recorded so
      far.  Idempotent (cids de-duplicate), so the per-tx retry timer,
@@ -246,8 +261,7 @@ let run cfg =
   in
 
   (* {2 Group event dispatch} *)
-  let on_first_apply s ~cid op (out : Machine.output) =
-    ignore cid;
+  let on_first_apply s op (out : Machine.output) =
     match (op, out) with
     | Cmd.Prepare tx, Machine.O_vote v -> (
         Checker.record_vote xchecker ~txid:tx.Cmd.txid ~shard:s ~vote:v;
@@ -315,14 +329,17 @@ let run cfg =
   let seed_of_shard s =
     Int64.add cfg.seed (Int64.mul (Int64.of_int (s + 1)) 0x9E3779B97F4A7C15L)
   in
+  (* both completion hooks run in a fresh event, so they may re-enter
+     [submit] *)
+  let defer f = Dsim.Engine.schedule eng ~delay:0 f in
   groups_ref :=
     Array.init cfg.shards (fun s ->
-        Group.create ~engine:eng ~shard:s ~replicas:cfg.replicas
-          ~backend:cfg.backend ~seed:(seed_of_shard s) ~latency:cfg.latency
-          ~batch:cfg.batch ?store:cfg.store
-          ~on_first_apply:(fun ~cid op out -> on_first_apply s ~cid op out)
-          ~on_ready:(fun ~cid -> on_ready s ~cid)
-          ());
+        Group.create ~engine:eng ~label:(Printf.sprintf "shard %d" s)
+          ~n:cfg.replicas ~backend:cfg.backend ~seed:(seed_of_shard s)
+          ~latency:cfg.latency ~batch:cfg.batch ~store:cfg.store
+          ~machine:(replica_machine ~shard:s)
+          ~on_first_apply:(fun op out -> defer (fun () -> on_first_apply s op out))
+          ~on_ready:(fun ~cid -> defer (fun () -> on_ready s ~cid)));
 
   (* {2 Launching operations} *)
   let start_single ~client ~seq (kc : Obj.Kv.op) =
@@ -338,11 +355,11 @@ let run cfg =
       }
     in
     Hashtbl.replace singles cid srt;
-    ignore (Group.submit (group s) ~cid srt.s_cmd : bool);
+    submit s ~attempt:0 ~cid srt.s_cmd;
     let rec retry () =
       if not srt.s_done then begin
         srt.s_attempt <- srt.s_attempt + 1;
-        ignore (Group.submit (group s) ~attempt:srt.s_attempt ~cid srt.s_cmd : bool);
+        submit s ~attempt:srt.s_attempt ~cid srt.s_cmd;
         Dsim.Engine.schedule eng ~delay:cfg.ack_timeout retry
       end
     in
@@ -476,10 +493,10 @@ let run cfg =
 
   let engine_outcome = Dsim.Engine.run ~max_events:cfg.max_events eng in
   let shard_reports =
-    Array.map
-      (fun g ->
+    Array.mapi
+      (fun s g ->
         {
-          sr_shard = Group.shard g;
+          sr_shard = s;
           sr_violations = Group.violations g;
           sr_completeness = Group.completeness g;
           sr_durability = Group.durability g;
@@ -491,9 +508,9 @@ let run cfg =
           sr_instances = Group.instances g;
           sr_messages_sent = Group.messages_sent g;
           sr_messages_delivered = Group.messages_delivered g;
-          sr_crashed = Group.crashed_list g;
-          sr_restarted = Group.restarted_list g;
-          sr_store_stats = Group.store_stats g;
+          sr_crashed = Group.crashed g;
+          sr_restarted = Group.restarted g;
+          sr_store_stats = Array.map Store.Disk.stats (Group.disks g);
         })
       !groups_ref
   in

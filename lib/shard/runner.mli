@@ -1,7 +1,9 @@
-(** The sharded run: N consensus {!Group}s in one engine, a {!Router}
-    splitting the keyspace, two-phase commit over the logs for
-    multi-key transactions, and a client layer sized for tens of
-    thousands of simulated clients.
+(** The sharded run: one {!Rsm.Group} per shard in one engine, each
+    replica running its own {!Machine}, a {!Router} splitting the
+    keyspace, two-phase commit over the logs for multi-key transactions,
+    and a client layer sized for tens of thousands of simulated clients.
+    Replica storage, crash and recovery are the group's, exactly as in
+    {!Rsm.Runner}.
 
     {b 2PC over consensus.}  Every protocol record is a replicated
     command (see {!Cmd}): a coordinator submits [Prepare tx] (carrying
@@ -18,8 +20,9 @@
     {b Clients.}  Pure callback state machines (no polling fibers):
     closed-loop clients issue their next operation when the previous
     completes; open-loop clients issue on a seeded exponential arrival
-    process regardless of completion.  Completion is push-based via
-    {!Group}'s [on_ready].
+    process regardless of completion.  Completion is push-based: the
+    group's [on_first_apply] and [on_ready] hooks, each deferred to a
+    fresh engine event so it may submit again.
 
     {b Checking.}  Each group carries its own {!Rsm.Checker} (per-shard
     total order + durability audit); the cross-shard {!Checker} judges
@@ -113,7 +116,7 @@ type report = {
   tx_latencies : float list;  (** committed transactions, start→ack *)
   abort_rate : float;
   trace : Dsim.Trace.t;
-  groups : Group.t array;
+  groups : (Cmd.t, Machine.t, Machine.output) Rsm.Group.t array;
   router : Router.t;
 }
 

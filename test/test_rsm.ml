@@ -273,6 +273,20 @@ let batching_invariance () =
     (run_with ~label:"batching on" ~batching:true)
     (run_with ~label:"batching off" ~batching:false)
 
+(* Command ids pack the op index into 20 bits: the 2^20th op of a client
+   would reuse an earlier id, so Tob would drop it as a duplicate while
+   its client still got an ack.  The runner refuses such a list before
+   simulating anything (the small event budget keeps a missing check
+   from running a million ops). *)
+let rejects_cid_overflow () =
+  let ops = [| [ set "a" "1" ]; List.init (1 lsl 20) (fun _ -> set "b" "2") |] in
+  Alcotest.check_raises "2^20 ops from one client"
+    (Invalid_argument "Runner.run: a client has 2^20 or more ops") (fun () ->
+      ignore
+        (Runner.run kv_app
+           { (Runner.default_config ~n:3 ~ops) with max_events = 1_000 }
+          : _ Runner.report))
+
 let suite =
   List.concat
     [
@@ -291,6 +305,8 @@ let suite =
         Alcotest.test_case "batching invariance" `Quick batching_invariance;
         Alcotest.test_case "cas replicated consistently" `Quick
           cas_replicated_consistently;
+        Alcotest.test_case "rejects command-id overflow" `Quick
+          rejects_cid_overflow;
       ];
       List.map
         (fun b ->

@@ -432,6 +432,96 @@ let durable_under_storage_faults () =
   drained r;
   no_violations r
 
+(* --- the group's ack gate and per-replica state ----------------------- *)
+
+let single_ops () =
+  Array.init 8 (fun c ->
+      List.init 3 (fun i ->
+          Runner.Single
+            (Obj.Kv.Set (Printf.sprintf "k%d" ((c * 3) + i), string_of_int i))))
+
+(* Shard 0's full outage under a long fsync stall, mirroring
+   test_store's pair for the single-group runner: with honest acks the
+   durability audit stays clean; acking before fsync loses acked
+   commands and the audit must say so. *)
+let shard_outage ~seed ~ack_before_fsync =
+  let stall =
+    {
+      Store.Policy.none with
+      Store.Policy.stall = [ (Store.Policy.rule ~from_:0 ~until_:400 (), 500) ];
+    }
+  in
+  let inject (f : Runner.faults) =
+    List.iter
+      (fun replica ->
+        Dsim.Engine.schedule f.Runner.engine ~delay:120 (fun () ->
+            f.Runner.crash ~shard:0 ~replica);
+        Dsim.Engine.schedule f.Runner.engine ~delay:300 (fun () ->
+            f.Runner.restart ~shard:0 ~replica))
+      [ 0; 1; 2 ]
+  in
+  let r =
+    run_cfg ~shards:2 ~seed ~inject
+      ~store:{ Rsm.Runner.policy = stall; snapshot_every = 0; ack_before_fsync }
+      (single_ops ())
+  in
+  check Alcotest.int (Printf.sprintf "seed %d: all acked" seed) 24
+    r.Runner.singles_acked;
+  r.Runner.shard_reports.(0).Runner.sr_durability
+
+let outage_honest_store () =
+  for seed = 1 to 3 do
+    check Alcotest.string
+      (Printf.sprintf "seed %d: durability audit clean" seed)
+      ""
+      (show_rsm (shard_outage ~seed ~ack_before_fsync:false))
+  done
+
+let outage_ack_before_fsync_caught () =
+  for seed = 1 to 3 do
+    let vs = shard_outage ~seed ~ack_before_fsync:true in
+    check Alcotest.bool
+      (Printf.sprintf "seed %d: audit catches the broken store" seed)
+      true (vs <> []);
+    List.iter
+      (fun (v : Rsm.Checker.violation) ->
+        check Alcotest.string "violations are durability violations"
+          "durability" v.Rsm.Checker.property)
+      vs
+  done
+
+(* Each replica owns its machine: one crashed before the run applied
+   nothing and must still hold a fresh state, while its live peers'
+   states moved on. *)
+let replicas_never_share_state () =
+  let fresh = Machine.digest (Machine.create ~shard:0) in
+  for seed = 1 to 3 do
+    let inject (f : Runner.faults) =
+      Dsim.Engine.schedule f.Runner.engine ~delay:0 (fun () ->
+          f.Runner.crash ~shard:0 ~replica:2)
+    in
+    let r = run_cfg ~shards:2 ~seed ~inject (single_ops ()) in
+    let d = r.Runner.shard_reports.(0).Runner.sr_digests in
+    let msg = Printf.sprintf "seed %d: " seed in
+    check Alcotest.string (msg ^ "crashed replica is fresh") fresh d.(2);
+    check Alcotest.bool (msg ^ "live replicas moved on") true
+      (d.(0) <> fresh && d.(1) <> fresh)
+  done
+
+(* Transaction and command ids pack the per-client sequence number into
+   20 bits; a longer op list is refused before anything runs (the small
+   event budget keeps a missing check from running a million ops). *)
+let rejects_cid_overflow () =
+  let op = Runner.Single (Obj.Kv.Get "k") in
+  let ops = [| [ op ]; List.init (1 lsl 20) (fun _ -> op) |] in
+  Alcotest.check_raises "2^20 ops from one client"
+    (Invalid_argument "Shard.Runner.run: a client has 2^20 or more ops")
+    (fun () ->
+      ignore
+        (Runner.run
+           { (Runner.default_config ~shards:2 ~ops) with max_events = 1_000 }
+          : Runner.report))
+
 let suite =
   [
     Alcotest.test_case "cmd codec roundtrip" `Quick codec_roundtrip;
@@ -466,4 +556,11 @@ let suite =
       broken_2pc_caught;
     Alcotest.test_case "2pc: durable under storage faults" `Quick
       durable_under_storage_faults;
+    Alcotest.test_case "group: full outage, honest store" `Quick
+      outage_honest_store;
+    Alcotest.test_case "group: ack-before-fsync caught by audit" `Quick
+      outage_ack_before_fsync_caught;
+    Alcotest.test_case "group: replicas never share state" `Quick
+      replicas_never_share_state;
+    Alcotest.test_case "rejects command-id overflow" `Quick rejects_cid_overflow;
   ]
