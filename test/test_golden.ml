@@ -3,7 +3,8 @@
    (event queues, batching, how blocked fibers are woken) may change
    freely underneath; these figures may not.  Each pin records the
    replica digests (hashed), the virtual end time, the messages sent and
-   the backend instances consumed; two pins hash a whole trace. *)
+   the backend instances consumed; two pins hash a whole trace, and the
+   [wal/*] pins hash the bytes left on every replica's disk. *)
 
 let short s = String.sub (Digest.to_hex (Digest.string s)) 0 12
 let digests a = short (String.concat "," (Array.to_list a))
@@ -56,6 +57,65 @@ let obj_pin seed =
   rsm_line
     (Rsm.Runner.run (Rep.app ())
        (rsm_config ~backend:Rsm.Backend.omega ~seed ~ops))
+
+(* WAL pins: the bytes a seeded run leaves on every replica's disk.  Per
+   replica, the MD5 of its durable record data and of its snapshot
+   payloads (the per-replica hashes are hashed again in replica order,
+   like [dig=]); then the bytes appended group-wide.  The KV digest is not
+   the codec, so these are what fix the WAL and snapshot encodings.
+   Each run is pinned twice: with the default store, whose snapshots
+   compact most records away, and with snapshots off ([/full-log]), so
+   every record appended stays on disk. *)
+let wal_line disks =
+  let per_replica f =
+    digests
+      (Array.map
+         (fun d -> Digest.to_hex (Digest.string (String.concat "\n" (f d))))
+         disks)
+  in
+  let bytes =
+    Array.fold_left (fun a d -> a + (Store.Disk.stats d).bytes_appended) 0 disks
+  in
+  Printf.sprintf "bytes=%d rec=%s snap=%s" bytes
+    (per_replica (fun d ->
+         List.map (fun r -> r.Store.Disk.data) (Store.Disk.records d)))
+    (per_replica (fun d ->
+         List.map (fun s -> s.Store.Disk.payload) (Store.Disk.snapshots d)))
+
+let wal_stores =
+  [
+    ("", Rsm.Runner.default_store_config);
+    ("/full-log", { Rsm.Runner.default_store_config with snapshot_every = 0 });
+  ]
+
+let wal_rsm_pin backend store =
+  let ops = Workload.Rsm_load.gen_ops ~seed:1L ~clients:4 ~commands:6 () in
+  (Rsm.Runner.run Workload.Rsm_load.kv_app
+     { (rsm_config ~backend ~seed:1 ~ops) with store = Some store })
+    .Rsm.Runner.disks
+  |> wal_line
+
+let wal_shard_pin store =
+  let cfg =
+    Workload.Shard_load.config ~shards:4 ~replicas:3 ~seed:1 ~store ~quiet:true
+      ~backend:Rsm.Backend.ben_or ()
+  in
+  (Shard.Runner.run cfg).Shard.Runner.groups
+  |> Array.map Rsm.Group.disks |> Array.to_list |> Array.concat |> wal_line
+
+let wal_obj_pin (module O : Obj.Spec.S) store =
+  let module Rep = Obj.Replicated.Make (O) in
+  let ops =
+    Workload.Load.gen_obj_ops (module O) ~keys:8 ~zipf_s:1.1 ~seed:1L
+      ~clients:3 ~commands:8 ()
+  in
+  (Rsm.Runner.run (Rep.app ())
+     {
+       (rsm_config ~backend:Rsm.Backend.omega ~seed:1 ~ops) with
+       store = Some store;
+     })
+    .Rsm.Runner.disks
+  |> wal_line
 
 let nemesis_run ?(quiet = true) seed =
   let profile =
@@ -174,6 +234,20 @@ let pins =
           fun () ->
             trace_md5 (Dsim.Engine.trace (detect_run ~quiet:false 7).Detect.Runner.engine) );
       ];
+      List.concat_map
+        (fun (suffix, store) ->
+          List.map
+            (fun b ->
+              ( Printf.sprintf "wal/rsm/%s%s" (Rsm.Backend.name b) suffix,
+                fun () -> wal_rsm_pin b store ))
+            Rsm.Backend.all
+          @ (("wal/shard" ^ suffix, fun () -> wal_shard_pin store)
+            :: List.map
+                 (fun (name, o) ->
+                   ( Printf.sprintf "wal/obj/%s%s" name suffix,
+                     fun () -> wal_obj_pin o store ))
+                 Obj.Registry.all))
+        wal_stores;
       [
         ("campaign/nemesis", nemesis_report);
         ("campaign/shard", fun () -> shard_report ~broken_2pc:false);
@@ -231,6 +305,28 @@ let expected =
     ("detect/5", "vt=640 msgs=64 hb=40 dec=11111 at=20,21,27,21,25");
     ("nemesis/trace/7", "563a4b42df8a119da786248b98450957");
     ("detect/trace/7", "ca28ece53e0576213f14113e2dd6180c");
+    ("wal/rsm/ben-or", "bytes=2910 rec=f5900755ec2f snap=325e11bda912");
+    ("wal/rsm/phase-king", "bytes=2910 rec=f5900755ec2f snap=325e11bda912");
+    ("wal/rsm/raft", "bytes=2910 rec=f5900755ec2f snap=325e11bda912");
+    ("wal/rsm/omega", "bytes=2910 rec=f5900755ec2f snap=325e11bda912");
+    ("wal/shard", "bytes=8346 rec=ae0eaa494487 snap=ab43b1939af3");
+    ("wal/obj/queue", "bytes=2180 rec=f5900755ec2f snap=b68fe4a233f9");
+    ("wal/obj/stack", "bytes=2180 rec=f5900755ec2f snap=05f6f80d78ee");
+    ("wal/obj/counter", "bytes=1945 rec=f5900755ec2f snap=d1aa81f9fda2");
+    ("wal/obj/set", "bytes=2395 rec=f5900755ec2f snap=c256721098fe");
+    ("wal/obj/index", "bytes=2620 rec=f5900755ec2f snap=eeb330e4711e");
+    ("wal/obj/kv", "bytes=2960 rec=f5900755ec2f snap=b25d20d4df64");
+    ("wal/rsm/ben-or/full-log", "bytes=2910 rec=6e57ff6e7176 snap=f5900755ec2f");
+    ("wal/rsm/phase-king/full-log", "bytes=2910 rec=99854a8171ad snap=f5900755ec2f");
+    ("wal/rsm/raft/full-log", "bytes=2910 rec=99854a8171ad snap=f5900755ec2f");
+    ("wal/rsm/omega/full-log", "bytes=2910 rec=99854a8171ad snap=f5900755ec2f");
+    ("wal/shard/full-log", "bytes=8346 rec=9657b9f7d2c0 snap=e9470fa15e4b");
+    ("wal/obj/queue/full-log", "bytes=2180 rec=3e21da52c57e snap=f5900755ec2f");
+    ("wal/obj/stack/full-log", "bytes=2180 rec=b2851af39ef3 snap=f5900755ec2f");
+    ("wal/obj/counter/full-log", "bytes=1945 rec=4746a1020418 snap=f5900755ec2f");
+    ("wal/obj/set/full-log", "bytes=2395 rec=82eb7357541d snap=f5900755ec2f");
+    ("wal/obj/index/full-log", "bytes=2620 rec=edc75153df23 snap=f5900755ec2f");
+    ("wal/obj/kv/full-log", "bytes=2960 rec=7bb8bbe47917 snap=f5900755ec2f");
     ( "campaign/nemesis",
       "nemesis campaign: 16 runs, 128 faults injected\n\
       \  coverage: crash=36, restart=12, partition=4, heal=4, drop=12, dup=8, \
@@ -294,4 +390,4 @@ let check_group prefix () =
 let suite =
   List.map
     (fun g -> Alcotest.test_case (g ^ " pins unchanged") `Quick (check_group (g ^ "/")))
-    [ "rsm"; "shard"; "obj"; "nemesis"; "detect"; "campaign" ]
+    [ "rsm"; "shard"; "obj"; "nemesis"; "detect"; "campaign"; "wal" ]
