@@ -18,7 +18,7 @@ let pp_op ppf = function
   | Add d -> Format.fprintf ppf "ADD %d" d
   | Read -> Format.fprintf ppf "READ"
 
-let op_to_string = function Add d -> Printf.sprintf "A %d" d | Read -> "R"
+let op_to_string = function Add d -> "A " ^ Store.Codec.int d | Read -> "R"
 
 let op_of_string s =
   if s = "R" then Read
@@ -26,8 +26,8 @@ let op_of_string s =
     Scanf.sscanf s "A %d" (fun d -> Add d)
   else invalid_arg ("Counter.op_of_string: " ^ s)
 
-let resp_to_string (Count n) = Printf.sprintf "= %d" n
-let state_to_string = string_of_int
+let resp_to_string (Count n) = "= " ^ Store.Codec.int n
+let state_to_string = Store.Codec.int
 let state_of_string = int_of_string
 let digest = state_to_string
 

@@ -8,6 +8,8 @@
 module M = Map.Make (String)
 module S = Set.Make (String)
 
+let q = Store.Codec.quoted
+
 type state = { fwd : string M.t; inv : S.t M.t }
 
 type op = Put of string * string | Del of string | Get of string | Find of string
@@ -55,10 +57,10 @@ let pp_op ppf = function
   | Find v -> Format.fprintf ppf "FIND %s" v
 
 let op_to_string = function
-  | Put (k, v) -> Printf.sprintf "P %S %S" k v
-  | Del k -> Printf.sprintf "D %S" k
-  | Get k -> Printf.sprintf "G %S" k
-  | Find v -> Printf.sprintf "F %S" v
+  | Put (k, v) -> String.concat " " [ "P"; q k; q v ]
+  | Del k -> "D " ^ q k
+  | Get k -> "G " ^ q k
+  | Find v -> "F " ^ q v
 
 let op_of_string s =
   if String.length s < 2 then invalid_arg ("Index.op_of_string: " ^ s)
@@ -73,18 +75,18 @@ let op_of_string s =
 
 let resp_to_string = function
   | Put_done -> "put"
-  | Deleted b -> Printf.sprintf "del %b" b
+  | Deleted b -> if b then "del true" else "del false"
   | Got None -> "got -"
-  | Got (Some v) -> Printf.sprintf "got %S" v
-  | Keys ks -> String.concat " " ("keys" :: List.map (Printf.sprintf "%S") ks)
+  | Got (Some v) -> "got " ^ q v
+  | Keys ks -> String.concat " " ("keys" :: List.map q ks)
 
 let state_to_string st =
   (* the index is derived: serializing the primary map is canonical and
      complete, [state_of_string] rebuilds the inverse *)
   let kvs = M.bindings st.fwd in
   String.concat " "
-    (string_of_int (List.length kvs)
-    :: List.map (fun (k, v) -> Printf.sprintf "%S %S" k v) kvs)
+    (Store.Codec.int (List.length kvs)
+    :: List.concat_map (fun (k, v) -> [ q k; q v ]) kvs)
 
 let state_of_string s =
   let ib = Scanf.Scanning.from_string s in

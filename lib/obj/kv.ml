@@ -1,9 +1,13 @@
 (* The replicated key-value store, re-homed from [Rsm.App] as just
-   another sequential object.  The wire codec (G/S/C0/C1 tags, [%S]
-   quoting) and the digest/snapshot formats are unchanged from the old
-   App module, so WALs and traces read the same. *)
+   another sequential object.  The wire codec (G/S/C0/C1 tags, strings
+   quoted by {!Store.Codec.quoted}) and the digest/snapshot formats are
+   unchanged from the old App module, so WALs and traces read the same.
+   Quoting makes every encoding total: any key or value round-trips,
+   spaces, [;] and newlines included. *)
 
 module M = Map.Make (String)
+
+let q = Store.Codec.quoted
 
 type state = string M.t
 
@@ -32,14 +36,13 @@ let pp_op ppf = function
         (Option.value expect ~default:"\xe2\x88\x85")
         update
 
-(* [%S] quoting makes the encoding total: any key/value roundtrips,
-   including spaces and newlines. *)
 let op_to_string = function
-  | Get k -> Printf.sprintf "G %S" k
-  | Set (k, v) -> Printf.sprintf "S %S %S" k v
-  | Cas { key; expect = None; update } -> Printf.sprintf "C0 %S %S" key update
+  | Get k -> "G " ^ q k
+  | Set (k, v) -> String.concat " " [ "S"; q k; q v ]
+  | Cas { key; expect = None; update } ->
+      String.concat " " [ "C0"; q key; q update ]
   | Cas { key; expect = Some e; update } ->
-      Printf.sprintf "C1 %S %S %S" key e update
+      String.concat " " [ "C1"; q key; q e; q update ]
 
 let op_of_string s =
   match String.index_opt s ' ' with
@@ -60,25 +63,25 @@ let op_of_string s =
 
 let resp_to_string = function
   | Got None -> "got -"
-  | Got (Some v) -> Printf.sprintf "got %S" v
+  | Got (Some v) -> "got " ^ q v
   | Done -> "done"
-  | Cas_result b -> Printf.sprintf "cas %b" b
+  | Cas_result b -> if b then "cas true" else "cas false"
 
 let digest st =
   M.bindings st |> List.map (fun (k, v) -> k ^ "=" ^ v) |> String.concat ";"
 
 let state_to_string st =
-  M.bindings st
-  |> List.map (fun (k, v) -> Printf.sprintf "%S %S" k v)
-  |> String.concat ";"
+  M.bindings st |> List.map (fun (k, v) -> q k ^ " " ^ q v) |> String.concat ";"
 
+(* The pairs are read in sequence, not split on [;] first: a quoted key
+   or value may contain one. *)
 let state_of_string s =
-  if s = "" then M.empty
-  else
-    String.split_on_char ';' s
-    |> List.fold_left
-         (fun acc pair -> Scanf.sscanf pair " %S %S" (fun k v -> M.add k v acc))
-         M.empty
+  let ib = Scanf.Scanning.from_string s in
+  let rec pairs acc =
+    if Scanf.Scanning.end_of_input ib then acc
+    else pairs (Scanf.bscanf ib " %S %S%_[;]" (fun k v -> M.add k v acc))
+  in
+  pairs M.empty
 
 let gen_op ~rng ~key ~tag =
   let roll = Dsim.Rng.int rng 100 in

@@ -26,7 +26,7 @@ let pp_op ppf = function
   | Enq v -> Format.fprintf ppf "ENQ %s" v
   | Deq -> Format.fprintf ppf "DEQ"
 
-let op_to_string = function Enq v -> Printf.sprintf "E %S" v | Deq -> "D"
+let op_to_string = function Enq v -> "E " ^ Store.Codec.quoted v | Deq -> "D"
 
 let op_of_string s =
   if s = "D" then Deq
@@ -37,12 +37,12 @@ let op_of_string s =
 let resp_to_string = function
   | Enq_ok -> "ok"
   | Deq_got None -> "deq -"
-  | Deq_got (Some v) -> Printf.sprintf "deq %S" v
+  | Deq_got (Some v) -> "deq " ^ Store.Codec.quoted v
 
 let state_to_string st =
   let xs = to_list st in
   String.concat " "
-    (string_of_int (List.length xs) :: List.map (Printf.sprintf "%S") xs)
+    (Store.Codec.int (List.length xs) :: List.map Store.Codec.quoted xs)
 
 let state_of_string s =
   let ib = Scanf.Scanning.from_string s in

@@ -44,7 +44,7 @@ module Make (O : Spec.S) = struct
               O.resp_to_string resp )
     in
     let state_to_string st =
-      string_of_int st.seen ^ " " ^ O.state_to_string st.inner
+      String.concat " " [ Store.Codec.int st.seen; O.state_to_string st.inner ]
     in
     let state_of_string s =
       match String.index_opt s ' ' with

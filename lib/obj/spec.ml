@@ -12,11 +12,13 @@
       replicated runner snapshots and replays them, and the checker
       branches over many alternative futures of the same state.
     - {b single-line codecs}: every [*_to_string] must emit a string
-      with no raw newline (use [%S] quoting for embedded data), because
-      encodings travel inside one-record-per-line WALs and snapshot
-      payloads.  [digest] must be {e canonical}: two states that are
-      equal as abstract objects must produce equal digests, whatever
-      internal representation they carry. *)
+      with no raw newline, because encodings travel inside
+      one-record-per-line WALs and snapshot payloads.  Build them from
+      {!Store.Codec}: [Store.Codec.quoted] for embedded strings (the
+      [%S] quoting, which [Scanf]'s [%S] reads back) and
+      [Store.Codec.int] for integers.  [digest] must be {e canonical}:
+      two states that are equal as abstract objects must produce equal
+      digests, whatever internal representation they carry. *)
 
 module type S = sig
   type state

@@ -23,9 +23,9 @@ let pp_op ppf = function
   | Mem k -> Format.fprintf ppf "MEM %s" k
 
 let op_to_string = function
-  | Add k -> Printf.sprintf "A %S" k
-  | Remove k -> Printf.sprintf "R %S" k
-  | Mem k -> Printf.sprintf "M %S" k
+  | Add k -> "A " ^ Store.Codec.quoted k
+  | Remove k -> "R " ^ Store.Codec.quoted k
+  | Mem k -> "M " ^ Store.Codec.quoted k
 
 let op_of_string s =
   if String.length s < 2 then invalid_arg ("Sset.op_of_string: " ^ s)
@@ -42,7 +42,7 @@ let resp_to_string (Flag b) = string_of_bool b
 let state_to_string st =
   let xs = S.elements st in
   String.concat " "
-    (string_of_int (List.length xs) :: List.map (Printf.sprintf "%S") xs)
+    (Store.Codec.int (List.length xs) :: List.map Store.Codec.quoted xs)
 
 let state_of_string s =
   let ib = Scanf.Scanning.from_string s in

@@ -16,7 +16,7 @@ let pp_op ppf = function
   | Push v -> Format.fprintf ppf "PUSH %s" v
   | Pop -> Format.fprintf ppf "POP"
 
-let op_to_string = function Push v -> Printf.sprintf "U %S" v | Pop -> "P"
+let op_to_string = function Push v -> "U " ^ Store.Codec.quoted v | Pop -> "P"
 
 let op_of_string s =
   if s = "P" then Pop
@@ -27,11 +27,11 @@ let op_of_string s =
 let resp_to_string = function
   | Push_ok -> "ok"
   | Pop_got None -> "pop -"
-  | Pop_got (Some v) -> Printf.sprintf "pop %S" v
+  | Pop_got (Some v) -> "pop " ^ Store.Codec.quoted v
 
 let state_to_string st =
   String.concat " "
-    (string_of_int (List.length st) :: List.map (Printf.sprintf "%S") st)
+    (Store.Codec.int (List.length st) :: List.map Store.Codec.quoted st)
 
 let state_of_string s =
   let ib = Scanf.Scanning.from_string s in

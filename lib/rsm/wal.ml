@@ -1,9 +1,13 @@
 type 'op item = Entry of int * int * 'op | Commit of int * int
 
-let encode_entry ~op_to_string slot (e : _ Tob.entry) =
-  Printf.sprintf "E %d %d %s" slot e.Tob.cid (op_to_string e.Tob.op)
+module Codec = Store.Codec
 
-let encode_commit slot winner = Printf.sprintf "C %d %d" slot winner
+let encode_entry ~op_to_string slot (e : _ Tob.entry) =
+  String.concat " "
+    [ "E"; Codec.int slot; Codec.int e.Tob.cid; op_to_string e.Tob.op ]
+
+let encode_commit slot winner =
+  String.concat " " [ "C"; Codec.int slot; Codec.int winner ]
 
 let decode_record ~op_of_string s =
   if String.length s > 0 && s.[0] = 'C' then
@@ -13,8 +17,8 @@ let decode_record ~op_of_string s =
         Entry (slot, cid, op_of_string rest))
 
 let encode_snapshot ~upto ~state ~cids =
-  Printf.sprintf "%d\n%s\n%s" upto state
-    (String.concat "," (List.map string_of_int cids))
+  String.concat "\n"
+    [ Codec.int upto; state; String.concat "," (List.map Codec.int cids) ]
 
 let decode_snapshot payload =
   match String.split_on_char '\n' payload with

@@ -11,8 +11,9 @@
     v}
 
     A snapshot payload is three lines: covered slot, serialized state,
-    comma-separated delivered cids.  Encoded ops and states must not
-    contain a newline. *)
+    comma-separated delivered cids.  Numbers are written by
+    {!Store.Codec.int}.  Encoded ops and states must not contain a
+    newline. *)
 
 val encode_entry : op_to_string:('op -> string) -> int -> 'op Tob.entry -> string
 (** [encode_entry ~op_to_string slot e] is [e]'s record in [slot]. *)

@@ -43,13 +43,15 @@ let kind_of_cid cid =
   | 5 -> K_outcome (b, false)
   | _ -> invalid_arg (Printf.sprintf "Cmd.kind_of_cid: unknown tag in %d" cid)
 
-(* {2 Codec} — single line, space-separated tokens, strings %S-quoted
-   (which escapes any embedded newline, keeping WAL records one per
-   line). *)
+(* {2 Codec} — single line, space-separated tokens, strings quoted by
+   {!Store.Codec.quoted} (which escapes any embedded newline, keeping
+   WAL records one per line). *)
+
+module Codec = Store.Codec
 
 let wop_to_string = function
-  | W_set (k, v) -> Printf.sprintf "S %S %S" k v
-  | W_add (k, d) -> Printf.sprintf "A %S %d" k d
+  | W_set (k, v) -> String.concat " " [ "S"; Codec.quoted k; Codec.quoted v ]
+  | W_add (k, d) -> String.concat " " [ "A"; Codec.quoted k; Codec.int d ]
 
 let wop_of_string s =
   if String.length s > 0 && s.[0] = 'A' then
@@ -57,33 +59,27 @@ let wop_of_string s =
   else Scanf.sscanf s "S %S %S" (fun k v -> W_set (k, v))
 
 let encode_tx b tx =
-  Buffer.add_string b (string_of_int tx.txid);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (string_of_int (List.length tx.participants));
-  List.iter
-    (fun p ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b (string_of_int p))
-    tx.participants;
-  Buffer.add_char b ' ';
-  Buffer.add_string b (string_of_int (List.length tx.ops));
+  let add s =
+    Buffer.add_char b ' ';
+    Buffer.add_string b s
+  in
+  Buffer.add_string b (Codec.int tx.txid);
+  add (Codec.int (List.length tx.participants));
+  List.iter (fun p -> add (Codec.int p)) tx.participants;
+  add (Codec.int (List.length tx.ops));
   List.iter
     (fun (shard, wops) ->
-      Buffer.add_string b
-        (Printf.sprintf " %d %d" shard (List.length wops));
-      List.iter
-        (fun w ->
-          Buffer.add_char b ' ';
-          Buffer.add_string b (wop_to_string w))
-        wops)
+      add (Codec.int shard);
+      add (Codec.int (List.length wops));
+      List.iter (fun w -> add (wop_to_string w)) wops)
     tx.ops
 
 let to_string = function
   | Kv c -> "K " ^ Obj.Kv.op_to_string c
   | Decide { txid; commit } ->
-      Printf.sprintf "D %d %d" txid (if commit then 1 else 0)
+      String.concat " " [ "D"; Codec.int txid; (if commit then "1" else "0") ]
   | Outcome { txid; commit } ->
-      Printf.sprintf "O %d %d" txid (if commit then 1 else 0)
+      String.concat " " [ "O"; Codec.int txid; (if commit then "1" else "0") ]
   | Prepare tx ->
       let b = Buffer.create 64 in
       Buffer.add_string b "P ";

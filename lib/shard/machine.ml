@@ -125,9 +125,10 @@ let apply t (c : Cmd.t) =
   | Outcome { txid; commit } ->
       apply_decision t txid commit (fun c -> O_outcome c)
 
-(* {2 Serialization} — single line, counted tokens, %S-quoted strings
-   (same discipline as {!Cmd}'s codec); everything emitted in sorted
-   order so replicas in equal states produce byte-equal strings. *)
+(* {2 Serialization} — single line, counted tokens, strings quoted by
+   {!Store.Codec.quoted} (same discipline as {!Cmd}'s codec); everything
+   emitted in sorted order so replicas in equal states produce
+   byte-equal strings. *)
 
 let status_char = function Prepared -> 'P' | Committed -> 'C' | Aborted -> 'A'
 
@@ -139,30 +140,33 @@ let status_of_char = function
 
 let serialize t =
   let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int t.shard);
+  let add s =
+    Buffer.add_char b ' ';
+    Buffer.add_string b s
+  in
+  Buffer.add_string b (Store.Codec.int t.shard);
   let kvs =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.kv []
     |> List.sort compare
   in
-  Buffer.add_string b (Printf.sprintf " %d" (List.length kvs));
+  add (Store.Codec.int (List.length kvs));
   List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %S %S" k v))
+    (fun (k, v) ->
+      add (Store.Codec.quoted k);
+      add (Store.Codec.quoted v))
     kvs;
   let txs =
     Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.txs []
     |> List.sort compare
   in
-  Buffer.add_string b (Printf.sprintf " %d" (List.length txs));
+  add (Store.Codec.int (List.length txs));
   List.iter
     (fun (id, e) ->
-      Buffer.add_string b
-        (Printf.sprintf " %d %c %d" id (status_char e.status)
-           (List.length e.buffered));
-      List.iter
-        (fun w ->
-          Buffer.add_char b ' ';
-          Buffer.add_string b (Cmd.wop_to_string w))
-        e.buffered)
+      add (Store.Codec.int id);
+      Buffer.add_char b ' ';
+      Buffer.add_char b (status_char e.status);
+      add (Store.Codec.int (List.length e.buffered));
+      List.iter (fun w -> add (Cmd.wop_to_string w)) e.buffered)
     txs;
   Buffer.contents b
 

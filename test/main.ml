@@ -29,6 +29,7 @@ let () =
       ("sharedmem", Test_sharedmem.suite);
       ("explore", Test_explore.suite);
       ("store", Test_store.suite);
+      ("wal", Test_wal.suite);
       ("rsm", Test_rsm.suite);
       ("obj", Test_obj.suite);
       ("shard", Test_shard.suite);

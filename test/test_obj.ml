@@ -104,22 +104,33 @@ let kv_spec () =
 let codec_roundtrip (module O : Obj.Spec.S) () =
   let rng = Dsim.Rng.create 3L in
   let st = ref O.init in
-  for k = 0 to 199 do
-    let op =
-      O.gen_op ~rng
-        ~key:(Printf.sprintf "k%d" (k mod 5))
-        ~tag:(Printf.sprintf "t%d" k)
-    in
+  let step ~key ~tag =
+    let op = O.gen_op ~rng ~key ~tag in
     let enc = O.op_to_string op in
     check Alcotest.string "op codec round-trips" enc
       (O.op_to_string (O.op_of_string enc));
     check Alcotest.bool "single-line op encoding" false
       (String.contains enc '\n');
-    st := fst (O.apply !st op);
+    let st', resp = O.apply !st op in
+    st := st';
+    check Alcotest.bool "single-line response" false
+      (String.contains (O.resp_to_string resp) '\n');
     let snap = O.state_to_string !st in
     check Alcotest.bool "single-line snapshot" false (String.contains snap '\n');
     check Alcotest.string "snapshot preserves the digest" (O.digest !st)
       (O.digest (O.state_of_string snap))
+  in
+  for k = 0 to 199 do
+    step ~key:(Printf.sprintf "k%d" (k mod 5)) ~tag:(Printf.sprintf "t%d" k)
+  done;
+  (* keys and values that only quoting keeps intact: the separators of
+     every format, quotes, a backslash, a newline, non-ASCII bytes *)
+  let awkward =
+    [| "a b"; "a;b"; "a,b"; "a=b"; "a\"b"; "a\\b"; "a\nb"; "\xe2\x88\x85\xff" |]
+  in
+  let n = Array.length awkward in
+  for k = 0 to 199 do
+    step ~key:awkward.(k mod n) ~tag:(awkward.(k / n mod n) ^ string_of_int k)
   done
 
 let queue_digest_canonical () =

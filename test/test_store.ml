@@ -395,6 +395,27 @@ let report_exposes_disks () =
        (fun d -> Disk.records d <> [] || Disk.latest_snapshot d <> None)
        r.disks)
 
+(* Keys and values containing [;] survive snapshots, a crash and a
+   restart.  The KV snapshot separates its pairs with [;], so a decoder
+   that splits on [;] before unquoting cuts such a key inside its
+   quotes and raises [Scanf.Scan_failure] at the restart. *)
+let kv_semicolons_survive_recovery () =
+  let ops =
+    [|
+      [ set "a;b" "1"; set "k" "2"; App.Get "k" ];
+      [ set "c" "x;y" ];
+    |]
+  in
+  let r =
+    run_store ~n:3
+      ~crash_schedule:[ (200, 1) ]
+      ~restart_schedule:[ (400, 1) ]
+      ~store:{ Runner.default_store_config with Runner.snapshot_every = 1 }
+      ops
+  in
+  check Alcotest.int "all acked" 4 r.acked;
+  no_violations r
+
 (* --- suite -------------------------------------------------------------- *)
 
 let suite =
@@ -435,5 +456,7 @@ let suite =
         Alcotest.test_case "ack-before-fsync caught by audit" `Quick
           full_outage_ack_before_fsync_caught;
         Alcotest.test_case "report exposes disks" `Quick report_exposes_disks;
+        Alcotest.test_case "kv keys with ';' survive recovery" `Quick
+          kv_semicolons_survive_recovery;
       ];
     ]
