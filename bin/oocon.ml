@@ -877,8 +877,8 @@ let detect_cmd =
       let r =
         Detect.Runner.run ~n ~seed:(Int64.of_int seed) ~params ~mutant:mutant_v
           ~horizon:(horizon + C.horizon_slack)
-          ?install:
-            (Option.map (fun p f -> Nemesis.Interp.install_detect p f) plan)
+          ?policy:(Option.map Nemesis.Interp.policy plan)
+          ?install:(Option.map Nemesis.Interp.install_detect plan)
           ()
       in
       Array.iteri

@@ -47,13 +47,11 @@ type report = {
   trace : Dsim.Trace.t;
 }
 
-let run ?(settle = false) config =
+let run config =
   if Array.length config.inputs <> config.n then
     invalid_arg "Ben_or.Runner.run: inputs length must equal n";
   if 2 * config.faults >= config.n then
     invalid_arg "Ben_or.Runner.run: requires 2t < n";
-  if settle && Option.is_some config.oracle then
-    invalid_arg "Ben_or.Runner.run: settle under an oracle";
   let eng = Engine.create ~seed:config.seed ~trace_capacity:10_000 () in
   Engine.set_oracle eng config.oracle;
   let net =
@@ -69,7 +67,6 @@ let run ?(settle = false) config =
       config.common_coin
   in
   let pids = Array.make config.n (-1) in
-  let returned = ref 0 in
   for i = 0 to config.n - 1 do
     Bool_monitor.record_initial monitor ~pid:i config.inputs.(i);
     let body ctx =
@@ -92,11 +89,9 @@ let run ?(settle = false) config =
         | Decomposed -> Protocol.Consensus_decomposed.consensus
         | Monolithic -> Protocol.monolithic_consensus
       in
-      let (_ : bool * int) =
-        consensus ~max_rounds:config.max_rounds ~observer pctx config.inputs.(i)
-      in
-      incr returned;
-      if settle && !returned = config.n then Engine.settle eng
+      ignore
+        (consensus ~max_rounds:config.max_rounds ~observer pctx config.inputs.(i)
+          : bool * int)
     in
     pids.(i) <- Engine.spawn eng ~name:(Printf.sprintf "benor-%d" i) body
   done;

@@ -54,19 +54,9 @@ type report = {
           read with {!Dsim.Trace.events} / {!Dsim.Trace.last} *)
 }
 
-val run : ?settle:bool -> config -> report
+val run : config -> report
 (** Execute one simulation to quiescence (or deadlock — reported, never
-    raised).
-
-    [settle] (default [false]) ends the run once all [n] processors
-    have returned, with {!Dsim.Engine.settle}: the messages still in
-    flight then are dropped unread.  [decisions], [virtual_time],
-    [crashed] and [violations] are those of the full run;
-    [messages_delivered] and [trace] stop at the last return.  Only for
-    callers that read the decision and the clock, like the RSM
-    backend.
-    @raise Invalid_argument when [settle] is asked for under an
-    [oracle]. *)
+    raised). *)
 
 val all_decided_same : report -> expected_live:int -> bool
 (** True when exactly [expected_live] processors decided and on a single

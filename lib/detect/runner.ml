@@ -37,15 +37,6 @@ type msg =
   | Accepted of int
   | Nack of int
 
-type faults = {
-  engine : Engine.t;
-  crash : int -> unit;
-  restart : int -> unit;
-  partition : int list list -> unit;
-  heal : unit -> unit;
-  set_policy : (msg Net.envelope -> Net.policy_verdict) -> unit;
-}
-
 type report = {
   n : int;
   outcome : Engine.outcome;
@@ -75,22 +66,16 @@ type round = {
   mutable nacked : bool;
 }
 
-let run ?(settle = false) ?(n = 4) ?(seed = 1L) ?(params = Timeout.default)
-    ?(mutant = Oracle.Honest) ?inputs ?(horizon = 5000) ?(max_events = 2_000_000)
-    ?(quiet = false) ?install () =
-  let inputs =
-    match inputs with
-    | Some a ->
-        if Array.length a <> n then
-          invalid_arg "Detect.Runner.run: |inputs| <> n";
-        a
-    | None ->
-        (* disagreeing defaults so the protocol has something to solve *)
-        Array.init n (fun i -> i mod 2 = 0)
-  in
-  let engine = Engine.create ~seed ~tracing:(not quiet) () in
-  let policy_ref = ref (fun _ -> Net.Deliver) in
-  let net = Net.create engine ~n ~policy:(fun e -> !policy_ref e) ~retain_inbox:false () in
+type nodes = {
+  oracle : Oracle.t;
+  decisions : bool option array;
+  decided_at : int option array;
+  heartbeats_sent : int ref;
+  stop : unit -> unit;
+}
+
+let start ~net ~params ~mutant ~inputs ~on_decide =
+  let engine = Net.engine net and n = Net.n net in
   let maj = (n / 2) + 1 in
   let stopped = ref false in
   let heartbeats_sent = ref 0 in
@@ -101,18 +86,19 @@ let run ?(settle = false) ?(n = 4) ?(seed = 1L) ?(params = Timeout.default)
   let decided_at = Array.make n None in
   let rounds = Array.init n (fun _ -> { ballot = 0; promises = []; acks = 0; nacked = false }) in
   (* [changed.(me)]: [me]'s round or decision changed, or the run
-     stopped; [decided]: some node decided *)
+     stopped *)
   let changed = Array.init n (fun _ -> Engine.queue engine) in
-  let decided = Engine.queue engine in
   let is_live p = not (Net.is_crashed net p) in
+  (* The time is recorded before [on_decide], which may settle the
+     engine and so move the clock. *)
   let decide me v =
     if decisions.(me) = None then begin
       decisions.(me) <- Some v;
-      Engine.signal changed.(me);
-      Engine.signal decided;
       decided_at.(me) <- Some (Engine.now engine);
+      Engine.signal changed.(me);
       Engine.emitk engine ~tag:"detect" (fun () ->
-          Printf.sprintf "decide %d value=%b" me v)
+          Printf.sprintf "decide %d value=%b" me v);
+      on_decide me v
     end
   in
   let send_heartbeat ~me =
@@ -257,37 +243,54 @@ let run ?(settle = false) ?(n = 4) ?(seed = 1L) ?(params = Timeout.default)
       (Engine.spawn engine ~name:(Printf.sprintf "coord%d" me) (coordinator me))
   done;
   Oracle.start oracle;
+  {
+    oracle;
+    decisions;
+    decided_at;
+    heartbeats_sent;
+    stop =
+      (fun () ->
+        stopped := true;
+        Array.iter Engine.signal changed;
+        Oracle.stop oracle);
+  }
+
+let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Honest)
+    ?inputs ?(horizon = 5000) ?(max_events = 2_000_000) ?(quiet = false) ?policy
+    ?install () =
+  let inputs =
+    match inputs with
+    | Some a ->
+        if Array.length a <> n then
+          invalid_arg "Detect.Runner.run: |inputs| <> n";
+        a
+    | None ->
+        (* disagreeing defaults so the protocol has something to solve *)
+        Array.init n (fun i -> i mod 2 = 0)
+  in
+  let engine = Engine.create ~seed ~tracing:(not quiet) () in
+  let net = Net.create engine ~n ?policy ~retain_inbox:false () in
+  (* some node decided *)
+  let decided = Engine.queue engine in
+  let nodes =
+    start ~net ~params ~mutant ~inputs ~on_decide:(fun _ _ -> Engine.signal decided)
+  in
+  let decisions = nodes.decisions in
   (* Supervisor: once every node knows the decision, stop the detector
      and coordinators so the engine can go quiescent.  It must be all
      [n] nodes, not just the currently-live ones: a node crashed now
      may restart later, and only live heartbeat gossip can hand it the
      decision — stopping early would strand it undecided forever.  A
      permanently-crashed node merely keeps the run going to the
-     horizon.  With [settle], what is left then (heartbeats, gossip,
-     round deadlines) is dropped instead of simulated. *)
+     horizon. *)
   ignore
     (Engine.spawn engine ~name:"supervisor" (fun _ctx ->
          Engine.await_cond decided (fun () ->
              Array.for_all (fun d -> d <> None) decisions);
-         stopped := true;
-         Array.iter Engine.signal changed;
-         Oracle.stop oracle;
-         if settle then Engine.settle engine));
-  (match install with
-  | Some f ->
-      f
-        {
-          engine;
-          crash = (fun p -> Net.crash net p);
-          restart = (fun p -> Net.restart net p);
-          partition = (fun gs -> Net.set_partition net gs);
-          heal = (fun () -> Net.heal net);
-          set_policy = (fun p -> policy_ref := p);
-        }
-  | None -> ());
+         nodes.stop ()));
+  Option.iter (fun f -> f net) install;
   let outcome = Engine.run ~until:horizon ~max_events engine in
-  stopped := true;
-  Oracle.stop oracle;
+  nodes.stop ();
   let decided_list =
     Array.to_list decisions |> List.filter_map Fun.id
   in
@@ -303,22 +306,22 @@ let run ?(settle = false) ?(n = 4) ?(seed = 1L) ?(params = Timeout.default)
   let all_live_decided =
     decided_list <> []
     && List.for_all
-         (fun p -> (not (is_live p)) || decisions.(p) <> None)
+         (fun p -> Net.is_crashed net p || decisions.(p) <> None)
          (List.init n Fun.id)
   in
-  let times = Array.to_list decided_at |> List.filter_map Fun.id in
-  let st = Oracle.stats oracle in
+  let times = Array.to_list nodes.decided_at |> List.filter_map Fun.id in
+  let st = Oracle.stats nodes.oracle in
   {
     n;
     outcome;
     decisions;
-    decided_at;
+    decided_at = nodes.decided_at;
     agreement_ok;
     validity_ok;
     all_live_decided;
     first_decision = (match times with [] -> None | l -> Some (List.fold_left min max_int l));
     last_decision = (match times with [] -> None | l -> Some (List.fold_left max min_int l));
-    heartbeats_sent = !heartbeats_sent;
+    heartbeats_sent = !(nodes.heartbeats_sent);
     suspicions = st.Oracle.suspicions;
     false_suspicions = st.Oracle.false_suspicions;
     unsuspicions = st.Oracle.unsuspicions;
@@ -328,24 +331,3 @@ let run ?(settle = false) ?(n = 4) ?(seed = 1L) ?(params = Timeout.default)
     virtual_time = Engine.now engine;
     engine;
   }
-
-(* Fault-free wrapper with the {!Rsm.Backend.S} contract: decide one
-   binary value over [inputs] and charge the virtual time it took.
-   Tight detector parameters keep the nested instance cheap — with
-   nobody suspected, node 0 is leader immediately and decides in two
-   round trips. *)
-let decide ~seed ~inputs =
-  let n = Array.length inputs in
-  if n = 0 then invalid_arg "Detect.Runner.decide: empty inputs";
-  if n = 1 then (inputs.(0), 0)
-  else
-    let r =
-      run ~settle:true ~n ~seed ~inputs ~quiet:true
-        ~params:{ Timeout.default with period = 40; initial = 120 }
-        ~horizon:4000 ()
-    in
-    match Array.to_list r.decisions |> List.filter_map Fun.id with
-    | v :: _ -> (v, Option.value r.last_decision ~default:r.virtual_time)
-    | [] ->
-        (* unreachable fault-free; fail loudly rather than invent a value *)
-        failwith "Detect.Runner.decide: nested instance did not decide"

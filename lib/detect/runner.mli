@@ -7,7 +7,14 @@
     mutants.  Liveness is conditional: whenever the detector
     eventually stabilises on a live leader that can reach a majority,
     the run decides.  That split is the indulgence argument of
-    DESIGN §14. *)
+    DESIGN §14.
+
+    The protocol's nodes are {!start}: on a network the caller owns,
+    each node's delivery handler (acceptor and learner) and
+    coordinator fiber (proposer), plus the detector they share.
+    {!run} is the whole-system run with a supervisor, a horizon and a
+    report; [Rsm.Backend.omega] places the same nodes on a nested
+    network of its own. *)
 
 type msg =
   | Hb of bool option  (** heartbeat carrying the sender's decision *)
@@ -16,19 +23,6 @@ type msg =
   | Accept of int * bool
   | Accepted of int
   | Nack of int
-
-(** Fault-injection surface handed to [install] — the hooks
-    [Nemesis.Interp.install_detect] drives.  Crash/restart are
-    network-level (a crashed node stops sending and receiving);
-    acceptor state is modelled durable, as Paxos requires. *)
-type faults = {
-  engine : Dsim.Engine.t;
-  crash : int -> unit;
-  restart : int -> unit;
-  partition : int list list -> unit;
-  heal : unit -> unit;
-  set_policy : (msg Netsim.Async_net.envelope -> Netsim.Async_net.policy_verdict) -> unit;
-}
 
 type report = {
   n : int;
@@ -52,8 +46,35 @@ type report = {
   engine : Dsim.Engine.t;
 }
 
+type nodes = {
+  oracle : Oracle.t;
+  decisions : bool option array;  (** per node; set once, never reset *)
+  decided_at : int option array;  (** virtual time of each decision *)
+  heartbeats_sent : int ref;  (** heartbeat messages sent so far *)
+  stop : unit -> unit;
+      (** end every coordinator's loop and stop the detector, so the
+          engine can go quiescent *)
+}
+(** The nodes {!start} placed on a network, and what their run
+    reports. *)
+
+val start :
+  net:msg Netsim.Async_net.t ->
+  params:Timeout.params ->
+  mutant:Oracle.mutant ->
+  inputs:bool array ->
+  on_decide:(int -> bool -> unit) ->
+  nodes
+(** Place one node per network id on [net]: install each node's
+    delivery handler, create the detector, spawn the coordinators
+    [coord0 .. coord{n-1}] and start the detector, in that order, on
+    the network's engine.  [inputs] has one value per node.
+    [on_decide me v] runs once per node, inside the step where [me]
+    decides [v], after [decisions] and [decided_at] record it; it may
+    settle the engine ({!Dsim.Engine.settle}).  Call before running
+    the engine. *)
+
 val run :
-  ?settle:bool ->
   ?n:int ->
   ?seed:int64 ->
   ?params:Timeout.params ->
@@ -62,21 +83,15 @@ val run :
   ?horizon:int ->
   ?max_events:int ->
   ?quiet:bool ->
-  ?install:(faults -> unit) ->
+  ?policy:(msg Netsim.Async_net.envelope -> Netsim.Async_net.policy_verdict) ->
+  ?install:(msg Netsim.Async_net.t -> unit) ->
   unit ->
   report
-(** One simulated instance.  Defaults: [n = 4], disagreeing inputs,
-    honest detector, [horizon = 5000].  [install] runs after setup and
-    before the engine, so a nemesis plan can be scheduled against the
-    run.  Deterministic in all arguments.
-
-    [settle] (default [false]) ends the run once every node has
-    decided, with {!Dsim.Engine.settle}.  The decisions and their times
-    are then those of the full run; [outcome], [virtual_time] and the
-    message, heartbeat and detector counts stop there.  Only for
-    {!decide}, which reads the decision and the last decision time. *)
-
-val decide : seed:int64 -> inputs:bool array -> bool * int
-(** The {!Rsm.Backend.S} contract: a fresh fault-free nested instance
-    deciding one binary value, returning (decision, virtual time
-    taken).  [inputs] must be non-empty. *)
+(** One simulated instance: {!start} on a fresh engine and network,
+    plus a supervisor that calls [stop] once every node has decided.
+    Defaults: [n = 4], disagreeing inputs, honest detector,
+    [horizon = 5000].  The run's faults are its network's: [policy] is
+    the network's per-message verdict, and [install] gets the network
+    after setup and before the engine runs, so a nemesis plan can
+    crash, restart and partition its nodes.  Deterministic in all
+    arguments. *)

@@ -65,8 +65,7 @@ let run_plan ?(quiet = true) cfg ~params ~seed plan =
     ~params ~mutant:cfg.mutant
     ~horizon:(cfg.profile.Gen.horizon + horizon_slack)
     ~max_events:cfg.max_events ~quiet
-    ~install:(fun f -> Interp.install_detect plan f)
-    ()
+    ~policy:(Interp.policy plan) ~install:(Interp.install_detect plan) ()
 
 let outcome_of_run cfg ~params_ix ~seed plan (r : Detect.Runner.report) =
   let stable = eventually_stable ~n:cfg.n plan in

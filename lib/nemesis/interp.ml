@@ -118,20 +118,9 @@ let install_rsm plan (f : _ Rsm.Runner.faults) =
   f.Rsm.Runner.set_store_policy (store_policy plan);
   schedule ~engine:f.Rsm.Runner.engine (handle_of_faults f) plan
 
-(* The detector runs have no disks, so a plan's storage windows are
-   inert; everything else — including the detector's own heartbeat
-   traffic — goes through the same policy and topology machinery. *)
-let handle_of_detect_faults (f : Detect.Runner.faults) =
-  {
-    crash = f.Detect.Runner.crash;
-    restart = f.Detect.Runner.restart;
-    partition = f.Detect.Runner.partition;
-    heal = f.Detect.Runner.heal;
-  }
-
-let install_detect plan (f : Detect.Runner.faults) =
-  f.Detect.Runner.set_policy (policy plan);
-  schedule ~engine:f.Detect.Runner.engine (handle_of_detect_faults f) plan
+(* Detector runs own no disks, so a plan's storage windows are inert. *)
+let install_detect plan net =
+  schedule ~engine:(Netsim.Async_net.engine net) (handle_of_net net) plan
 
 (* One sharded run has N independent fault surfaces — a plan per shard,
    each driven through the same machinery as a single-group run.

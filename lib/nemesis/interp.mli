@@ -50,13 +50,13 @@ val install_rsm : Plan.t -> 'op Rsm.Runner.faults -> unit
     crash/restart).  Storage windows only bite when the run has a
     [store] configured. *)
 
-val handle_of_detect_faults : Detect.Runner.faults -> handle
-
-val install_detect : Plan.t -> Detect.Runner.faults -> unit
-(** The [install] hook of {!Detect.Runner.run} for a plan: partitions,
-    crashes and message windows now perturb the failure detector's
-    heartbeat traffic and the indulgent backend's protocol messages
-    alike (storage windows are inert — detector runs own no disks). *)
+val install_detect : Plan.t -> 'msg Netsim.Async_net.t -> unit
+(** The [install] hook of {!Detect.Runner.run} for a plan: {!schedule}
+    over {!handle_of_net}.  The run takes {!policy} as its [policy], so
+    partitions, crashes and message windows perturb the failure
+    detector's heartbeat traffic and the indulgent backend's protocol
+    messages alike (storage windows are inert — detector runs own no
+    disks). *)
 
 val handle_of_shard_faults : Shard.Runner.faults -> shard:int -> handle
 (** One shard's slice of a sharded run's fault controller: partitions

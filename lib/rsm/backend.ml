@@ -1,12 +1,15 @@
-(* One-shot binary consensus as a service: each backend wraps one of the
-   repository's algorithms in a fresh nested sub-simulation.  The nested
-   run is fault-free — RSM-level crashes are expressed by shrinking the
-   input array, not by crashing nested processors — and reports how much
-   virtual time it consumed, which the log charges to the slot.  Once
-   every node has returned (Omega: decided) the result is fixed, so the
-   Raft, Ben-Or and Omega runs settle their engine there instead of
-   simulating the deliveries still in flight; decision and duration
-   are the full run's (DESIGN §19). *)
+(* One-shot binary consensus as a service: each backend is its protocol's
+   node code, placed on a network in a fresh nested sub-simulation.  The
+   nested run is fault-free — RSM-level crashes are expressed by
+   shrinking the input array, not by crashing nested processors — and
+   reports how much virtual time it consumed, which the log charges to
+   the slot.  Once every node has reported its decision the result is
+   fixed, so the run settles its engine there instead of simulating the
+   deliveries still in flight; decision and charge are the full run's
+   (DESIGN §19). *)
+
+module Engine = Dsim.Engine
+module Async_net = Netsim.Async_net
 
 module type S = sig
   val name : string
@@ -15,109 +18,104 @@ end
 
 type t = (module S)
 
-let majority inputs =
-  let ones = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inputs in
-  2 * ones > Array.length inputs
+(* The one nested run.  [start] builds the protocol's network and nodes
+   on a fresh quiet engine; every node calls [report] once, with its
+   decision, and [start] returns what the run charges, read once the
+   engine stops.  The n-th report settles the engine. *)
+let nested name start : t =
+  (module struct
+    let name = name
 
-module Ben_or_backend = struct
-  let name = "ben-or"
+    let decide ~seed ~inputs =
+      match Array.length inputs with
+      | 0 -> invalid_arg "Rsm.Backend.decide: empty inputs"
+      | 1 -> (inputs.(0), 0)
+      | n -> (
+          let eng = Engine.create ~seed ~tracing:false () in
+          let first = ref None and reports = ref 0 and split = ref false in
+          let report v =
+            (match !first with
+            | None -> first := Some v
+            | Some w -> if not (Bool.equal v w) then split := true);
+            incr reports;
+            if !reports = n then Engine.settle eng
+          in
+          let charge = start eng ~inputs ~report in
+          ignore (Engine.run eng : Engine.outcome);
+          let fail what = failwith (Printf.sprintf "Rsm.Backend.%s: %s" name what) in
+          if !split then fail "nested nodes decided differently";
+          match !first with
+          | Some v -> (v, charge ())
+          | None -> fail "nested instance did not decide")
+  end)
 
-  let decide ~seed ~inputs =
-    let n = Array.length inputs in
-    if n = 1 then (inputs.(0), 0)
-    else
-      let cfg = { (Ben_or.Runner.default_config ~n ~inputs) with seed } in
-      let r = Ben_or.Runner.run ~settle:true cfg in
-      let v =
-        match r.Ben_or.Runner.decisions with
-        | (_, v, _) :: _ -> v
-        | [] ->
-            (* 500-round cap hit without a decision — astronomically
-               unlikely at these sizes; any deterministic rule is safe
-               because the slot decision is computed once and shared. *)
-            majority inputs
+(* One fiber per node, each reporting what [node] returns. *)
+let spawn_nodes eng ~inputs ~report node =
+  for me = 0 to Array.length inputs - 1 do
+    ignore (Engine.spawn eng (fun ctx -> report (node ~me ctx)) : Engine.pid)
+  done
+
+let ben_or =
+  nested "ben-or" (fun eng ~inputs ~report ->
+      let n = Array.length inputs in
+      let net = Async_net.create eng ~n ~retain_inbox:false () in
+      spawn_nodes eng ~inputs ~report (fun ~me ctx ->
+          let faults = (n - 1) / 2 in
+          let pctx = Ben_or.Protocol.make_ctx ~net ~me ~faults ~rng:ctx.Engine.rng () in
+          fst
+            (Ben_or.Protocol.Consensus_decomposed.consensus ~max_rounds:500 pctx
+               inputs.(me)));
+      fun () -> Engine.now eng)
+
+(* The synchronous protocol has no virtual clock of its own; charge a
+   full latency bound (10, the default Uniform upper bound elsewhere)
+   per lock-step round. *)
+let phase_king =
+  nested "phase-king" (fun eng ~inputs ~report ->
+      let n = Array.length inputs in
+      let net =
+        Netsim.Sync_net.create eng ~n ~byzantine:[] ~strategy:Netsim.Byzantine.silent
       in
-      (v, r.Ben_or.Runner.virtual_time)
-end
+      spawn_nodes eng ~inputs ~report (fun ~me _ ->
+          let ctx = Phase_king.Protocol.make_ctx ~net ~me ~faults:((n - 1) / 3) in
+          let r =
+            Phase_king.Protocol.Consensus_decomposed.run ctx (Bool.to_int inputs.(me))
+          in
+          r.Consensus.Template.final_preference = 1);
+      fun () -> Netsim.Sync_net.current_round net * 10)
 
-module Phase_king_backend = struct
-  let name = "phase-king"
+let raft =
+  nested "raft" (fun eng ~inputs ~report ->
+      let n = Array.length inputs in
+      let net = Async_net.create eng ~n ~retain_inbox:false () in
+      spawn_nodes eng ~inputs ~report (fun ~me _ ->
+          let input = Bool.to_int inputs.(me) in
+          let ctx = Raft.Decentralized.make_ctx ~net ~me ~faults:((n - 1) / 2) ~input in
+          let v, _round =
+            Raft.Decentralized.Consensus_decentralized.consensus ~max_rounds:500 ctx input
+          in
+          v = 1);
+      fun () -> Engine.now eng)
 
-  (* The synchronous protocol has no virtual clock of its own; charge a
-     full latency bound (10, the default Uniform upper bound elsewhere)
-     per lock-step round. *)
-  let round_duration = 10
-
-  let decide ~seed ~inputs =
-    let n = Array.length inputs in
-    if n = 1 then (inputs.(0), 0)
-    else
-      let int_inputs = Array.map (fun b -> if b then 1 else 0) inputs in
-      let cfg =
-        {
-          (Phase_king.Runner.default_config ~n ~inputs:int_inputs) with
-          seed;
-          byzantine = [];
-          strategy = Netsim.Byzantine.silent;
-        }
+(* Single-decree Paxos with an Ω-elected coordinator (lib/detect).  With
+   an honest detector and no faults, node 0 leads from the first poll
+   and decides in two round trips; tight detector parameters keep the
+   rest of the run short.  It charges the last decision's time: the
+   detector's heartbeats would run on past it. *)
+let omega =
+  nested "omega" (fun eng ~inputs ~report ->
+      let net = Async_net.create eng ~n:(Array.length inputs) ~retain_inbox:false () in
+      let last = ref 0 in
+      let (_ : Detect.Runner.nodes) =
+        Detect.Runner.start ~net
+          ~params:{ Detect.Timeout.default with period = 40; initial = 120 }
+          ~mutant:Detect.Oracle.Honest ~inputs
+          ~on_decide:(fun _ v ->
+            last := Engine.now eng;
+            report v)
       in
-      let r = Phase_king.Runner.run cfg in
-      let v =
-        match r.Phase_king.Runner.final_decisions with
-        | (_, v) :: _ -> v = 1
-        | [] -> majority inputs
-      in
-      (v, r.Phase_king.Runner.sync_rounds * round_duration)
-end
+      fun () -> !last)
 
-module Raft_backend = struct
-  let name = "raft"
-
-  let decide ~seed ~inputs =
-    let n = Array.length inputs in
-    if n = 1 then (inputs.(0), 0)
-    else begin
-      let eng = Dsim.Engine.create ~seed ~trace_capacity:256 () in
-      let net = Netsim.Async_net.create eng ~n ~retain_inbox:false () in
-      let faults = (n - 1) / 2 in
-      let decision = ref None in
-      let returned = ref 0 in
-      for i = 0 to n - 1 do
-        ignore
-          (Dsim.Engine.spawn eng (fun _ectx ->
-               let input = if inputs.(i) then 1 else 0 in
-               let ctx = Raft.Decentralized.make_ctx ~net ~me:i ~faults ~input in
-               let v, _round =
-                 Raft.Decentralized.Consensus_decentralized.consensus
-                   ~max_rounds:500 ctx input
-               in
-               if !decision = None then decision := Some v;
-               (* the rest is in-flight deliveries nobody reads *)
-               incr returned;
-               if !returned = n then Dsim.Engine.settle eng)
-            : Dsim.Engine.pid)
-      done;
-      ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
-      let v = match !decision with Some v -> v = 1 | None -> majority inputs in
-      (v, Dsim.Engine.now eng)
-    end
-end
-
-module Omega_backend = struct
-  let name = "omega"
-
-  (* Indulgent Paxos driven by the Ω failure detector (lib/detect):
-     the nested instance runs fault-free with an honest detector, so
-     node 0 is leader from the first poll and decides in two round
-     trips.  Positioned as the paper's fourth decomposition — the
-     reconciliator as a failure detector (DESIGN §14). *)
-  let decide ~seed ~inputs = Detect.Runner.decide ~seed ~inputs
-end
-
-let ben_or : t = (module Ben_or_backend)
-let phase_king : t = (module Phase_king_backend)
-let raft : t = (module Raft_backend)
-let omega : t = (module Omega_backend)
 let all = [ ben_or; phase_king; raft; omega ]
 let name (module B : S) = B.name
 let of_string s = List.find_opt (fun (module B : S) -> B.name = s) all

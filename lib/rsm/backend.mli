@@ -2,10 +2,15 @@
 
     The replicated-state-machine layer consumes consensus as a black box:
     [CS[sn].propose] in the total-order-broadcast reduction.  A backend
-    packages one of the repository's consensus algorithms as exactly that
-    box — a function that runs a fresh, deterministic, {e nested}
-    sub-simulation deciding a single binary value among [Array.length
-    inputs] processors and returns the common decision.
+    packages one of the repository's consensus protocols as exactly that
+    box.  Each backend is the protocol's node code (Ben-Or's and
+    Phase-King's decomposed templates, the decentralized Raft template,
+    {!Detect.Runner.start}'s Paxos nodes) placed on a network in a
+    fresh, deterministic, {e nested} sub-simulation: one node per entry
+    of [inputs], all run by one private function that settles the
+    engine once every node has decided and returns the common
+    decision.  It fails with [Failure] if two nodes report different
+    decisions, or if none decides.
 
     Faults are modelled at the RSM layer (a crashed replica stops
     proposing and drops out of the participant set), so the nested
@@ -23,29 +28,35 @@ module type S = sig
       virtual time the instance took.  The RSM log charges that duration
       to the slot in the {e outer} simulation, so consensus latency is
       what batching amortizes.  Deterministic in [(seed, inputs)].
-      [inputs] must be non-empty.
+      One input decides itself at no charge.
+      @raise Invalid_argument ["Rsm.Backend.decide: empty inputs"] on
+      an empty array.
 
-      The duration is the one the full nested run reaches; the Raft,
-      Ben-Or and Omega backends stop simulating once their result is
-      fixed ({!Dsim.Engine.settle}) and return the same pair. *)
+      The duration is the one the full nested run reaches: the nested
+      run stops simulating once every node has decided
+      ({!Dsim.Engine.settle}) and returns the same pair. *)
 end
 
 type t = (module S)
 
 val ben_or : t
-(** Ben-Or's randomized consensus, decomposed (VAC + reconciliator). *)
+(** Ben-Or's randomized consensus, decomposed (VAC + reconciliator),
+    over an asynchronous network.  Charges the nested clock. *)
 
 val phase_king : t
-(** Phase-King, decomposed (AC + king conciliator), no Byzantine ids. *)
+(** Phase-King, decomposed (AC + king conciliator), over a synchronous
+    network with no Byzantine ids.  Charges 10 per lock-step round. *)
 
 val raft : t
 (** The decentralized Raft variant of paper Section 4.3 (VAC + the
-    timing reconciliator) — the paper's own template decomposition. *)
+    timing reconciliator) — the paper's own template decomposition.
+    Charges the nested clock. *)
 
 val omega : t
-(** Indulgent Paxos with the coordinator elected by the Ω failure
-    detector ([lib/detect]) — the fourth decomposition: the
-    reconciliator as a failure detector. *)
+(** Single-decree Paxos with an Ω-elected coordinator
+    ({!Detect.Runner.start}).  It is indulgent — the detector only
+    picks who runs rounds — but it is not a {!Consensus.Template}
+    decomposition.  Charges the last decision's time. *)
 
 val all : t list
 val name : t -> string

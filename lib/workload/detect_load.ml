@@ -34,9 +34,9 @@ type summary = {
   ok : bool;  (* all decided, agreement + validity everywhere *)
 }
 
-let crash_at ~victim ~at (f : Runner.faults) =
-  Dsim.Engine.schedule f.Runner.engine ~delay:at (fun () ->
-      f.Runner.crash victim)
+let crash_at ~victim ~at net =
+  Dsim.Engine.schedule (Netsim.Async_net.engine net) ~delay:at (fun () ->
+      Netsim.Async_net.crash net victim)
 
 let mean = function
   | [] -> None

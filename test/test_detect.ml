@@ -95,7 +95,8 @@ let crash_triggers_suspicion () =
   let plan = [ { Plan.at = 5; action = Plan.Crash 3 } ] in
   let r =
     Runner.run ~n:4 ~seed:7L ~quiet:true
-      ~install:(fun f -> Nemesis.Interp.install_detect plan f)
+      ~policy:(Nemesis.Interp.policy plan)
+      ~install:(Nemesis.Interp.install_detect plan)
       ()
   in
   check Alcotest.bool "suspicions recorded" true (r.Runner.suspicions > 0);
@@ -126,15 +127,6 @@ let false_suspect_is_routed_around () =
   in
   check Alcotest.bool "still decides" true r.Runner.all_live_decided;
   check Alcotest.bool "agreement" true r.Runner.agreement_ok
-
-let decide_meets_backend_contract () =
-  let inputs = [| true; false; true |] in
-  let v, vt = Runner.decide ~seed:5L ~inputs in
-  check Alcotest.bool "decision is someone's input" true
-    (Array.exists (Bool.equal v) inputs);
-  check Alcotest.bool "positive virtual time charged" true (vt > 0);
-  let v1, vt1 = Runner.decide ~seed:5L ~inputs:[| false |] in
-  check Alcotest.bool "n=1 short-circuits" true (v1 = false && vt1 = 0)
 
 (* --- campaigns ----------------------------------------------------------- *)
 
@@ -308,8 +300,6 @@ let suite =
       rotating_starves_liveness_not_safety;
     Alcotest.test_case "false-suspect mutant is routed around" `Quick
       false_suspect_is_routed_around;
-    Alcotest.test_case "decide meets the Backend.S contract" `Quick
-      decide_meets_backend_contract;
     Alcotest.test_case "honest campaign: no livelocks, no violations" `Slow
       honest_campaign_has_no_livelocks;
     Alcotest.test_case "rotating campaign flags liveness loss" `Quick

@@ -1,10 +1,12 @@
-(* Settled nested runs charge exactly what full runs charge.
+(* Nested backend runs: the Backend.S contract, and settled runs charge
+   exactly what full runs charge.
 
-   The Raft, Ben-Or and Omega backends settle their nested engine
-   ([Dsim.Engine.settle]) once the result is fixed.  These tests keep
-   the full, unsettled run as the reference and demand the same
-   (decision, duration) from every backend over every input pattern of
-   2 to 5 processors and 100 seeds each. *)
+   Every backend settles its nested engine ([Dsim.Engine.settle]) once
+   all of its nodes have reported a decision.  These tests keep a full,
+   unsettled run as the reference and demand the same (decision,
+   duration) from every backend over every input pattern of 2 to 5
+   processors and 100 seeds each, and a decision that is some node's
+   input. *)
 
 module Backend = Rsm.Backend
 
@@ -13,32 +15,22 @@ let patterns n =
 
 let seeds = List.init 100 (fun s -> Int64.of_int (s + 1))
 
-let majority inputs =
-  let ones = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inputs in
-  2 * ones > Array.length inputs
-
 let show_inputs inputs =
   String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") inputs))
 
-(* The Raft backend's loop before settling: the nested engine runs until
-   it is out of events.  Also says whether deliveries were still in
-   flight when the last node returned, i.e. whether settling there drops
-   anything. *)
-let raft_full ~seed ~inputs =
+(* One node per input on a fresh engine and network, run until it is out
+   of events.  Returns the first decision with the final clock, and
+   whether deliveries were still in flight when the last node returned,
+   i.e. whether settling there drops anything. *)
+let unsettled ~seed ~inputs node =
   let n = Array.length inputs in
-  let eng = Dsim.Engine.create ~seed ~trace_capacity:256 () in
+  let eng = Dsim.Engine.create ~seed ~tracing:false () in
   let net = Netsim.Async_net.create eng ~n ~retain_inbox:false () in
-  let faults = (n - 1) / 2 in
   let decision = ref None and returned = ref 0 and at_last_return = ref 0 in
-  for i = 0 to n - 1 do
+  for me = 0 to n - 1 do
     ignore
-      (Dsim.Engine.spawn eng (fun _ectx ->
-           let input = if inputs.(i) then 1 else 0 in
-           let ctx = Raft.Decentralized.make_ctx ~net ~me:i ~faults ~input in
-           let v, _round =
-             Raft.Decentralized.Consensus_decentralized.consensus ~max_rounds:500 ctx
-               input
-           in
+      (Dsim.Engine.spawn eng (fun ctx ->
+           let v = node ~net ~me ctx in
            if !decision = None then decision := Some v;
            incr returned;
            if !returned = n then
@@ -46,22 +38,61 @@ let raft_full ~seed ~inputs =
         : Dsim.Engine.pid)
   done;
   ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
-  let v = match !decision with Some v -> v = 1 | None -> majority inputs in
-  ((v, Dsim.Engine.now eng), Netsim.Async_net.messages_delivered net > !at_last_return)
+  match !decision with
+  | Some v ->
+      ( (v, Dsim.Engine.now eng),
+        Netsim.Async_net.messages_delivered net > !at_last_return )
+  | None -> Alcotest.failf "seed %Ld: the full run did not decide" seed
 
-let ben_or_config ~seed ~inputs =
-  { (Ben_or.Runner.default_config ~n:(Array.length inputs) ~inputs) with seed }
+(* The Raft backend's loop before settling. *)
+let raft_full ~seed ~inputs =
+  let faults = (Array.length inputs - 1) / 2 in
+  unsettled ~seed ~inputs (fun ~net ~me _ ->
+      let input = Bool.to_int inputs.(me) in
+      let ctx = Raft.Decentralized.make_ctx ~net ~me ~faults ~input in
+      let v, _round =
+        Raft.Decentralized.Consensus_decentralized.consensus ~max_rounds:500 ctx input
+      in
+      v = 1)
 
+(* The decision and clock of [Ben_or.Runner.run], which never settles.
+   The runner cannot say what was in flight at the last return, so the
+   same nodes run once more, unsettled, to count it. *)
 let ben_or_full ~seed ~inputs =
-  let full = Ben_or.Runner.run (ben_or_config ~seed ~inputs) in
-  let settled = Ben_or.Runner.run ~settle:true (ben_or_config ~seed ~inputs) in
-  let v = match full.decisions with (_, v, _) :: _ -> v | [] -> majority inputs in
-  ( (v, full.virtual_time),
-    settled.messages_delivered < full.messages_delivered )
+  let n = Array.length inputs in
+  let full = Ben_or.Runner.run { (Ben_or.Runner.default_config ~n ~inputs) with seed } in
+  let _, drops =
+    unsettled ~seed ~inputs (fun ~net ~me ctx ->
+        let faults = (n - 1) / 2 in
+        let pctx = Ben_or.Protocol.make_ctx ~net ~me ~faults ~rng:ctx.Dsim.Engine.rng () in
+        fst
+          (Ben_or.Protocol.Consensus_decomposed.consensus ~max_rounds:500 pctx
+             inputs.(me)))
+  in
+  match full.decisions with
+  | (_, v, _) :: _ -> ((v, full.virtual_time), drops)
+  | [] -> Alcotest.failf "ben-or seed %Ld: the full run did not decide" seed
+
+(* The first final decision and the lock-step rounds × 10 of
+   [Phase_king.Runner.run], which never settles; it drops nothing. *)
+let phase_king_full ~seed ~inputs =
+  let n = Array.length inputs in
+  let cfg =
+    {
+      (Phase_king.Runner.default_config ~n ~inputs:(Array.map Bool.to_int inputs)) with
+      seed;
+      byzantine = [];
+      strategy = Netsim.Byzantine.silent;
+    }
+  in
+  let r = Phase_king.Runner.run cfg in
+  match r.final_decisions with
+  | (_, v) :: _ -> ((v = 1, r.sync_rounds * 10), false)
+  | [] -> Alcotest.failf "phase-king seed %Ld: the full run did not decide" seed
 
 let omega_params = { Detect.Timeout.default with period = 40; initial = 120 }
 
-(* [decide] charges the last decision's time; the full run going on past
+(* Omega charges the last decision's time; the full run going on past
    it is what settling drops. *)
 let omega_full ~seed ~inputs =
   let full =
@@ -72,7 +103,11 @@ let omega_full ~seed ~inputs =
   | v :: _, Some last -> ((v, last), full.virtual_time > last)
   | _ -> Alcotest.failf "omega seed %Ld: the full run did not decide" seed
 
-let settled_equals_full backend full () =
+(* [drops]: also demand that most runs had events left to drop, so the
+   identity is not vacuous.  Phase-King's lock-step rounds schedule no
+   events, so nothing is left at its last return and its case asserts
+   the identity only. *)
+let settled_equals_full ?(drops = true) backend full () =
   let (module B : Backend.S) = backend in
   let dropped = ref 0 and runs = ref 0 in
   for n = 2 to 5 do
@@ -80,43 +115,67 @@ let settled_equals_full backend full () =
       (fun inputs ->
         List.iter
           (fun seed ->
-            let want, drops = full ~seed ~inputs in
+            let want, dropping = full ~seed ~inputs in
             let got = B.decide ~seed ~inputs in
             incr runs;
-            if drops then incr dropped;
+            if dropping then incr dropped;
             if got <> want then
               Alcotest.failf "%s n=%d inputs=%s seed=%Ld: settled (%b, %d), full (%b, %d)"
                 B.name n (show_inputs inputs) seed (fst got) (snd got) (fst want)
-                (snd want))
+                (snd want);
+            if not (Array.exists (Bool.equal (fst got)) inputs) then
+              Alcotest.failf "%s n=%d inputs=%s seed=%Ld: decided %b, no node's input"
+                B.name n (show_inputs inputs) seed (fst got))
           seeds)
       (patterns n)
   done;
   Alcotest.(check int) "every pattern and seed" (100 * (4 + 8 + 16 + 32)) !runs;
-  (* the identity is not vacuous: most runs had events left to drop *)
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: settling dropped events in most runs (%d of %d)" B.name
-       !dropped !runs)
-    true
-    (2 * !dropped > !runs)
+  if drops then
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: settling dropped events in most runs (%d of %d)" B.name
+         !dropped !runs)
+      true
+      (2 * !dropped > !runs)
 
-let ben_or_rejects_oracle () =
-  let cfg =
-    {
-      (ben_or_config ~seed:1L ~inputs:[| true; false; true |]) with
-      oracle = Some { Dsim.Engine.choose = (fun _ -> 0) };
-    }
-  in
-  Alcotest.check_raises "settle under an oracle"
-    (Invalid_argument "Ben_or.Runner.run: settle under an oracle") (fun () ->
-      ignore (Ben_or.Runner.run ~settle:true cfg : Ben_or.Runner.report))
+(* Empty inputs fail one way, one input decides itself for free, and a
+   run is a function of (seed, inputs) that charges time. *)
+let backend_contract () =
+  List.iter
+    (fun (module B : Backend.S) ->
+      Alcotest.check_raises (B.name ^ ": empty inputs")
+        (Invalid_argument "Rsm.Backend.decide: empty inputs") (fun () ->
+          ignore (B.decide ~seed:1L ~inputs:[||] : bool * int));
+      List.iter
+        (fun v ->
+          Alcotest.(check (pair bool int))
+            (Printf.sprintf "%s: n=1 decides %b at no charge" B.name v)
+            (v, 0)
+            (B.decide ~seed:5L ~inputs:[| v |]))
+        [ false; true ];
+      for n = 2 to 5 do
+        let inputs = Array.init n (fun i -> i mod 2 = 0) in
+        let got = B.decide ~seed:5L ~inputs in
+        Alcotest.(check (pair bool int))
+          (Printf.sprintf "%s n=%d: deterministic" B.name n)
+          got
+          (B.decide ~seed:5L ~inputs);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s n=%d: positive charge" B.name n)
+          true
+          (snd got > 0)
+      done)
+    Backend.all
 
 let suite =
   [
+    Alcotest.test_case "every backend meets the Backend.S contract" `Quick
+      backend_contract;
     Alcotest.test_case "raft: settled = full run" `Quick
       (settled_equals_full Backend.raft raft_full);
     Alcotest.test_case "ben-or: settled = full run" `Quick
       (settled_equals_full Backend.ben_or ben_or_full);
+    Alcotest.test_case "phase-king: settled = full run" `Quick
+      (settled_equals_full ~drops:false Backend.phase_king phase_king_full);
     Alcotest.test_case "omega: settled = full run" `Quick
       (settled_equals_full Backend.omega omega_full);
-    Alcotest.test_case "ben-or settle rejects an oracle" `Quick ben_or_rejects_oracle;
   ]
