@@ -416,6 +416,34 @@ let kv_semicolons_survive_recovery () =
   check Alcotest.int "all acked" 4 r.acked;
   no_violations r
 
+(* State transfer: with a snapshot after every non-empty slot, the live
+   replicas compact away the slots replica 0 missed while it was down,
+   so at its restart it is behind the advertised snapshot floor and must
+   adopt a peer's snapshot instead of replaying slots.  The run of
+   [oocon store --crashes 1 --restart-after 300 --snapshot-every 1
+   --commands 8]. *)
+let state_transfer backend () =
+  let r, _ =
+    Workload.Rsm_load.run_one ~n:5 ~clients:3 ~commands:8 ~batch:4 ~crashes:1
+      ~restart_after:300
+      ~store:{ Runner.default_store_config with Runner.snapshot_every = 1 }
+      ~backend ()
+  in
+  check Alcotest.bool "replica 0 installed a peer's snapshot" true
+    (List.exists
+       (fun (e : Dsim.Trace.event) ->
+         Astring_like.contains e.detail "replica 0 installed snapshot upto slot")
+       (Dsim.Trace.with_tag r.trace "rsm"));
+  check Alcotest.int "all submitted" 24 r.submitted;
+  check Alcotest.int "all acked" 24 r.acked;
+  no_violations r;
+  Array.iteri
+    (fun pid d ->
+      check Alcotest.int
+        (Printf.sprintf "replica 0 delivered as many as replica %d" pid)
+        d r.delivered.(0))
+    r.delivered
+
 (* --- suite -------------------------------------------------------------- *)
 
 let suite =
@@ -450,6 +478,12 @@ let suite =
           Alcotest.test_case
             (Printf.sprintf "durable crash recovery (%s)" (Rsm.Backend.name b))
             `Quick (durable_crash_recovery b))
+        Rsm.Backend.all;
+      List.map
+        (fun b ->
+          Alcotest.test_case
+            (Printf.sprintf "state transfer (%s)" (Rsm.Backend.name b))
+            `Quick (state_transfer b))
         Rsm.Backend.all;
       [
         Alcotest.test_case "full outage, honest store" `Quick full_outage_honest;
