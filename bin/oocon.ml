@@ -1012,30 +1012,31 @@ let shard_cmd =
   (* The default nemesis: a staggered minority partition inside every
      shard (plus, with --storage-faults, a torn-write and an io-error
      window per shard), all healed well before the run drains. *)
-  let default_inject ~shards ~replicas ~partitions ~storage
-      (f : Shard.Runner.faults) =
-    for s = 0 to shards - 1 do
-      let t0 = 100 + (40 * s) in
-      if partitions then begin
-        let victim = s mod replicas in
-        let rest =
-          List.filter (fun r -> r <> victim) (List.init replicas Fun.id)
-        in
-        Dsim.Engine.schedule f.Shard.Runner.engine ~delay:t0 (fun () ->
-            f.Shard.Runner.partition ~shard:s [ [ victim ]; rest ]);
-        Dsim.Engine.schedule f.Shard.Runner.engine ~delay:(t0 + 500) (fun () ->
-            f.Shard.Runner.heal ~shard:s)
-      end;
-      if storage then
-        f.Shard.Runner.set_store_policy ~shard:s
-          {
-            Store.Policy.none with
-            Store.Policy.torn =
-              [ Store.Policy.rule ~from_:(t0 + 100) ~until_:(t0 + 160) () ];
-            io_error =
-              [ Store.Policy.rule ~from_:(t0 + 300) ~until_:(t0 + 360) () ];
-          }
-    done
+  let default_inject ~replicas ~partitions ~storage groups =
+    Array.iteri
+      (fun s g ->
+        let t0 = 100 + (40 * s) in
+        if partitions then begin
+          let victim = s mod replicas in
+          let rest =
+            List.filter (fun r -> r <> victim) (List.init replicas Fun.id)
+          in
+          let engine = Rsm.Group.engine g in
+          Dsim.Engine.schedule engine ~delay:t0 (fun () ->
+              Rsm.Group.partition g [ [ victim ]; rest ]);
+          Dsim.Engine.schedule engine ~delay:(t0 + 500) (fun () ->
+              Rsm.Group.heal g)
+        end;
+        if storage then
+          Rsm.Group.set_store_policy g
+            {
+              Store.Policy.none with
+              Store.Policy.torn =
+                [ Store.Policy.rule ~from_:(t0 + 100) ~until_:(t0 + 160) () ];
+              io_error =
+                [ Store.Policy.rule ~from_:(t0 + 300) ~until_:(t0 + 360) () ];
+            })
+      groups
   in
   let run seed backend shards replicas clients ops keys tx_pct tx_span zipf
       batch open_loop no_nemesis storage broken_2pc expect_violation campaign
@@ -1087,8 +1088,7 @@ let shard_cmd =
         if no_nemesis && not storage then None
         else
           Some
-            (default_inject ~shards ~replicas ~partitions:(not no_nemesis)
-               ~storage)
+            (default_inject ~replicas ~partitions:(not no_nemesis) ~storage)
       in
       let r, s =
         Workload.Shard_load.run_one ~shards ~replicas ~batch ~seed ~load

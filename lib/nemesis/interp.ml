@@ -110,35 +110,21 @@ let handle_of_net net =
     heal = (fun () -> Netsim.Async_net.heal net);
   }
 
-let handle_of_faults (f : _ Rsm.Runner.faults) =
-  { crash = f.crash; restart = f.restart; partition = f.partition; heal = f.heal }
-
-let install_rsm plan (f : _ Rsm.Runner.faults) =
-  f.Rsm.Runner.set_policy (policy plan);
-  f.Rsm.Runner.set_store_policy (store_policy plan);
-  schedule ~engine:f.Rsm.Runner.engine (handle_of_faults f) plan
+let install_rsm plan g =
+  Rsm.Group.set_policy g (policy plan);
+  Rsm.Group.set_store_policy g (store_policy plan);
+  schedule ~engine:(Rsm.Group.engine g)
+    {
+      crash = Rsm.Group.crash g;
+      restart = Rsm.Group.restart g;
+      partition = Rsm.Group.partition g;
+      heal = (fun () -> Rsm.Group.heal g);
+    }
+    plan
 
 (* Detector runs own no disks, so a plan's storage windows are inert. *)
 let install_detect plan net =
   schedule ~engine:(Netsim.Async_net.engine net) (handle_of_net net) plan
 
-(* One sharded run has N independent fault surfaces — a plan per shard,
-   each driven through the same machinery as a single-group run.
-   Replica pids inside a plan are shard-local. *)
-let handle_of_shard_faults (f : Shard.Runner.faults) ~shard =
-  {
-    crash = (fun pid -> f.Shard.Runner.crash ~shard ~replica:pid);
-    restart = (fun pid -> f.Shard.Runner.restart ~shard ~replica:pid);
-    partition = (fun groups -> f.Shard.Runner.partition ~shard groups);
-    heal = (fun () -> f.Shard.Runner.heal ~shard);
-  }
-
-let install_shard plans (f : Shard.Runner.faults) =
-  Array.iteri
-    (fun shard plan ->
-      f.Shard.Runner.set_policy ~shard (policy plan);
-      f.Shard.Runner.set_store_policy ~shard (store_policy plan);
-      schedule ~engine:f.Shard.Runner.engine
-        (handle_of_shard_faults f ~shard)
-        plan)
-    plans
+let install_shard plans groups =
+  Array.iteri (fun s plan -> install_rsm plan groups.(s)) plans

@@ -40,15 +40,13 @@ val handle_of_net : 'msg Netsim.Async_net.t -> handle
 (** Drive a bare network: crash/restart/partition/heal map directly to
     the net's own primitives (no protocol processes are touched). *)
 
-val handle_of_faults : 'op Rsm.Runner.faults -> handle
-
-val install_rsm : Plan.t -> 'op Rsm.Runner.faults -> unit
+val install_rsm : Plan.t -> (_, _, _) Rsm.Group.t -> unit
 (** The {!Rsm.Runner.config.inject} hook for a plan: installs the
-    message policy and the storage fault policy, and schedules all
-    node/topology actions against the run's fault controller (which
-    kills/respawns TOB replica processes alongside the network-level
-    crash/restart).  Storage windows only bite when the run has a
-    [store] configured. *)
+    message policy and the storage fault policy on the group, and
+    schedules all node/topology actions on the group's engine against
+    its {!Rsm.Group.crash}, {!Rsm.Group.restart}, {!Rsm.Group.partition}
+    and {!Rsm.Group.heal}.  Storage windows only bite when the run has
+    a [store] configured. *)
 
 val install_detect : Plan.t -> 'msg Netsim.Async_net.t -> unit
 (** The [install] hook of {!Detect.Runner.run} for a plan: {!schedule}
@@ -58,14 +56,10 @@ val install_detect : Plan.t -> 'msg Netsim.Async_net.t -> unit
     messages alike (storage windows are inert — detector runs own no
     disks). *)
 
-val handle_of_shard_faults : Shard.Runner.faults -> shard:int -> handle
-(** One shard's slice of a sharded run's fault controller: partitions
-    and crashes are {e shard-local} (replica pids in the plan are
-    indices within that shard's group). *)
-
-val install_shard : Plan.t array -> Shard.Runner.faults -> unit
-(** The {!Shard.Runner.config.inject} hook for a plan {e per shard}
-    (index = shard id): each shard gets its own message policy, storage
-    policy and scheduled topology actions, so partitions and disk
-    faults hit shards independently — the cross-shard 2PC layer is what
-    has to cope. *)
+val install_shard : Plan.t array -> (_, _, _) Rsm.Group.t array -> unit
+(** The {!Shard.Runner.config.inject} hook for a plan {e per shard}:
+    {!install_rsm} of plan [s] on group [s].  Each shard gets its own
+    message policy, storage policy and scheduled topology actions, and
+    replica pids in a plan are indices within that shard's group, so
+    partitions and disk faults hit shards independently — the
+    cross-shard 2PC layer is what has to cope. *)

@@ -1,10 +1,10 @@
 (* Lift a sequential object onto the replicated consensus log: the
    universal construction over [Rsm].  The runner totally orders the
    object's operations and applies them at every replica; this module
-   supplies the [Rsm.Runner.app] record and turns the runner's recorded
-   history into a Wing–Gong verdict.
+   supplies the [Rsm.Group.machine] every replica runs and turns the
+   runner's recorded history into a Wing–Gong verdict.
 
-   The app state carries the object's state plus a count of applied
+   The replica state carries the object's state plus a count of applied
    {e state-changing} operations.  The count exists for the [drop_nth]
    mutant: a broken universal construction that computes the n-th
    mutating operation's response but discards its state change — i.e.
@@ -21,7 +21,7 @@ module Make (O : Spec.S) = struct
 
   type state = { inner : O.state; seen : int }
 
-  let app ?drop_nth () : (O.op, state) Rsm.Runner.app =
+  let app ?drop_nth () : (O.op, state, string) Rsm.Group.machine =
     let apply =
       match drop_nth with
       | None ->
@@ -43,10 +43,10 @@ module Make (O : Spec.S) = struct
               },
               O.resp_to_string resp )
     in
-    let state_to_string st =
+    let snapshot st =
       String.concat " " [ Store.Codec.int st.seen; O.state_to_string st.inner ]
     in
-    let state_of_string s =
+    let restore s =
       match String.index_opt s ' ' with
       | None -> invalid_arg ("Replicated: malformed snapshot: " ^ s)
       | Some i ->
@@ -58,13 +58,12 @@ module Make (O : Spec.S) = struct
           }
     in
     {
-      Rsm.Runner.name = O.name;
-      init = { inner = O.init; seen = 0 };
+      Rsm.Group.fresh = (fun () -> { inner = O.init; seen = 0 });
       apply;
+      snapshot;
+      restore;
       op_to_string = O.op_to_string;
       op_of_string = O.op_of_string;
-      state_to_string;
-      state_of_string;
       digest = (fun st -> O.digest st.inner);
     }
 

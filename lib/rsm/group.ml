@@ -17,19 +17,32 @@ type ('op, 'st, 'out) machine = {
   digest : 'st -> string;
 }
 
+(* One replica's half of the TO-broadcast reduction: the commands it
+   knows but has not ordered, the commands it has applied, its slot
+   counter, and its loop. *)
+type 'op replica = {
+  pending : (int, 'op Wal.entry) Hashtbl.t;  (* cid -> entry, not yet ordered *)
+  delivered : (int, unit) Hashtbl.t;
+  mutable next_slot : int;
+  wake : Dsim.Engine.queue;  (* signalled when [pending] or [stopped] changes *)
+  mutable process : Dsim.Engine.pid;
+}
+
 type ('op, 'st, 'out) t = {
   engine : Dsim.Engine.t;
   label : string;
   n : int;
+  batch : int;
   m : ('op, 'st, 'out) machine;
-  net : 'op Tob.entry Netsim.Async_net.t;
+  net : 'op Wal.entry Netsim.Async_net.t;
   policy_ref :
-    ('op Tob.entry Netsim.Async_net.envelope -> Netsim.Async_net.policy_verdict)
+    ('op Wal.entry Netsim.Async_net.envelope -> Netsim.Async_net.policy_verdict)
     ref;
-  log : 'op Tob.entry Log.t;
-  tob : 'op Tob.t;
+  log : 'op Wal.entry Log.t;
+  replicas : 'op replica array;
   states : 'st array;
   checker : Checker.t;
+  mutable stopped : bool;
   (* stable storage ([disks] is empty without a store) *)
   store_on : bool;
   scfg : store_config;
@@ -102,16 +115,6 @@ let mark_durable t cids =
       end)
     cids
 
-let deliver t ~pid ~slot (e : _ Tob.entry) =
-  let st, out = t.m.apply t.states.(pid) e.Tob.op in
-  t.states.(pid) <- st;
-  Checker.record_applied t.checker ~replica:pid ~slot ~cid:e.Tob.cid;
-  if not (Hashtbl.mem t.first_output e.Tob.cid) then begin
-    Hashtbl.replace t.first_output e.Tob.cid out;
-    t.on_first_apply e.Tob.op out;
-    if not (acks_wait_for_disk t) then t.on_ready ~cid:e.Tob.cid
-  end
-
 (* --- the WAL write path --- *)
 
 let retry_delay = 17
@@ -153,7 +156,7 @@ let rec log_slot t pid slot fresh epoch0 () =
       && append (Wal.encode_commit slot winner)
     then begin
       t.awaiting.(pid) <-
-        t.awaiting.(pid) @ List.map (fun (e : _ Tob.entry) -> e.Tob.cid) fresh;
+        t.awaiting.(pid) @ List.map (fun (e : _ Wal.entry) -> e.cid) fresh;
       if fresh <> [] then flush t pid epoch0 ()
     end
     else
@@ -171,9 +174,12 @@ let save_snapshot t pid ~upto ~state ~cids ~k =
       Store.Disk.compact disk ~upto_seq:watermark;
       k ())
 
+let delivered_cids r =
+  List.sort compare (Hashtbl.fold (fun cid () acc -> cid :: acc) r.delivered [])
+
 let take_snapshot t pid ~upto =
   let state = t.m.snapshot t.states.(pid) in
-  let cids = Tob.delivered_cids t.tob ~pid in
+  let cids = delivered_cids t.replicas.(pid) in
   let flying = t.awaiting.(pid) in
   t.awaiting.(pid) <- [];
   (* once durable, the snapshot covers the commands still in flight, and
@@ -186,7 +192,10 @@ let take_snapshot t pid ~upto =
   | Ok () -> ()
   | Error `Io_error -> t.awaiting.(pid) <- flying
 
-let on_slot_applied t ~pid ~slot ~fresh =
+(* A replica finished [slot] (possibly empty), freshly applying [fresh]:
+   write it to the WAL and, every [snapshot_every] non-empty slots, take
+   a snapshot. *)
+let persist t pid ~slot ~fresh =
   if t.store_on && not (is_crashed t pid) then begin
     log_slot t pid slot fresh (Store.Disk.epoch t.disks.(pid)) ();
     if fresh <> [] then begin
@@ -198,22 +207,125 @@ let on_slot_applied t ~pid ~slot ~fresh =
     end
   end
 
-let on_install t ~pid ~owner ~upto ~state ~cids =
-  t.states.(pid) <- t.m.restore state;
-  Checker.record_installed t.checker ~replica:pid ~from_replica:owner
-    ~upto_slot:upto;
+(* --- the replica loop --- *)
+
+let receive t pid (e : _ Wal.entry) =
+  let r = t.replicas.(pid) in
+  if not (Hashtbl.mem r.delivered e.cid) then begin
+    Hashtbl.replace r.pending e.cid e;
+    Dsim.Engine.signal r.wake
+  end
+
+let take_batch t r =
+  let ids = Hashtbl.fold (fun cid _ acc -> cid :: acc) r.pending [] in
+  let rec take k = function
+    | [] -> []
+    | _ when k = 0 -> []
+    | cid :: rest -> Hashtbl.find r.pending cid :: take (k - 1) rest
+  in
+  take t.batch (List.sort compare ids)
+
+let floor_ready t r =
+  match Log.floor t.log with
+  | Some f when f.Log.upto >= r.next_slot -> Some f
+  | _ -> None
+
+(* State transfer: the replica is behind the advertised snapshot floor
+   (the donor may have compacted the slots it would need to replay), so
+   it adopts the donor's state wholesale instead of going slot by slot,
+   and persists the received snapshot so that its own next recovery
+   starts from it. *)
+let install t pid (f : Log.floor) =
+  let r = t.replicas.(pid) in
+  Hashtbl.reset r.delivered;
+  List.iter
+    (fun cid ->
+      Hashtbl.replace r.delivered cid ();
+      Hashtbl.remove r.pending cid)
+    f.cids;
+  r.next_slot <- f.upto + 1;
+  t.states.(pid) <- t.m.restore f.state;
+  Checker.record_installed t.checker ~replica:pid ~from_replica:f.owner
+    ~upto_slot:f.upto;
   emit t (fun () ->
       Printf.sprintf "replica %d installed snapshot upto slot %d from %d" pid
-        upto owner);
-  (* persist the received snapshot so this replica's own next recovery
-     starts from it, and drop the WAL it supersedes *)
+        f.upto f.owner);
   if t.store_on then
-    match save_snapshot t pid ~upto ~state ~cids ~k:ignore with
+    match
+      save_snapshot t pid ~upto:f.upto ~state:f.state ~cids:f.cids ~k:ignore
+    with
     | Ok () | Error `Io_error -> ()
+
+let deliver t pid ~slot (e : _ Wal.entry) =
+  let st, out = t.m.apply t.states.(pid) e.op in
+  t.states.(pid) <- st;
+  Checker.record_applied t.checker ~replica:pid ~slot ~cid:e.cid;
+  if not (Hashtbl.mem t.first_output e.cid) then begin
+    Hashtbl.replace t.first_output e.cid out;
+    t.on_first_apply e.op out;
+    if not (acks_wait_for_disk t) then t.on_ready ~cid:e.cid
+  end
+
+(* With pending commands (or a slot some peer opened), propose a batch
+   for the next slot, wait for the log's decision, and apply the
+   winning batch minus what this replica already applied, so a command
+   that rides in several proposals is still applied exactly once. *)
+let replica_loop t pid _ctx =
+  let r = t.replicas.(pid) in
+  let rec loop () =
+    match floor_ready t r with
+    | Some f ->
+        install t pid f;
+        loop ()
+    | None -> (
+        let verdict =
+          Dsim.Engine.await_any [ r.wake; Log.changed t.log ] (fun () ->
+              if floor_ready t r <> None then Some `Go
+              else if
+                Hashtbl.length r.pending > 0 || Log.opened t.log ~slot:r.next_slot
+              then Some `Go
+              else if t.stopped then Some `Exit
+              else None)
+        in
+        match verdict with
+        | `Exit -> ()
+        | `Go when floor_ready t r <> None -> loop ()
+        | `Go ->
+            let slot = r.next_slot in
+            Log.propose t.log ~slot ~pid ~batch:(take_batch t r);
+            let d =
+              Dsim.Engine.await (Log.changed t.log) (fun () ->
+                  Log.decided t.log ~slot)
+            in
+            let fresh =
+              List.filter
+                (fun (e : _ Wal.entry) -> not (Hashtbl.mem r.delivered e.cid))
+                d.Log.batch
+            in
+            List.iter
+              (fun (e : _ Wal.entry) -> Hashtbl.remove r.pending e.cid)
+              d.Log.batch;
+            List.iter
+              (fun (e : _ Wal.entry) ->
+                Hashtbl.replace r.delivered e.cid ();
+                deliver t pid ~slot e)
+              fresh;
+            r.next_slot <- slot + 1;
+            persist t pid ~slot ~fresh;
+            loop ())
+  in
+  loop ()
+
+let spawn_replica t pid =
+  t.replicas.(pid).process <-
+    Dsim.Engine.spawn t.engine
+      ~name:(Printf.sprintf "rsm-replica-%d" pid)
+      (replica_loop t pid)
 
 let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m
     ~on_first_apply ~on_ready =
   if n < 1 then invalid_arg "Group.create: need at least one replica";
+  if batch < 1 then invalid_arg "Group.create: batch must be >= 1";
   let policy_ref = ref (fun _ -> Netsim.Async_net.Deliver) in
   let net =
     Netsim.Async_net.create engine ~n ~latency
@@ -228,30 +340,28 @@ let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m
   in
   let scfg = Option.value store ~default:default_store_config in
   let store_policy_ref = ref scfg.policy in
-  (* the replica loops call back into the group they are part of *)
-  let self = ref None in
-  let group () = Option.get !self in
-  let tob =
-    Tob.create ~engine ~net ~log ~batch
-      ~deliver:(fun ~pid ~slot e -> deliver (group ()) ~pid ~slot e)
-      ~on_slot_applied:(fun ~pid ~slot ~fresh ->
-        on_slot_applied (group ()) ~pid ~slot ~fresh)
-      ~on_install:(fun ~pid ~owner ~upto ~state ~cids ->
-        on_install (group ()) ~pid ~owner ~upto ~state ~cids)
-      ()
-  in
   let t =
     {
       engine;
       label;
       n;
+      batch;
       m;
       net;
       policy_ref;
       log;
-      tob;
+      replicas =
+        Array.init n (fun _ ->
+            {
+              pending = Hashtbl.create 32;
+              delivered = Hashtbl.create 64;
+              next_slot = 0;
+              wake = Dsim.Engine.queue engine;
+              process = -1;
+            });
       states = Array.init n (fun _ -> m.fresh ());
       checker = Checker.create ();
+      stopped = false;
       store_on = store <> None;
       scfg;
       store_policy_ref;
@@ -273,9 +383,16 @@ let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m
       restarted = [];
     }
   in
-  self := Some t;
+  for pid = 0 to n - 1 do
+    Netsim.Async_net.set_handler net pid (fun env ->
+        receive t pid env.Netsim.Async_net.payload);
+    spawn_replica t pid
+  done;
   t
 
+(* Command dissemination is a plain best-effort broadcast; the log
+   restores uniformity (a decided batch reaches every live replica even
+   when the broadcast was cut short by the sender's crash). *)
 let submit t ~start ~cid op =
   Checker.record_submitted t.checker ~cid;
   let rec pick j =
@@ -286,19 +403,35 @@ let submit t ~start ~cid op =
   in
   match pick 0 with
   | None -> false
-  | Some r -> Tob.submit t.tob ~replica:r { Tob.cid; op }
+  | Some r ->
+      let e = { Wal.cid; op } in
+      receive t r e;
+      Netsim.Async_net.broadcast t.net ~src:r e;
+      true
 
 let first_output t ~cid = Hashtbl.find_opt t.first_output cid
 let record_acked t ~cid = Checker.record_acked t.checker ~cid
-let stop t = Tob.stop t.tob
+
+let stop t =
+  t.stopped <- true;
+  Array.iter (fun r -> Dsim.Engine.signal r.wake) t.replicas
+
+let engine t = t.engine
 
 (* --- crash and recovery --- *)
 
+(* Without a store memory survives a crash (the recoverable model); with
+   one, a crash also loses what a real crash loses: the pending set
+   (which stays empty until the restart, since a crashed replica
+   receives nothing) and the disk's unsynced tail. *)
 let crash t victim =
   if not (is_crashed t victim) then begin
     Netsim.Async_net.crash t.net victim;
-    Tob.crash t.tob ~lose_pending:t.store_on victim;
+    let r = t.replicas.(victim) in
+    Dsim.Engine.kill t.engine r.process;
     if t.store_on then begin
+      Hashtbl.reset r.pending;
+      Dsim.Engine.signal r.wake;
       Store.Disk.crash t.disks.(victim);
       t.awaiting.(victim) <- [];
       (* judge this replica's history by what its disk can reproduce *)
@@ -312,9 +445,10 @@ let crash t victim =
   end
 
 (* What survives on [victim]'s disk: its latest snapshot plus the
-   committed WAL prefix, replayed into its state.  Every decision the
-   disk committed also re-feeds the group's slot cache — after a total
-   outage this is the only place decisions can come from. *)
+   committed WAL prefix, replayed into its state, delivered set and slot
+   counter.  Every decision the disk committed also re-feeds the group's
+   slot cache — after a total outage this is the only place decisions
+   can come from. *)
 let recover t victim =
   let rd = Wal.recover ~op_of_string:t.m.op_of_string t.disks.(victim) in
   (match rd.r_snap with
@@ -326,21 +460,27 @@ let recover t victim =
     (fun (slot, w, entries) ->
       if slot < rd.r_next_slot then
         List.iter
-          (fun (e : _ Tob.entry) ->
-            t.states.(victim) <- fst (t.m.apply t.states.(victim) e.Tob.op))
+          (fun (e : _ Wal.entry) ->
+            t.states.(victim) <- fst (t.m.apply t.states.(victim) e.op))
           entries;
       Log.reseed t.log ~slot ~winner:w ~batch:entries)
     rd.r_slots;
   emit t (fun () ->
       Printf.sprintf "replica %d recovered %d commands, next slot %d" victim
         (List.length rd.r_cids) rd.r_next_slot);
-  { Tob.next_slot = rd.r_next_slot; delivered_cids = rd.r_cids }
+  let r = t.replicas.(victim) in
+  Hashtbl.reset r.delivered;
+  List.iter (fun cid -> Hashtbl.replace r.delivered cid ()) rd.r_cids;
+  r.next_slot <- rd.r_next_slot;
+  Dsim.Engine.signal r.wake
 
+(* Without a store the replica resumes at its pre-crash slot counter and
+   catches up from the log's cached decisions. *)
 let restart t victim =
   if is_crashed t victim then begin
     Netsim.Async_net.restart t.net victim;
-    let recovery = if t.store_on then Some (recover t victim) else None in
-    Tob.restart t.tob ?recovery victim;
+    if t.store_on then recover t victim;
+    spawn_replica t victim;
     t.restarted <- victim :: t.restarted;
     emit t (fun () -> Printf.sprintf "restarted replica %d" victim)
   end
@@ -363,7 +503,7 @@ let digests_agree t =
   | [] -> true
   | d :: rest -> List.for_all (( = ) d) rest
 
-let delivered t = Array.init t.n (fun pid -> Tob.delivered_count t.tob ~pid)
+let delivered t = Array.map (fun r -> Hashtbl.length r.delivered) t.replicas
 let applied_unique t = Hashtbl.length t.first_output
 let slots t = Log.decided_count t.log
 let instances t = Log.instances_total t.log

@@ -1,32 +1,3 @@
-type 'op faults = {
-  engine : Dsim.Engine.t;
-  crash : int -> unit;
-  restart : int -> unit;
-  partition : int list list -> unit;
-  heal : unit -> unit;
-  set_policy :
-    ('op Tob.entry Netsim.Async_net.envelope ->
-    Netsim.Async_net.policy_verdict) ->
-    unit;
-  set_store_policy : Store.Policy.t -> unit;
-}
-
-(* Everything the runner needs to know about the replicated object: a
-   pure sequential step function plus single-line codecs for the WAL
-   and snapshots.  Responses cross the interface already encoded — the
-   runner stores and reports them, only a spec-aware checker interprets
-   them. *)
-type ('op, 'st) app = {
-  name : string;
-  init : 'st;
-  apply : 'st -> 'op -> 'st * string;
-  op_to_string : 'op -> string;
-  op_of_string : string -> 'op;
-  state_to_string : 'st -> string;
-  state_of_string : string -> 'st;
-  digest : 'st -> string;
-}
-
 type store_config = Group.store_config = {
   policy : Store.Policy.t;
   snapshot_every : int;
@@ -35,7 +6,7 @@ type store_config = Group.store_config = {
 
 let default_store_config = Group.default_store_config
 
-type 'op config = {
+type ('op, 'st) config = {
   backend : Backend.t;
   n : int;
   batch : int;
@@ -43,10 +14,9 @@ type 'op config = {
   latency : Netsim.Latency.t;
   crash_schedule : (int * int) list;
   restart_schedule : (int * int) list;
-  inject : ('op faults -> unit) option;
+  inject : (('op, 'st, string) Group.t -> unit) option;
   trace_capacity : int option;
   quiet : bool;
-  batching : bool;
   ops : 'op list array;
   ack_timeout : int;
   max_events : int;
@@ -65,7 +35,6 @@ let default_config ~n ~ops =
     inject = None;
     trace_capacity = None;
     quiet = false;
-    batching = true;
     ops;
     ack_timeout = 2_000;
     max_events = 5_000_000;
@@ -105,32 +74,27 @@ type 'op report = {
   disks : Store.Disk.t array;
 }
 
-(* Globally unique command ids: client in the high bits, sequence in
-   the low [seq_bits].  A longer op list would make ids collide, and Tob
-   would then drop a later command as a duplicate of an earlier one. *)
+(* Command ids: the client in the high bits, its sequence number in the
+   low [seq_bits]. *)
 let seq_bits = 20
-let cid ~client ~k = (client lsl seq_bits) lor k
+let cid ~client ~seq = (client lsl seq_bits) lor seq
+let client_of_cid cid = cid lsr seq_bits
 
-let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
-  if Array.exists (fun l -> List.compare_length_with l (1 lsl seq_bits) >= 0) cfg.ops
-  then invalid_arg "Runner.run: a client has 2^20 or more ops";
+let check_ops ~who ops =
+  if Array.exists (fun l -> List.compare_length_with l (1 lsl seq_bits) >= 0) ops
+  then invalid_arg (who ^ ": a client has 2^20 or more ops")
+
+let run (type op st) (machine : (op, st, string) Group.machine)
+    (cfg : (op, st) config) : op report =
+  check_ops ~who:"Runner.run" cfg.ops;
   let eng =
     Dsim.Engine.create ~seed:cfg.seed ?trace_capacity:cfg.trace_capacity
-      ~tracing:(not cfg.quiet) ~batching:cfg.batching ()
+      ~tracing:(not cfg.quiet) ()
   in
   let g =
     Group.create ~engine:eng ~label:"" ~n:cfg.n ~backend:cfg.backend
       ~seed:cfg.seed ~latency:cfg.latency ~batch:cfg.batch ~store:cfg.store
-      ~machine:
-        {
-          Group.fresh = (fun () -> app.init);
-          apply = app.apply;
-          snapshot = app.state_to_string;
-          restore = app.state_of_string;
-          op_to_string = app.op_to_string;
-          op_of_string = app.op_of_string;
-          digest = app.digest;
-        }
+      ~machine
       ~on_first_apply:(fun _ _ -> ())
       ~on_ready:(fun ~cid:_ -> ())
   in
@@ -143,7 +107,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
   let client_body c ctx =
     List.iteri
       (fun k op ->
-        let cid = cid ~client:c ~k in
+        let cid = cid ~client:c ~seq:k in
         let t0 = Dsim.Engine.now eng in
         let h =
           {
@@ -189,17 +153,6 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
          Dsim.Engine.await_cond clients_done (fun () -> !done_clients = clients);
          Group.stop g)
       : Dsim.Engine.pid);
-  let faults =
-    {
-      engine = eng;
-      crash = Group.crash g;
-      restart = Group.restart g;
-      partition = Group.partition g;
-      heal = (fun () -> Group.heal g);
-      set_policy = Group.set_policy g;
-      set_store_policy = Group.set_store_policy g;
-    }
-  in
   List.iter
     (fun (time, victim) ->
       Dsim.Engine.schedule eng ~delay:time (fun () -> Group.crash g victim))
@@ -208,7 +161,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
     (fun (time, victim) ->
       Dsim.Engine.schedule eng ~delay:time (fun () -> Group.restart g victim))
     cfg.restart_schedule;
-  Option.iter (fun f -> f faults) cfg.inject;
+  Option.iter (fun inject -> inject g) cfg.inject;
   let engine_outcome = Dsim.Engine.run ~max_events:cfg.max_events eng in
   let history =
     Hashtbl.fold

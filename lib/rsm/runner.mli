@@ -1,13 +1,13 @@
 (** End-to-end RSM harness: K closed-loop clients drive one {!Group}
     under a fault schedule.
 
-    The harness is a universal construction: it is parameterized by an
-    {!app} — any pure sequential object with single-line codecs — and
-    adapts it to the group's per-replica {!Group.machine}.  The KV store
-    is one instance ([Obj.Kv] lifted via [Obj.Replicated]).  The group
-    owns the replicas, their disks and what a crash erases; the runner
-    owns only the clients, the supervisor that winds the group down,
-    the fault schedules and the report.
+    The harness is a universal construction: it runs any per-replica
+    {!Group.machine} whose output is the operation's encoded response.
+    The KV store is one instance ([Obj.Kv] lifted via
+    [Obj.Replicated]).  The group owns the replicas, their disks and
+    what a crash erases; the runner owns only the clients, the
+    supervisor that winds the group down, the fault schedules and the
+    report.
 
     Clients are closed-loop with retry: each submits its next command to
     a live replica, waits for the group's ack rule ({!Group.is_ready}),
@@ -16,50 +16,13 @@
     ordered, and the duplicate-suppression path is exercised whenever
     the first copy survives after all.
 
-    Faults come in three layers: the static [crash_schedule] /
+    Faults come in two layers: the static [crash_schedule] /
     [restart_schedule] pairs (crash–stop and crash–recovery), and the
-    generic [inject] hook handing a {!faults} controller to an external
-    fault injector (the [Nemesis] subsystem) that can also partition the
-    network and rewrite the per-message adversary policy mid-run. *)
-
-type 'op faults = {
-  engine : Dsim.Engine.t;
-  crash : int -> unit;  (** {!Group.crash} *)
-  restart : int -> unit;  (** {!Group.restart} *)
-  partition : int list list -> unit;  (** install a network partition *)
-  heal : unit -> unit;  (** remove any partition *)
-  set_policy :
-    ('op Tob.entry Netsim.Async_net.envelope ->
-    Netsim.Async_net.policy_verdict) ->
-    unit;
-      (** replace the per-message adversary policy (drop / duplicate /
-          delay verdicts at send time) *)
-  set_store_policy : Store.Policy.t -> unit;
-      (** replace the storage fault policy consulted by every replica's
-          disk (no effect when the run has no [store] configured) *)
-}
-(** Live controller over one run's fault surface, handed to [inject]
-    after the cluster is wired and before the simulation starts.  All
-    functions may also be called later from scheduled engine events. *)
-
-type ('op, 'st) app = {
-  name : string;
-  init : 'st;  (** initial sequential state *)
-  apply : 'st -> 'op -> 'st * string;
-      (** one deterministic sequential step; the [string] is the
-          operation's response, already encoded (the runner records it
-          verbatim into the {!hist}, only a spec-aware checker decodes
-          it).  Must be pure — every replica applies the same log. *)
-  op_to_string : 'op -> string;  (** WAL codec; must be newline-free *)
-  op_of_string : string -> 'op;
-  state_to_string : 'st -> string;  (** snapshot codec; newline-free *)
-  state_of_string : string -> 'st;
-  digest : 'st -> string;
-      (** canonical fingerprint — equal states must yield equal digests,
-          used for the cross-replica agreement gate *)
-}
-(** What the runner needs to know about the replicated object.  Build
-    instances from any [Obj.Spec.S] via [Obj.Replicated.app]. *)
+    generic [inject] hook handing the {!Group.t} itself to an external
+    fault injector (the [Nemesis] subsystem), which drives its fault
+    surface — crash, restart, partition, heal, the per-message adversary
+    policy and the storage fault policy — and schedules on
+    {!Group.engine}. *)
 
 type store_config = Group.store_config = {
   policy : Store.Policy.t;
@@ -72,7 +35,7 @@ val default_store_config : store_config
 (** Honest disks ({!Store.Policy.none}), snapshot every 4 non-empty
     slots, ack after fsync. *)
 
-type 'op config = {
+type ('op, 'st) config = {
   backend : Backend.t;
   n : int;  (** replicas *)
   batch : int;  (** max commands per slot proposal *)
@@ -83,8 +46,9 @@ type 'op config = {
   restart_schedule : (int * int) list;
       (** [(virtual_time, pid)]: restart that replica at that time
           (no-op unless it crashed earlier) *)
-  inject : ('op faults -> unit) option;
-      (** fault-injection hook, run once at virtual time 0 *)
+  inject : (('op, 'st, string) Group.t -> unit) option;
+      (** fault-injection hook, run once at virtual time 0, after the
+          group is wired and before the simulation starts *)
   trace_capacity : int option;
       (** bound retained trace events (None = unbounded); long campaigns
           should bound this so traces don't retain the whole run *)
@@ -93,10 +57,6 @@ type 'op config = {
           built or retained.  Scheduling, RNG draws and outcomes are
           unaffected — the checker never reads the trace — so quiet
           runs produce the same results as traced runs. *)
-  batching : bool;
-      (** same-tick batch draining in the engine (default [true]);
-          purely a performance knob — runs are byte-identical either
-          way *)
   ops : 'op list array;  (** one command list per client *)
   ack_timeout : int;  (** virtual time before a client re-submits *)
   max_events : int;  (** engine event budget (runaway guard) *)
@@ -107,7 +67,7 @@ type 'op config = {
           recoverable model where memory survives crashes. *)
 }
 
-val default_config : n:int -> ops:'op list array -> 'op config
+val default_config : n:int -> ops:'op list array -> ('op, 'st) config
 (** Ben-Or backend, batch 8, seed 1, uniform 1-10 latency, no faults,
     unbounded trace, ack timeout 2000, 5M event budget, no store. *)
 
@@ -165,6 +125,25 @@ type 'op report = {
           snapshot chains ([[||]] when no store) *)
 }
 
-val run : ('op, 'st) app -> 'op config -> 'op report
+val run : ('op, 'st, string) Group.machine -> ('op, 'st) config -> 'op report
 (** Execute one simulation until the workload drains (or the event
-    budget trips — reported, never raised). *)
+    budget trips — reported, never raised).  The machine's output is
+    the operation's response, already encoded: the runner records it
+    verbatim into the {!hist}, only a spec-aware checker decodes it.
+    @raise Invalid_argument ["Runner.run: a client has 2^20 or more ops"]
+    before simulating, see {!cid}. *)
+
+(** {1 Command ids} *)
+
+val cid : client:int -> seq:int -> int
+(** The id of a client's [seq]-th command: the client in the high bits,
+    [seq] in the low 20.  Ids are unique while [seq < 2^20]; a longer op
+    list would make them collide, and a replica would then skip a later
+    command as a duplicate of an earlier one. *)
+
+val client_of_cid : int -> int
+(** The client that {!cid} packed in. *)
+
+val check_ops : who:string -> 'op list array -> unit
+(** @raise Invalid_argument ["<who>: a client has 2^20 or more ops"]
+    when some client's op list is too long for {!cid}. *)

@@ -1,10 +1,10 @@
+type 'op entry = { cid : int; op : 'op }
 type 'op item = Entry of int * int * 'op | Commit of int * int
 
 module Codec = Store.Codec
 
-let encode_entry ~op_to_string slot (e : _ Tob.entry) =
-  String.concat " "
-    [ "E"; Codec.int slot; Codec.int e.Tob.cid; op_to_string e.Tob.op ]
+let encode_entry ~op_to_string slot e =
+  String.concat " " [ "E"; Codec.int slot; Codec.int e.cid; op_to_string e.op ]
 
 let encode_commit slot winner =
   String.concat " " [ "C"; Codec.int slot; Codec.int winner ]
@@ -31,7 +31,7 @@ let decode_snapshot payload =
 
 type 'op recovered = {
   r_snap : (int * string * int list) option;
-  r_slots : (int * int * 'op Tob.entry list) list;
+  r_slots : (int * int * 'op entry list) list;
   r_next_slot : int;
   r_cids : int list;
 }
@@ -43,7 +43,7 @@ let recover ~op_of_string disk =
       (Store.Disk.latest_snapshot disk)
   in
   let base_slot = match r_snap with Some (upto, _, _) -> upto | None -> -1 in
-  let entries : (int, _ Tob.entry list ref) Hashtbl.t = Hashtbl.create 32 in
+  let entries : (int, _ entry list ref) Hashtbl.t = Hashtbl.create 32 in
   let committed : (int, int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (r : Store.Disk.record) ->
@@ -59,8 +59,8 @@ let recover ~op_of_string disk =
           in
           (* retries may append a slot's records twice; replay is
              idempotent per (slot, cid) *)
-          if not (List.exists (fun (e : _ Tob.entry) -> e.Tob.cid = cid) !l)
-          then l := !l @ [ { Tob.cid; op } ]
+          if not (List.exists (fun e -> e.cid = cid) !l) then
+            l := !l @ [ { cid; op } ]
       | Commit (slot, w) when slot > base_slot ->
           if not (Hashtbl.mem committed slot) then Hashtbl.replace committed slot w
       | Entry _ | Commit _ -> ())
@@ -81,9 +81,7 @@ let recover ~op_of_string disk =
   List.iter
     (fun (slot, _, es) ->
       if slot < r_next_slot then
-        List.iter
-          (fun (e : _ Tob.entry) -> Hashtbl.replace cid_set e.Tob.cid ())
-          es)
+        List.iter (fun e -> Hashtbl.replace cid_set e.cid ()) es)
     r_slots;
   let r_cids =
     Hashtbl.fold (fun c _ acc -> c :: acc) cid_set [] |> List.sort compare

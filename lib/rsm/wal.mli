@@ -15,7 +15,10 @@
     {!Store.Codec.int}.  Encoded ops and states must not contain a
     newline. *)
 
-val encode_entry : op_to_string:('op -> string) -> int -> 'op Tob.entry -> string
+type 'op entry = { cid : int; op : 'op }
+(** A uniquely identified command ([cid] de-duplicates re-submissions). *)
+
+val encode_entry : op_to_string:('op -> string) -> int -> 'op entry -> string
 (** [encode_entry ~op_to_string slot e] is [e]'s record in [slot]. *)
 
 val encode_commit : int -> int -> string
@@ -25,7 +28,7 @@ val encode_snapshot : upto:int -> state:string -> cids:int list -> string
 
 type 'op recovered = {
   r_snap : (int * string * int list) option;  (** upto, state, cids *)
-  r_slots : (int * int * 'op Tob.entry list) list;
+  r_slots : (int * int * 'op entry list) list;
       (** every committed slot on disk (slot, winner, entries), ascending *)
   r_next_slot : int;  (** end of the contiguous committed prefix *)
   r_cids : int list;  (** the delivered set recovery reproduces *)

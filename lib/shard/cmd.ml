@@ -16,11 +16,11 @@ let wop_key = function W_set (k, _) -> k | W_add (k, _) -> k
 
 (* {2 Command ids}
 
-   base = client in the high bits, per-client sequence low (the Runner
-   scheme); sub-command cids append a 3-bit tag so every record kind a
-   transaction spawns has its own dedup identity. *)
+   base = the Runner's command id (client in the high bits, per-client
+   sequence low); sub-command cids append a 3-bit tag so every record
+   kind a transaction spawns has its own dedup identity. *)
 
-let base ~client ~seq = (client lsl 20) lor seq
+let base = Rsm.Runner.cid
 let kv_cid ~client ~seq = base ~client ~seq * 8
 let prepare_cid ~txid = (txid * 8) + 1
 let decide_cid ~txid ~commit = (txid * 8) + if commit then 2 else 3

@@ -8,9 +8,9 @@
     so a crashed coordinator's transactions are finished from the logs
     rather than from anyone's memory.
 
-    {b Command-id scheme.}  Every submission carries a [cid] the TOB
-    layer de-duplicates on.  A transaction id packs the issuing client
-    in the high bits ([txid = client lsl 20 lor seq], the same scheme
+    {b Command-id scheme.}  Every submission carries a [cid] the
+    replica group de-duplicates on.  A transaction id packs the issuing client
+    in the high bits ([txid = Rsm.Runner.cid ~client ~seq], the scheme
     {!Rsm.Runner} uses for plain commands, so [seq < 2^20]:
     {!Runner.run} refuses longer op lists, whose ids would collide); the
     cids of the records a transaction spawns are [txid * 8 + tag] with a

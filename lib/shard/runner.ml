@@ -1,19 +1,5 @@
 module Group = Rsm.Group
 
-type faults = {
-  engine : Dsim.Engine.t;
-  crash : shard:int -> replica:int -> unit;
-  restart : shard:int -> replica:int -> unit;
-  partition : shard:int -> int list list -> unit;
-  heal : shard:int -> unit;
-  set_policy :
-    shard:int ->
-    (Cmd.t Rsm.Tob.entry Netsim.Async_net.envelope ->
-    Netsim.Async_net.policy_verdict) ->
-    unit;
-  set_store_policy : shard:int -> Store.Policy.t -> unit;
-}
-
 type client_op = Single of Obj.Kv.op | Tx of Cmd.wop list
 
 type arrival =
@@ -34,13 +20,11 @@ type config = {
   ack_timeout : int;
   max_events : int;
   store : Rsm.Runner.store_config option;
-  inject : (faults -> unit) option;
+  inject : ((Cmd.t, Machine.t, Machine.output) Group.t array -> unit) option;
   trace_capacity : int option;
   quiet : bool;
   broken_2pc : bool;
   coordinator_crash : int -> crash_point;
-  recovery_interval : int;
-  recovery_timeout : int;
 }
 
 let default_config ~shards ~ops =
@@ -61,9 +45,12 @@ let default_config ~shards ~ops =
     quiet = true;
     broken_2pc = false;
     coordinator_crash = (fun _ -> No_crash);
-    recovery_interval = 500;
-    recovery_timeout = 1_500;
   }
+
+(* The recovery daemon's period, and how long a transaction must sit
+   idle before the daemon adopts it. *)
+let recovery_interval = 500
+let recovery_timeout = 1_500
 
 type shard_report = {
   sr_shard : int;
@@ -150,8 +137,7 @@ let replica_machine ~shard =
 
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Shard.Runner.run: need at least one shard";
-  if Array.exists (fun l -> List.compare_length_with l (1 lsl 20) >= 0) cfg.ops
-  then invalid_arg "Shard.Runner.run: a client has 2^20 or more ops";
+  Rsm.Runner.check_ops ~who:"Shard.Runner.run" cfg.ops;
   let eng =
     Dsim.Engine.create ~seed:cfg.seed ?trace_capacity:cfg.trace_capacity
       ~tracing:(not cfg.quiet) ()
@@ -246,8 +232,7 @@ let run cfg =
       List.iter (fun (s, cid) -> Group.record_acked (group s) ~cid) trt.ready;
       incr completed;
       Dsim.Engine.signal all_completed;
-      let client = trt.tx.Cmd.txid lsr 20 in
-      !op_completed_hook client
+      !op_completed_hook (Rsm.Runner.client_of_cid trt.tx.Cmd.txid)
     end
   in
   let check_finalize trt =
@@ -314,7 +299,7 @@ let run cfg =
               float_of_int (now () - srt.s_started_at) :: !single_latencies;
             incr completed;
             Dsim.Engine.signal all_completed;
-            !op_completed_hook ((cid / 8) lsr 20)
+            !op_completed_hook (Rsm.Runner.client_of_cid (cid / 8))
         | _ -> ())
     | Cmd.K_prepare _ -> ()
     | Cmd.K_decide (txid, _) | Cmd.K_outcome (txid, _) -> (
@@ -457,16 +442,16 @@ let run cfg =
           match Hashtbl.find_opt txs txid with
           | Some trt
             when (not trt.tdone)
-                 && now () - trt.last_activity >= cfg.recovery_timeout ->
+                 && now () - trt.last_activity >= recovery_timeout ->
               Dsim.Engine.emitk eng ~tag:"2pc" (fun () ->
                   Printf.sprintf "recovery adopts tx %d" txid);
               reconcile trt
           | _ -> ())
         stale;
-      Dsim.Engine.schedule eng ~delay:cfg.recovery_interval daemon
+      Dsim.Engine.schedule eng ~delay:recovery_interval daemon
     end
   in
-  Dsim.Engine.schedule eng ~delay:cfg.recovery_interval daemon;
+  Dsim.Engine.schedule eng ~delay:recovery_interval daemon;
 
   (* supervisor: once every operation completed, wind the groups down *)
   ignore
@@ -476,20 +461,7 @@ let run cfg =
          Array.iter Group.stop !groups_ref)
       : Dsim.Engine.pid);
 
-  (* {2 Fault surface} *)
-  let faults =
-    {
-      engine = eng;
-      crash = (fun ~shard ~replica -> Group.crash (group shard) replica);
-      restart = (fun ~shard ~replica -> Group.restart (group shard) replica);
-      partition = (fun ~shard groups -> Group.partition (group shard) groups);
-      heal = (fun ~shard -> Group.heal (group shard));
-      set_policy = (fun ~shard p -> Group.set_policy (group shard) p);
-      set_store_policy =
-        (fun ~shard p -> Group.set_store_policy (group shard) p);
-    }
-  in
-  Option.iter (fun f -> f faults) cfg.inject;
+  Option.iter (fun inject -> inject !groups_ref) cfg.inject;
 
   let engine_outcome = Dsim.Engine.run ~max_events:cfg.max_events eng in
   let shard_reports =

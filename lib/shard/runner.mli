@@ -15,7 +15,9 @@
     other participants.  Because every step is readable from the logs,
     a crashed coordinator's transactions are finished by a periodic
     {e recovery daemon} that re-derives the next step from the recorded
-    votes/decision — the coordinator keeps no state that matters.
+    votes/decision — the coordinator keeps no state that matters.  The
+    daemon runs every 500 time units and adopts a transaction idle for
+    1,500.
 
     {b Clients.}  Pure callback state machines (no polling fibers):
     closed-loop clients issue their next operation when the previous
@@ -27,20 +29,6 @@
     {b Checking.}  Each group carries its own {!Rsm.Checker} (per-shard
     total order + durability audit); the cross-shard {!Checker} judges
     atomicity over the recorded votes and outcomes. *)
-
-type faults = {
-  engine : Dsim.Engine.t;
-  crash : shard:int -> replica:int -> unit;
-  restart : shard:int -> replica:int -> unit;
-  partition : shard:int -> int list list -> unit;
-  heal : shard:int -> unit;
-  set_policy :
-    shard:int ->
-    (Cmd.t Rsm.Tob.entry Netsim.Async_net.envelope ->
-    Netsim.Async_net.policy_verdict) ->
-    unit;
-  set_store_policy : shard:int -> Store.Policy.t -> unit;
-}
 
 type client_op =
   | Single of Obj.Kv.op  (** routed to one shard, no coordination *)
@@ -67,7 +55,11 @@ type config = {
   ack_timeout : int;
   max_events : int;
   store : Rsm.Runner.store_config option;
-  inject : (faults -> unit) option;
+  inject :
+    ((Cmd.t, Machine.t, Machine.output) Rsm.Group.t array -> unit) option;
+      (** fault-injection hook, run once at virtual time 0 with the
+          groups (index = shard id); faults are shard-local, and a
+          replica id is an index within its shard's group *)
   trace_capacity : int option;
   quiet : bool;
   broken_2pc : bool;
@@ -75,10 +67,6 @@ type config = {
           vote without waiting for the full prepare quorum — the bug
           {!Checker}'s commit-quorum property exists to catch *)
   coordinator_crash : int -> crash_point;  (** keyed by txid *)
-  recovery_interval : int;
-  recovery_timeout : int;
-      (** a transaction idle this long is adopted by the recovery
-          daemon *)
 }
 
 val default_config : shards:int -> ops:client_op list array -> config

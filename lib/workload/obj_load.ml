@@ -1,4 +1,4 @@
-type injector = { inject : 'op. 'op Rsm.Runner.faults -> unit }
+type injector = { inject : 'op 'st. ('op, 'st, string) Rsm.Group.t -> unit }
 
 type summary = {
   object_name : string;

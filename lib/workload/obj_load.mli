@@ -8,10 +8,10 @@
     cross-replica digest comparison, and the generic Wing–Gong
     linearizability check over the recorded concurrent history. *)
 
-type injector = { inject : 'op. 'op Rsm.Runner.faults -> unit }
-(** An op-type-agnostic fault injector.  The field is polymorphic so
-    one injector (e.g. [Nemesis.Interp.install_rsm plan]) can be handed
-    to runs over any object's op type. *)
+type injector = { inject : 'op 'st. ('op, 'st, string) Rsm.Group.t -> unit }
+(** An object-agnostic fault injector.  The field is polymorphic so one
+    injector (e.g. [Nemesis.Interp.install_rsm plan]) can be handed to
+    runs over any object's op and state types. *)
 
 type summary = {
   object_name : string;

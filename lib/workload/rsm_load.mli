@@ -21,14 +21,15 @@ val default_mix : op_mix
 module Kv_rep : sig
   type state
 
-  val app : ?drop_nth:int -> unit -> (Obj.Kv.op, state) Rsm.Runner.app
+  val app :
+    ?drop_nth:int -> unit -> (Obj.Kv.op, state, string) Rsm.Group.machine
 end
 (** The KV object lifted onto the consensus log
     ([Obj.Replicated.Make (Obj.Kv)]), re-exported so RSM callers can run
     workloads without instantiating the functor themselves. *)
 
-val kv_app : (Obj.Kv.op, Kv_rep.state) Rsm.Runner.app
-(** [Kv_rep.app ()] — the honest replicated KV application. *)
+val kv_app : (Obj.Kv.op, Kv_rep.state, string) Rsm.Group.machine
+(** [Kv_rep.app ()] — the honest replicated KV machine. *)
 
 val gen_ops :
   ?shards:int ->
@@ -81,7 +82,7 @@ type summary = {
 }
 
 val summarize :
-  Obj.Kv.op Rsm.Runner.config -> Obj.Kv.op Rsm.Runner.report -> summary
+  (Obj.Kv.op, _) Rsm.Runner.config -> Obj.Kv.op Rsm.Runner.report -> summary
 
 val run_one :
   ?n:int ->
@@ -95,7 +96,7 @@ val run_one :
   ?quiet:bool ->
   ?ack_timeout:int ->
   ?max_events:int ->
-  ?inject:(Obj.Kv.op Rsm.Runner.faults -> unit) ->
+  ?inject:((Obj.Kv.op, Kv_rep.state, string) Rsm.Group.t -> unit) ->
   ?store:Rsm.Runner.store_config ->
   backend:Rsm.Backend.t ->
   unit ->
@@ -106,7 +107,7 @@ val run_one :
     [trace_capacity] bounds retained trace events, [quiet] (default
     false) disables tracing entirely — no trace strings are built, and
     outcomes are unchanged ({!Rsm.Runner.config.quiet}) —, [inject]
-    hands the run's fault controller to an external injector (see
+    hands the run's group to an external fault injector (see
     {!Rsm.Runner}),
     [store] gives every replica a simulated WAL-backed disk (durable
     crash–recovery model; durability-audit violations count into

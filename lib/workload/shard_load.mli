@@ -41,7 +41,9 @@ val config :
   ?load:Load.t ->
   ?arrival:Shard.Runner.arrival ->
   ?store:Rsm.Runner.store_config ->
-  ?inject:(Shard.Runner.faults -> unit) ->
+  ?inject:
+    ((Shard.Cmd.t, Shard.Machine.t, Shard.Machine.output) Rsm.Group.t array ->
+    unit) ->
   ?broken_2pc:bool ->
   ?coordinator_crash:(int -> Shard.Runner.crash_point) ->
   ?ack_timeout:int ->
@@ -65,7 +67,9 @@ val run_one :
   ?load:Load.t ->
   ?arrival:Shard.Runner.arrival ->
   ?store:Rsm.Runner.store_config ->
-  ?inject:(Shard.Runner.faults -> unit) ->
+  ?inject:
+    ((Shard.Cmd.t, Shard.Machine.t, Shard.Machine.output) Rsm.Group.t array ->
+    unit) ->
   ?broken_2pc:bool ->
   ?coordinator_crash:(int -> Shard.Runner.crash_point) ->
   ?ack_timeout:int ->

@@ -10,6 +10,7 @@ module Router = Shard.Router
 module Machine = Shard.Machine
 module XChecker = Shard.Checker
 module Runner = Shard.Runner
+module Group = Rsm.Group
 
 let check = Alcotest.check
 
@@ -361,11 +362,12 @@ let coordinator_crash_after_decide () =
 let participant_crash_after_prepare () =
   let router = Router.create ~shards:2 in
   let ops = mixed_ops ~router ~clients:8 ~per_client:4 ~tx_every:2 ~hot_keys:3 in
-  let inject (f : Runner.faults) =
-    Dsim.Engine.schedule f.Runner.engine ~delay:150 (fun () ->
-        f.Runner.crash ~shard:1 ~replica:0);
-    Dsim.Engine.schedule f.Runner.engine ~delay:900 (fun () ->
-        f.Runner.restart ~shard:1 ~replica:0)
+  let inject groups =
+    let g = groups.(1) in
+    Dsim.Engine.schedule (Group.engine g) ~delay:150 (fun () ->
+        Group.crash g 0);
+    Dsim.Engine.schedule (Group.engine g) ~delay:900 (fun () ->
+        Group.restart g 0)
   in
   let r =
     run_cfg ~shards:2 ~store:Rsm.Runner.default_store_config ~inject ops
@@ -381,11 +383,11 @@ let participant_crash_after_prepare () =
 let aborts_under_partition () =
   let router = Router.create ~shards:2 in
   let ops = mixed_ops ~router ~clients:10 ~per_client:5 ~tx_every:1 ~hot_keys:2 in
-  let inject (f : Runner.faults) =
-    Dsim.Engine.schedule f.Runner.engine ~delay:100 (fun () ->
-        f.Runner.partition ~shard:1 [ [ 0 ]; [ 1; 2 ] ]);
-    Dsim.Engine.schedule f.Runner.engine ~delay:1_200 (fun () ->
-        f.Runner.heal ~shard:1)
+  let inject groups =
+    let g = groups.(1) in
+    Dsim.Engine.schedule (Group.engine g) ~delay:100 (fun () ->
+        Group.partition g [ [ 0 ]; [ 1; 2 ] ]);
+    Dsim.Engine.schedule (Group.engine g) ~delay:1_200 (fun () -> Group.heal g)
   in
   let r = run_cfg ~shards:2 ~inject ops in
   drained r;
@@ -418,11 +420,12 @@ let durable_under_storage_faults () =
       io_error = [ Store.Policy.rule ~from_:500 ~until_:560 () ];
     }
   in
-  let inject (f : Runner.faults) =
-    Dsim.Engine.schedule f.Runner.engine ~delay:400 (fun () ->
-        f.Runner.crash ~shard:0 ~replica:1);
-    Dsim.Engine.schedule f.Runner.engine ~delay:1_000 (fun () ->
-        f.Runner.restart ~shard:0 ~replica:1)
+  let inject groups =
+    let g = groups.(0) in
+    Dsim.Engine.schedule (Group.engine g) ~delay:400 (fun () ->
+        Group.crash g 1);
+    Dsim.Engine.schedule (Group.engine g) ~delay:1_000 (fun () ->
+        Group.restart g 1)
   in
   let r =
     run_cfg ~shards:2
@@ -451,13 +454,14 @@ let shard_outage ~seed ~ack_before_fsync =
       Store.Policy.stall = [ (Store.Policy.rule ~from_:0 ~until_:400 (), 500) ];
     }
   in
-  let inject (f : Runner.faults) =
+  let inject groups =
+    let g = groups.(0) in
     List.iter
       (fun replica ->
-        Dsim.Engine.schedule f.Runner.engine ~delay:120 (fun () ->
-            f.Runner.crash ~shard:0 ~replica);
-        Dsim.Engine.schedule f.Runner.engine ~delay:300 (fun () ->
-            f.Runner.restart ~shard:0 ~replica))
+        Dsim.Engine.schedule (Group.engine g) ~delay:120 (fun () ->
+            Group.crash g replica);
+        Dsim.Engine.schedule (Group.engine g) ~delay:300 (fun () ->
+            Group.restart g replica))
       [ 0; 1; 2 ]
   in
   let r =
@@ -496,9 +500,9 @@ let outage_ack_before_fsync_caught () =
 let replicas_never_share_state () =
   let fresh = Machine.digest (Machine.create ~shard:0) in
   for seed = 1 to 3 do
-    let inject (f : Runner.faults) =
-      Dsim.Engine.schedule f.Runner.engine ~delay:0 (fun () ->
-          f.Runner.crash ~shard:0 ~replica:2)
+    let inject groups =
+      let g = groups.(0) in
+      Dsim.Engine.schedule (Group.engine g) ~delay:0 (fun () -> Group.crash g 2)
     in
     let r = run_cfg ~shards:2 ~seed ~inject (single_ops ()) in
     let d = r.Runner.shard_reports.(0).Runner.sr_digests in

@@ -51,14 +51,14 @@ let quoted_edges () =
 (* --- Rsm.Wal formats ------------------------------------------------------ *)
 
 let entry slot cid op =
-  Wal.encode_entry ~op_to_string:Fun.id slot { Rsm.Tob.cid; op }
+  Wal.encode_entry ~op_to_string:Fun.id slot { Wal.cid; op }
 
 let commit = Wal.encode_commit
 
 let record_formats () =
   check Alcotest.string "entry: E <slot> <cid> <op>" "E 3 17 S \"k\" \"a b\""
     (Wal.encode_entry ~op_to_string:Obj.Kv.op_to_string 3
-       { Rsm.Tob.cid = 17; op = Obj.Kv.Set ("k", "a b") });
+       { Wal.cid = 17; op = Obj.Kv.Set ("k", "a b") });
   check Alcotest.string "commit: C <slot> <winner>" "C 3 2" (commit 3 2);
   check Alcotest.string "snapshot: upto, state, cids" "5\n1 \"x\"\n1,2,30"
     (Wal.encode_snapshot ~upto:5 ~state:"1 \"x\"" ~cids:[ 1; 2; 30 ]);
@@ -107,7 +107,7 @@ let check_recovered ?snap ~slots ~next ~cids d =
     slots
     (List.map
        (fun (s, w, es) ->
-         (s, w, List.map (fun (e : _ Rsm.Tob.entry) -> (e.Rsm.Tob.cid, e.op)) es))
+         (s, w, List.map (fun (e : _ Wal.entry) -> (e.cid, e.op)) es))
        r.r_slots);
   check Alcotest.int "next slot" next r.r_next_slot;
   check Alcotest.(list int) "delivered cids" cids r.r_cids
