@@ -3,8 +3,9 @@
    (event queues, batching, how blocked fibers are woken) may change
    freely underneath; these figures may not.  Each pin records the
    replica digests (hashed), the virtual end time, the messages sent and
-   the backend instances consumed; two pins hash a whole trace, and the
-   [wal/*] pins hash the bytes left on every replica's disk. *)
+   the backend instances consumed; two pins hash a whole trace, the
+   [wal/*] pins hash the bytes left on every replica's disk, and the
+   [backend/*] pins fix every nested consensus decision and charge. *)
 
 let short s = String.sub (Digest.to_hex (Digest.string s)) 0 12
 let digests a = short (String.concat "," (Array.to_list a))
@@ -211,6 +212,31 @@ let obj_report () =
          storage = true;
        })
 
+(* Nested consensus pins: every input pattern of 1 to 5 processors,
+   seeds 1 to 50, decided by one backend.  The count of [true]
+   decisions, the summed charges, and a hash of every
+   (pattern, seed, decision, charge) in order. *)
+let backend_pin backend =
+  let (module B : Rsm.Backend.S) = backend in
+  let trues = ref 0 and charges = ref 0 and lines = ref [] in
+  for n = 1 to 5 do
+    for bits = 0 to (1 lsl n) - 1 do
+      let inputs = Array.init n (fun i -> bits land (1 lsl i) <> 0) in
+      let pattern =
+        String.init n (fun i -> if inputs.(i) then '1' else '0')
+      in
+      for seed = 1 to 50 do
+        let d, charge = B.decide ~seed:(Int64.of_int seed) ~inputs in
+        if d then incr trues;
+        charges := !charges + charge;
+        lines :=
+          Printf.sprintf "%s:%d:%b:%d" pattern seed d charge :: !lines
+      done
+    done
+  done;
+  Printf.sprintf "true=%d charge=%d all=%s" !trues !charges
+    (short (String.concat ";" (List.rev !lines)))
+
 let seeds = [ 1; 2; 3; 4; 5 ]
 
 let pins =
@@ -228,6 +254,9 @@ let pins =
       List.map (fun s -> (Printf.sprintf "obj/queue/%d" s, fun () -> obj_pin s)) seeds;
       List.map (fun s -> (Printf.sprintf "nemesis/%d" s, fun () -> nemesis_pin s)) seeds;
       List.map (fun s -> (Printf.sprintf "detect/%d" s, fun () -> detect_pin s)) seeds;
+      List.map
+        (fun b -> ("backend/" ^ Rsm.Backend.name b, fun () -> backend_pin b))
+        Rsm.Backend.all;
       [
         ("nemesis/trace/7", fun () -> trace_md5 (nemesis_run ~quiet:false 7).trace);
         ( "detect/trace/7",
@@ -327,6 +356,10 @@ let expected =
     ("wal/obj/set/full-log", "bytes=2395 rec=82eb7357541d snap=f5900755ec2f");
     ("wal/obj/index/full-log", "bytes=2620 rec=edc75153df23 snap=f5900755ec2f");
     ("wal/obj/kv/full-log", "bytes=2960 rec=7bb8bbe47917 snap=f5900755ec2f");
+    ("backend/ben-or", "true=1492 charge=146429 all=c96cc5756718");
+    ("backend/phase-king", "true=2400 charge=162000 all=89effd12d660");
+    ("backend/raft", "true=1550 charge=107514 all=8a8e7defe7d1");
+    ("backend/omega", "true=1550 charge=94328 all=d8c2dfe18876");
     ( "campaign/nemesis",
       "nemesis campaign: 16 runs, 128 faults injected\n\
       \  coverage: crash=36, restart=12, partition=4, heal=4, drop=12, dup=8, \
@@ -390,4 +423,4 @@ let check_group prefix () =
 let suite =
   List.map
     (fun g -> Alcotest.test_case (g ^ " pins unchanged") `Quick (check_group (g ^ "/")))
-    [ "rsm"; "shard"; "obj"; "nemesis"; "detect"; "campaign"; "wal" ]
+    [ "rsm"; "shard"; "obj"; "nemesis"; "detect"; "campaign"; "wal"; "backend" ]
