@@ -64,6 +64,19 @@ let jobs_arg =
 
 let resolve_jobs jobs = if jobs = 0 then Exec.Pool.cores () else jobs
 
+(* A bad value exits 2 with one line, before anything runs. *)
+let require ok msg =
+  if not ok then begin
+    Format.eprintf "%s@." msg;
+    exit 2
+  end
+
+let require_nodes n = require (n >= 1) "nodes must be >= 1"
+let require_batch batch = require (batch >= 1) "batch must be >= 1"
+
+let require_crashes ~n crashes =
+  require (crashes >= 0 && crashes < n) "need at least one live replica (0 <= crashes < n)"
+
 let backends_arg ~doc =
   Arg.(
     value
@@ -185,6 +198,11 @@ let benor_cmd =
     Arg.(value & opt (some float) None & info [ "common-coin" ] ~docv:"DELTA" ~doc)
   in
   let run n seed mode crashes unanimous common_coin show_trace =
+    require_nodes n;
+    (* The crash victims are p0, p2, p4, ... *)
+    require
+      (crashes >= 0 && 2 * (crashes - 1) < n)
+      "crashes must be in [0, (n+1)/2]";
     let inputs = if unanimous then Array.make n true else split_inputs n in
     let crash_schedule = List.init crashes (fun k -> (10 + (13 * k), 2 * k)) in
     let cfg =
@@ -253,6 +271,7 @@ let phase_king_cmd =
       & info [ "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let run n seed strategy mode algorithm =
+    require_nodes n;
     let strategy =
       match strategy with
       | `Silent -> Netsim.Byzantine.silent
@@ -305,6 +324,7 @@ let raft_cmd =
       & info [ "fault" ] ~docv:"FAULT" ~doc)
   in
   let run n seed fault show_trace =
+    require_nodes n;
     let cl = Raft.Cluster.create ~seed:(Int64.of_int seed) ~n () in
     let inputs = Array.init n (fun i -> 100 + i) in
     let cons = Raft.Consensus_raft.create ~cluster:cl ~inputs in
@@ -355,6 +375,7 @@ let raft_cmd =
 
 let sharedmem_cmd =
   let run n seed =
+    require_nodes n;
     let module P = Sharedmem.Protocol.Make (Consensus.Objects.Bool_value) in
     let module M = Consensus.Monitor.Make (Consensus.Objects.Bool_value) in
     let eng = Dsim.Engine.create ~seed:(Int64.of_int seed) () in
@@ -397,14 +418,8 @@ let sharedmem_cmd =
 
 let rsm_cmd =
   let run n seed backend clients commands crashes batch show_trace =
-    if crashes >= n then begin
-      Format.eprintf "need at least one live replica (crashes < n)@.";
-      exit 2
-    end;
-    if batch < 1 then begin
-      Format.eprintf "batch must be >= 1@.";
-      exit 2
-    end;
+    require_crashes ~n crashes;
+    require_batch batch;
     let r, s =
       Workload.Rsm_load.run_one ~n ~clients ~commands ~batch ~crashes ~seed
         ~backend ()
@@ -493,10 +508,7 @@ let store_cmd =
   in
   let run n seed backend clients commands crashes restart_after snapshot_every
       ack_before_fsync plan_file dump_wal show_trace =
-    if crashes >= n then begin
-      Format.eprintf "need at least one live replica (crashes < n)@.";
-      exit 2
-    end;
+    require_crashes ~n crashes;
     let inject =
       Option.map
         (fun file -> Nemesis.Interp.install_rsm (read_plan ~n file))
@@ -618,6 +630,8 @@ let nemesis_cmd =
   in
   let run n seed backends flags clients commands batch max_actions max_down
       horizon benign storage plan_file dump shrink quiet show_trace =
+    require_nodes n;
+    require_batch batch;
     let module C = Nemesis.Campaign in
     let profile =
       {
@@ -821,10 +835,8 @@ let detect_cmd =
     let params =
       { Detect.Timeout.default with Detect.Timeout.period; initial = timeout; cap }
     in
-    if not (Detect.Timeout.valid params) then begin
-      Format.eprintf "invalid detector parameters@.";
-      exit 2
-    end;
+    require_nodes n;
+    require (Detect.Timeout.valid params) "invalid detector parameters";
     let mutant_v = Option.value mutant ~default:Detect.Oracle.Honest in
     (* Safety is unconditional: even a lying detector breaking agreement
        is a bug in the backend, never an "expected" violation. *)
@@ -1041,10 +1053,13 @@ let shard_cmd =
   let run seed backend shards replicas clients ops keys tx_pct tx_span zipf
       batch open_loop no_nemesis storage broken_2pc expect_violation campaign
       flags max_events show_trace =
-    if shards < 1 || replicas < 1 then begin
-      Format.eprintf "need at least one shard and one replica@.";
-      exit 2
-    end;
+    require (shards >= 1 && replicas >= 1) "need at least one shard and one replica";
+    require (clients >= 1) "clients must be >= 1";
+    require (ops >= 0) "ops must be >= 0";
+    require (keys >= 1) "keys must be >= 1";
+    require (tx_pct >= 0 && tx_pct <= 100) "tx-pct must be in [0, 100]";
+    require (tx_span >= 1) "tx-span must be >= 1";
+    require_batch batch;
     let finish = finish ~expect_violation in
     let load =
       {
@@ -1243,12 +1258,12 @@ let obj_cmd =
         exit 2
       end
     in
-    if clients * commands > Workload.Obj_load.max_history then begin
-      Format.eprintf
-        "clients x commands = %d exceeds the Wing–Gong history cap (%d)@."
-        (clients * commands) Workload.Obj_load.max_history;
-      exit 2
-    end;
+    require
+      (clients * commands <= Workload.Obj_load.max_history)
+      (Printf.sprintf "clients x commands = %d exceeds the Wing–Gong history cap (%d)"
+         (clients * commands) Workload.Obj_load.max_history);
+    require_crashes ~n crashes;
+    require_batch batch;
     let finish = finish ~expect_violation in
     if campaign then begin
       let module C = Nemesis.Obj_campaign in

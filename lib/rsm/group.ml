@@ -497,8 +497,7 @@ let completeness t = Checker.check_complete t.checker ~live:(live t)
 let durability t = Checker.check_durable t.checker ~live:(live t)
 let digests t = Array.map t.m.digest t.states
 
-let digests_agree t =
-  let ds = digests t in
+let digests_agree t ds =
   match List.map (fun p -> ds.(p)) (live t) with
   | [] -> true
   | d :: rest -> List.for_all (( = ) d) rest

@@ -151,7 +151,11 @@ val violations : _ t -> Checker.violation list
 val completeness : _ t -> Checker.violation list
 val durability : _ t -> Checker.violation list
 val digests : _ t -> string array
-val digests_agree : _ t -> bool
+
+val digests_agree : _ t -> string array -> bool
+(** [digests_agree t ds]: whether [ds], the group's {!digests}, agree
+    over its live replicas. *)
+
 val delivered : _ t -> int array
 (** Per replica, the number of commands it has applied. *)
 

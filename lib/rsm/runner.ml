@@ -169,6 +169,7 @@ let run (type op st) (machine : (op, st, string) Group.machine)
       hists []
     |> List.sort (fun a b -> compare (a.h_invoked, a.h_cid) (b.h_invoked, b.h_cid))
   in
+  let digests = Group.digests g in
   {
     engine_outcome;
     virtual_time = Dsim.Engine.now eng;
@@ -184,8 +185,8 @@ let run (type op st) (machine : (op, st, string) Group.machine)
     violations = Group.violations g;
     completeness = Group.completeness g;
     durability = Group.durability g;
-    digests_agree = Group.digests_agree g;
-    digests = Group.digests g;
+    digests_agree = Group.digests_agree g digests;
+    digests;
     history;
     latencies = List.rev !latencies;
     trace = Dsim.Engine.trace eng;

@@ -467,13 +467,14 @@ let run cfg =
   let shard_reports =
     Array.mapi
       (fun s g ->
+        let digests = Group.digests g in
         {
           sr_shard = s;
           sr_violations = Group.violations g;
           sr_completeness = Group.completeness g;
           sr_durability = Group.durability g;
-          sr_digests_agree = Group.digests_agree g;
-          sr_digests = Group.digests g;
+          sr_digests_agree = Group.digests_agree g digests;
+          sr_digests = digests;
           sr_applied = Group.applied_unique g;
           sr_delivered = Group.delivered g;
           sr_slots = Group.slots g;
