@@ -382,6 +382,36 @@ let full_outage_ack_before_fsync_caught () =
         v.Checker.property)
     r.durability
 
+(* A staggered total outage: the three replicas crash at 40, 120 and 200
+   and all restart at 400, so their WALs end at different slots and,
+   with nobody alive to remember the decided slots, the disks are the
+   only record of them.  The replica whose WAL ends last must re-feed
+   the slots the others missed: without that, a laggard re-decides a
+   slot it never saw and the states diverge. *)
+let total_outage_reseeds_from_wals backend () =
+  let ops = Array.init 3 (fun c -> ops_of_n ~client:c 4) in
+  let r =
+    run_store ~backend ~n:3 ~batch:2
+      ~crash_schedule:[ (40, 0); (120, 1); (200, 2) ]
+      ~restart_schedule:[ (400, 0); (400, 1); (400, 2) ]
+      ~store:{ Runner.default_store_config with Runner.snapshot_every = 0 }
+      ops
+  in
+  let next_slots =
+    List.filter_map
+      (fun (e : Dsim.Trace.event) ->
+        try
+          Scanf.sscanf e.detail "replica %d recovered %d commands, next slot %d"
+            (fun _ _ next -> Some next)
+        with Scanf.Scan_failure _ | End_of_file -> None)
+      (Dsim.Trace.with_tag r.trace "rsm")
+  in
+  check Alcotest.int "three recoveries" 3 (List.length next_slots);
+  check Alcotest.bool "the WALs end at different slots" true
+    (List.length (List.sort_uniq compare next_slots) > 1);
+  check Alcotest.int "all acked" 12 r.acked;
+  no_violations r
+
 (* Per-replica WAL recovery state is inspectable through the report's
    disks. *)
 let report_exposes_disks () =
@@ -484,6 +514,13 @@ let suite =
           Alcotest.test_case
             (Printf.sprintf "state transfer (%s)" (Rsm.Backend.name b))
             `Quick (state_transfer b))
+        Rsm.Backend.all;
+      List.map
+        (fun b ->
+          Alcotest.test_case
+            (Printf.sprintf "total outage reseeds from WALs (%s)"
+               (Rsm.Backend.name b))
+            `Quick (total_outage_reseeds_from_wals b))
         Rsm.Backend.all;
       [
         Alcotest.test_case "full outage, honest store" `Quick full_outage_honest;
