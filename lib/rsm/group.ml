@@ -28,6 +28,19 @@ type 'op replica = {
   mutable process : Dsim.Engine.pid;
 }
 
+(* One slot of the group's log, [CS[sn]] of the TO-broadcast reduction:
+   who opened it, the proposals in registration order, and once decided
+   the winner and its batch. *)
+type 'op slot = {
+  opener : int;
+  mutable proposals : (int * 'op Wal.entry list) list;
+  mutable decision : (int * 'op Wal.entry list) option;
+}
+
+(* The best durable snapshot a replica has advertised for state
+   transfer: [owner] donates the state of slots up to [upto]. *)
+type floor = { owner : int; upto : int; state : string; cids : int list }
+
 type ('op, 'st, 'out) t = {
   engine : Dsim.Engine.t;
   label : string;
@@ -38,7 +51,14 @@ type ('op, 'st, 'out) t = {
   policy_ref :
     ('op Wal.entry Netsim.Async_net.envelope -> Netsim.Async_net.policy_verdict)
     ref;
-  log : 'op Wal.entry Log.t;
+  backend : Backend.t;
+  seed : int64;
+  (* the log: the slots live peers collectively remember *)
+  log : (int, 'op slot) Hashtbl.t;
+  changed : Dsim.Engine.queue;  (* signalled on every slot or floor change *)
+  mutable floor : floor option;
+  mutable slots : int;  (* decided by a decider, not reseeded *)
+  mutable instances : int;
   replicas : 'op replica array;
   states : 'st array;
   checker : Checker.t;
@@ -60,19 +80,24 @@ type ('op, 'st, 'out) t = {
   mutable restarted : int list;
 }
 
-let live_of net n =
-  List.filter (fun p -> not (Netsim.Async_net.is_crashed net p)) (List.init n Fun.id)
+let is_crashed t r = Netsim.Async_net.is_crashed t.net r
+let live t = List.filter (fun p -> not (is_crashed t p)) (List.init t.n Fun.id)
 
-(* The log's quorum gate over the group's network: with the network
-   whole every live replica counts (crash-only behaviour unchanged);
-   under a cut only the side holding a strict majority of the live
-   replicas may decide, and with no such side every slot stalls until
-   heal. *)
-let majority_view ~net ~live () =
-  match Netsim.Async_net.partition_groups net with
-  | None -> Some (live ())
+let emit t line =
+  Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
+      if t.label = "" then line () else t.label ^ " " ^ line ())
+
+(* --- the log --- *)
+
+(* The quorum gate over the group's network: with the network whole
+   every live replica counts; under a cut only the side holding a strict
+   majority of the live replicas may decide, and with no such side every
+   slot stalls until heal. *)
+let majority_view t =
+  match Netsim.Async_net.partition_groups t.net with
+  | None -> Some (live t)
   | Some groups ->
-      let lv = live () in
+      let lv = live t in
       let best =
         List.fold_left
           (fun best g ->
@@ -86,12 +111,63 @@ let majority_view ~net ~live () =
       | Some b when 2 * List.length b > List.length lv -> Some b
       | _ -> None)
 
-let is_crashed t r = Netsim.Async_net.is_crashed t.net r
-let live t = live_of t.net t.n
-
-let emit t line =
+(* A slot's decider: once every member the quorum gate names has
+   proposed, reduce the proposals to one winner, hold the slot for the
+   virtual time the backend's instances took, and publish it.  The slot
+   lines carry no shard label. *)
+let decider t slot s ctx =
+  Dsim.Engine.await_any [ t.changed; Netsim.Async_net.topology t.net ] (fun () ->
+      match majority_view t with
+      | Some members
+        when List.for_all (fun p -> List.mem_assoc p s.proposals) members ->
+          Some ()
+      | _ -> None);
+  let winner, instances, duration =
+    Backend.decide_slot t.backend ~seed:t.seed ~slot ~opener:s.opener s.proposals
+  in
+  if duration > 0 then Dsim.Engine.sleep ctx duration;
+  let batch = List.assoc winner s.proposals in
+  s.decision <- Some (winner, batch);
+  Dsim.Engine.signal t.changed;
+  t.slots <- t.slots + 1;
+  t.instances <- t.instances + instances;
   Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
-      if t.label = "" then line () else t.label ^ " " ^ line ())
+      Printf.sprintf "slot %d <- proposer %d (%d cmds, %d %s instances, %d vt)" slot
+        winner (List.length batch) instances (Backend.name t.backend) duration)
+
+(* Register [pid]'s proposal for [slot].  The first proposal opens the
+   slot (its sender becomes the opener) and spawns the slot's decider; a
+   repeat is ignored. *)
+let propose t ~slot ~pid ~batch =
+  let s =
+    match Hashtbl.find_opt t.log slot with
+    | Some s -> s
+    | None ->
+        let s = { opener = pid; proposals = []; decision = None } in
+        Hashtbl.replace t.log slot s;
+        ignore
+          (Dsim.Engine.spawn t.engine
+             ~name:(Printf.sprintf "rsm-slot-%d" slot)
+             (decider t slot s)
+            : Dsim.Engine.pid);
+        s
+  in
+  if not (List.mem_assoc pid s.proposals) then begin
+    s.proposals <- s.proposals @ [ (pid, batch) ];
+    Dsim.Engine.signal t.changed
+  end
+
+let decided t ~slot =
+  match Hashtbl.find_opt t.log slot with Some s -> s.decision | None -> None
+
+(* Advertise a durable snapshot for state transfer, if it covers more
+   than the current floor. *)
+let set_floor t ~owner ~upto ~state ~cids =
+  match t.floor with
+  | Some f when f.upto >= upto -> ()
+  | _ ->
+      t.floor <- Some { owner; upto; state; cids };
+      Dsim.Engine.signal t.changed
 
 (* An honest server acks only after the command is durable somewhere;
    [ack_before_fsync] is the deliberately broken mode the durability
@@ -136,7 +212,7 @@ let rec flush t pid epoch0 () =
    marker, then fsync.  All appends in one attempt happen at the same
    virtual instant, so an IO-error window fails the attempt atomically
    and the whole slot is retried later. *)
-let rec log_slot t pid slot fresh epoch0 () =
+let rec log_slot t pid slot winner fresh epoch0 () =
   let disk = t.disks.(pid) in
   if Store.Disk.epoch disk = epoch0 && not (is_crashed t pid) then begin
     let append s =
@@ -145,9 +221,6 @@ let rec log_slot t pid slot fresh epoch0 () =
           t.last_seq.(pid) <- seq;
           true
       | Error `Io_error -> false
-    in
-    let winner =
-      match Log.decided t.log ~slot with Some d -> d.Log.winner | None -> pid
     in
     if
       List.for_all
@@ -161,7 +234,7 @@ let rec log_slot t pid slot fresh epoch0 () =
     end
     else
       Dsim.Engine.schedule t.engine ~delay:retry_delay
-        (log_slot t pid slot fresh epoch0)
+        (log_slot t pid slot winner fresh epoch0)
   end
 
 (* Save a snapshot payload; once it is durable, compact the WAL it
@@ -187,17 +260,17 @@ let take_snapshot t pid ~upto =
   match
     save_snapshot t pid ~upto ~state ~cids ~k:(fun () ->
         mark_durable t flying;
-        Log.set_floor t.log ~owner:pid ~upto ~state ~cids)
+        set_floor t ~owner:pid ~upto ~state ~cids)
   with
   | Ok () -> ()
   | Error `Io_error -> t.awaiting.(pid) <- flying
 
-(* A replica finished [slot] (possibly empty), freshly applying [fresh]:
-   write it to the WAL and, every [snapshot_every] non-empty slots, take
-   a snapshot. *)
-let persist t pid ~slot ~fresh =
+(* A replica finished [slot] (possibly empty), won by [winner], freshly
+   applying [fresh]: write it to the WAL and, every [snapshot_every]
+   non-empty slots, take a snapshot. *)
+let persist t pid ~slot ~winner ~fresh =
   if t.store_on && not (is_crashed t pid) then begin
-    log_slot t pid slot fresh (Store.Disk.epoch t.disks.(pid)) ();
+    log_slot t pid slot winner fresh (Store.Disk.epoch t.disks.(pid)) ();
     if fresh <> [] then begin
       t.nonempty_slots.(pid) <- t.nonempty_slots.(pid) + 1;
       if
@@ -226,16 +299,14 @@ let take_batch t r =
   take t.batch (List.sort compare ids)
 
 let floor_ready t r =
-  match Log.floor t.log with
-  | Some f when f.Log.upto >= r.next_slot -> Some f
-  | _ -> None
+  match t.floor with Some f when f.upto >= r.next_slot -> Some f | _ -> None
 
 (* State transfer: the replica is behind the advertised snapshot floor
    (the donor may have compacted the slots it would need to replay), so
    it adopts the donor's state wholesale instead of going slot by slot,
    and persists the received snapshot so that its own next recovery
    starts from it. *)
-let install t pid (f : Log.floor) =
+let install t pid (f : floor) =
   let r = t.replicas.(pid) in
   Hashtbl.reset r.delivered;
   List.iter
@@ -279,10 +350,9 @@ let replica_loop t pid _ctx =
         loop ()
     | None -> (
         let verdict =
-          Dsim.Engine.await_any [ r.wake; Log.changed t.log ] (fun () ->
+          Dsim.Engine.await_any [ r.wake; t.changed ] (fun () ->
               if floor_ready t r <> None then Some `Go
-              else if
-                Hashtbl.length r.pending > 0 || Log.opened t.log ~slot:r.next_slot
+              else if Hashtbl.length r.pending > 0 || Hashtbl.mem t.log r.next_slot
               then Some `Go
               else if t.stopped then Some `Exit
               else None)
@@ -292,26 +362,23 @@ let replica_loop t pid _ctx =
         | `Go when floor_ready t r <> None -> loop ()
         | `Go ->
             let slot = r.next_slot in
-            Log.propose t.log ~slot ~pid ~batch:(take_batch t r);
-            let d =
-              Dsim.Engine.await (Log.changed t.log) (fun () ->
-                  Log.decided t.log ~slot)
+            propose t ~slot ~pid ~batch:(take_batch t r);
+            let winner, batch =
+              Dsim.Engine.await t.changed (fun () -> decided t ~slot)
             in
             let fresh =
               List.filter
                 (fun (e : _ Wal.entry) -> not (Hashtbl.mem r.delivered e.cid))
-                d.Log.batch
+                batch
             in
-            List.iter
-              (fun (e : _ Wal.entry) -> Hashtbl.remove r.pending e.cid)
-              d.Log.batch;
+            List.iter (fun (e : _ Wal.entry) -> Hashtbl.remove r.pending e.cid) batch;
             List.iter
               (fun (e : _ Wal.entry) ->
                 Hashtbl.replace r.delivered e.cid ();
                 deliver t pid ~slot e)
               fresh;
             r.next_slot <- slot + 1;
-            persist t pid ~slot ~fresh;
+            persist t pid ~slot ~winner ~fresh;
             loop ())
   in
   loop ()
@@ -332,12 +399,6 @@ let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m
       ~policy:(fun env -> !policy_ref env)
       ~retain_inbox:false ()
   in
-  let live () = live_of net n in
-  let log =
-    Log.create ~engine ~backend ~seed ~live
-      ~view:(majority_view ~net ~live)
-      ~topology:(Netsim.Async_net.topology net) ()
-  in
   let scfg = Option.value store ~default:default_store_config in
   let store_policy_ref = ref scfg.policy in
   let t =
@@ -349,7 +410,13 @@ let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m
       m;
       net;
       policy_ref;
-      log;
+      backend;
+      seed;
+      log = Hashtbl.create 64;
+      changed = Dsim.Engine.queue engine;
+      floor = None;
+      slots = 0;
+      instances = 0;
       replicas =
         Array.init n (fun _ ->
             {
@@ -438,23 +505,46 @@ let crash t victim =
       let rd = Wal.recover ~op_of_string:t.m.op_of_string t.disks.(victim) in
       Checker.record_crashed t.checker ~replica:victim
         ~survived:(List.length rd.r_cids);
-      if live t = [] then Log.forget_volatile t.log
+      (* with nobody left alive, nobody remembers the log: recovery
+         must start from the disks alone *)
+      if live t = [] then begin
+        Hashtbl.reset t.log;
+        t.floor <- None;
+        Dsim.Engine.signal t.changed
+      end
     end;
     t.crashed <- victim :: t.crashed;
     emit t (fun () -> Printf.sprintf "crashed replica %d" victim)
   end
 
+(* Re-install a decision recovered from a replica's WAL, unless the slot
+   is still remembered (every WAL agrees on a slot's winner, so the first
+   recovery wins).  A reseeded slot costs no backend instances. *)
+let reseed t ~slot ~winner ~batch =
+  if not (Hashtbl.mem t.log slot) then begin
+    Hashtbl.replace t.log slot
+      {
+        opener = winner;
+        proposals = [ (winner, batch) ];
+        decision = Some (winner, batch);
+      };
+    Dsim.Engine.signal t.changed;
+    Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
+        Printf.sprintf "slot %d reseeded from replica %d's WAL (%d cmds)" slot winner
+          (List.length batch))
+  end
+
 (* What survives on [victim]'s disk: its latest snapshot plus the
    committed WAL prefix, replayed into its state, delivered set and slot
-   counter.  Every decision the disk committed also re-feeds the group's
-   slot cache — after a total outage this is the only place decisions
-   can come from. *)
+   counter.  Every decision the disk committed also re-feeds the log —
+   after a total outage this is the only place decisions can come
+   from. *)
 let recover t victim =
   let rd = Wal.recover ~op_of_string:t.m.op_of_string t.disks.(victim) in
   (match rd.r_snap with
   | Some (upto, state, cids) ->
       t.states.(victim) <- t.m.restore state;
-      Log.set_floor t.log ~owner:victim ~upto ~state ~cids
+      set_floor t ~owner:victim ~upto ~state ~cids
   | None -> t.states.(victim) <- t.m.fresh ());
   List.iter
     (fun (slot, w, entries) ->
@@ -463,7 +553,7 @@ let recover t victim =
           (fun (e : _ Wal.entry) ->
             t.states.(victim) <- fst (t.m.apply t.states.(victim) e.op))
           entries;
-      Log.reseed t.log ~slot ~winner:w ~batch:entries)
+      reseed t ~slot ~winner:w ~batch:entries)
     rd.r_slots;
   emit t (fun () ->
       Printf.sprintf "replica %d recovered %d commands, next slot %d" victim
@@ -504,8 +594,8 @@ let digests_agree t ds =
 
 let delivered t = Array.map (fun r -> Hashtbl.length r.delivered) t.replicas
 let applied_unique t = Hashtbl.length t.first_output
-let slots t = Log.decided_count t.log
-let instances t = Log.instances_total t.log
+let slots t = t.slots
+let instances t = t.instances
 let messages_sent t = Netsim.Async_net.messages_sent t.net
 let messages_delivered t = Netsim.Async_net.messages_delivered t.net
 let crashed t = List.rev t.crashed

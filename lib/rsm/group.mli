@@ -1,11 +1,11 @@
 (** One consensus group living inside an engine it does not own.
 
     The group is the paper's fixed template with a pluggable object: the
-    replica stack — {!Netsim.Async_net} + {!Log} + {!Checker} — runs any
-    per-replica {!machine}.  With a [store] configured, every replica
-    also gets a {!Store.Disk}: slots are written to a WAL in {!Wal}'s
-    format (entries, commit marker, fsync), snapshots compact it, and
-    crash and restart go through real recovery.  What a crash erases and
+    replica stack — {!Netsim.Async_net}, the log below and {!Checker} —
+    runs any per-replica {!machine}.  With a [store] configured, every
+    replica also gets a {!Store.Disk}: slots are written to a WAL in
+    {!Wal}'s format (entries, commit marker, fsync), snapshots compact
+    it, and crash and restart go through real recovery.  What a crash erases and
     what survives is decided here and nowhere else.
 
     {b Total-order broadcast.}  Each replica runs the reduction of
@@ -16,22 +16,48 @@
     applied, and its slot counter.  When a replica has pending commands
     it opens the next slot with a batch of up to [batch] of them; every
     other live replica joins the slot (with its own pending batch,
-    possibly empty), the {!Log} decides a winner, and all replicas apply
+    possibly empty), the log decides a winner, and all replicas apply
     the winning batch — skipping commands they already applied, so a
     command that rides in several proposals is still applied exactly
     once.  Command dissemination is a plain best-effort broadcast; the
     consensus object restores uniformity (a decided batch reaches every
     live replica through the log even when the original broadcast was
-    cut short by the sender's crash).  A replica behind the log's
-    snapshot floor ({!Log.set_floor}) adopts the donor's snapshot
-    instead of replaying slots.
+    cut short by the sender's crash).  A replica behind the snapshot
+    floor adopts the donor's snapshot instead of replaying slots.
+
+    {b The log.}  The group keeps one table of slots, [CS[sn]] of the
+    reduction, standing in for what the live replicas collectively
+    remember.  A slot's first proposal opens it (its sender is the
+    opener) and spawns its decider process, [rsm-slot-<slot>].  The
+    decider waits until every member of the quorum gate's view has
+    proposed, decides the winner with {!Backend.decide_slot}, holds the
+    slot for the virtual time the backend's instances took (so
+    consensus latency shows in the outer run), and publishes the winner
+    to every replica.  Its trace line, like the reseed line below,
+    carries no [label].
+    - {e Quorum gate.}  With the network whole the view is every live
+      replica, so a crash releases a slot waiting on the victim.  Under
+      a cut it is the live members of the side holding a strict
+      majority of the live replicas, and with no such side every slot
+      stalls until heal.
+    - {e Snapshot floor.}  Each durable snapshot a replica takes, or
+      finds on its disk at recovery, is advertised if it covers more
+      slots than the current floor; a replica whose next slot is at or
+      below the floor installs it.
+    - {e Total outage.}  With a store, the crash that leaves no replica
+      live wipes the table and the floor: nobody is left to remember
+      them.  Without a store memory survives, so nothing is wiped.
+    - {e Reseed.}  Recovery re-installs every decision the replica's
+      committed WAL holds into a slot the table has forgotten (first
+      recovery wins; the WALs agree by slot agreement), at no backend
+      cost.  After a total outage this is the only source of decided
+      slots, so a laggard replays them instead of re-deciding.
 
     {!Runner} drives one group with closed-loop clients; [Shard.Runner]
     stands up one group per shard in a shared engine and layers 2PC
     over them.  Neither touches a replica's processes, its pending or
-    delivered set, its disk, the WAL or the log's recovery hooks
-    directly; fault injectors drive a group through the fault surface
-    below.
+    delivered set, its disk, the WAL or the log directly; fault
+    injectors drive a group through the fault surface below.
 
     {b Completion.}  [on_first_apply] fires once per command id, when
     the {e first} replica applies it, with the machine's output (the
@@ -129,10 +155,10 @@ val crash : _ t -> int -> unit
 val restart : _ t -> int -> unit
 (** Restart a crashed replica (no-op if live) and respawn its loop.
     Without a store it resumes at its pre-crash slot counter and catches
-    up from the log's cached decisions.  With a store, its state,
-    delivered set and slot counter are exactly what its latest snapshot
-    plus the committed WAL prefix reproduce, and every decision its disk
-    holds re-feeds the log. *)
+    up from the log's decisions.  With a store, its state, delivered set
+    and slot counter are exactly what its latest snapshot plus the
+    committed WAL prefix reproduce, and every decision its disk holds
+    re-feeds the log. *)
 
 val partition : _ t -> int list list -> unit
 val heal : _ t -> unit
@@ -163,7 +189,12 @@ val applied_unique : _ t -> int
 (** Distinct command ids applied group-wide. *)
 
 val slots : _ t -> int
+(** Slots the log's deciders have decided (reseeded slots not counted). *)
+
 val instances : _ t -> int
+(** Binary backend instances the deciders ran: the log's cost, which
+    batching amortizes across commands. *)
+
 val messages_sent : _ t -> int
 val messages_delivered : _ t -> int
 
