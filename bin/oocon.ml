@@ -21,6 +21,23 @@ let dump_trace ~limit trace =
     List.iter (fun ev -> Format.printf "%a@." Dsim.Trace.pp_event ev) tail
   end
 
+(* A bad value exits 2 with one line, before anything runs. *)
+let require ok msg =
+  if not ok then begin
+    Format.eprintf "%s@." msg;
+    exit 2
+  end
+
+(* A count flag that must not be negative.  The check runs where the
+   flag is parsed, so no subcommand using the flag can miss it. *)
+let count_arg ~flag ~docv ~doc default =
+  let arg = Arg.value (Arg.opt Arg.int default (Arg.info [ flag ] ~docv ~doc)) in
+  let check k =
+    require (k >= 0) (flag ^ " must be >= 0");
+    k
+  in
+  Term.(const check $ arg)
+
 (* Every RSM backend by name, for the --backend flags. *)
 let backend_choices = List.map (fun b -> (Rsm.Backend.name b, b)) Rsm.Backend.all
 
@@ -35,13 +52,11 @@ let backend_arg =
     & opt (enum backend_choices) Rsm.Backend.ben_or
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-let clients_arg default =
-  let doc = "Closed-loop clients driving the store." in
-  Arg.(value & opt int default & info [ "clients" ] ~docv:"K" ~doc)
+let clients_arg ?(doc = "Closed-loop clients driving the store.") default =
+  count_arg ~flag:"clients" ~docv:"K" ~doc default
 
-let commands_arg default =
-  let doc = "Commands per client." in
-  Arg.(value & opt int default & info [ "commands" ] ~docv:"M" ~doc)
+let commands_arg ?(doc = "Commands per client.") default =
+  count_arg ~flag:"commands" ~docv:"M" ~doc default
 
 let batch_arg default =
   let doc = "Max commands batched into one consensus slot." in
@@ -64,18 +79,14 @@ let jobs_arg =
 
 let resolve_jobs jobs = if jobs = 0 then Exec.Pool.cores () else jobs
 
-(* A bad value exits 2 with one line, before anything runs. *)
-let require ok msg =
-  if not ok then begin
-    Format.eprintf "%s@." msg;
-    exit 2
-  end
-
 let require_nodes n = require (n >= 1) "nodes must be >= 1"
 let require_batch batch = require (batch >= 1) "batch must be >= 1"
 
 let require_crashes ~n crashes =
   require (crashes >= 0 && crashes < n) "need at least one live replica (0 <= crashes < n)"
+
+let require_restart_after =
+  Option.iter (fun d -> require (d >= 1) "restart-after must be >= 1")
 
 let backends_arg ~doc =
   Arg.(
@@ -144,7 +155,7 @@ let read_plan ~n file =
 type campaign_flags = { plans : int; jobs : int; report_out : string option }
 
 let campaign_flags ~plans ~doc =
-  let plans_arg = Arg.(value & opt int plans & info [ "plans" ] ~docv:"P" ~doc) in
+  let plans_arg = count_arg ~flag:"plans" ~docv:"P" ~doc plans in
   Term.(
     const (fun plans jobs report_out -> { plans; jobs; report_out })
     $ plans_arg $ jobs_arg $ report_out_arg "campaign report")
@@ -509,6 +520,7 @@ let store_cmd =
   let run n seed backend clients commands crashes restart_after snapshot_every
       ack_before_fsync plan_file dump_wal show_trace =
     require_crashes ~n crashes;
+    require_restart_after restart_after;
     let inject =
       Option.map
         (fun file -> Nemesis.Interp.install_rsm (read_plan ~n file))
@@ -632,6 +644,7 @@ let nemesis_cmd =
       horizon benign storage plan_file dump shrink quiet show_trace =
     require_nodes n;
     require_batch batch;
+    require (max_actions >= 1) "max-actions must be >= 1";
     let module C = Nemesis.Campaign in
     let profile =
       {
@@ -1205,13 +1218,9 @@ let obj_cmd =
     in
     Arg.(value & opt string "queue" & info [ "object" ] ~docv:"OBJ" ~doc)
   in
-  let clients_arg =
-    let doc = "Closed-loop clients driving the object." in
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"K" ~doc)
-  in
+  let clients_arg = clients_arg ~doc:"Closed-loop clients driving the object." 3 in
   let commands_arg =
-    let doc = "Commands per client (clients x commands <= 62, the WG cap)." in
-    Arg.(value & opt int 6 & info [ "commands" ] ~docv:"M" ~doc)
+    commands_arg ~doc:"Commands per client (clients x commands <= 62, the WG cap)." 6
   in
   let restart_after_arg =
     let doc = "Restart each crashed replica this much virtual time later." in
@@ -1263,6 +1272,7 @@ let obj_cmd =
       (Printf.sprintf "clients x commands = %d exceeds the Wing–Gong history cap (%d)"
          (clients * commands) Workload.Obj_load.max_history);
     require_crashes ~n crashes;
+    require_restart_after restart_after;
     require_batch batch;
     let finish = finish ~expect_violation in
     if campaign then begin
@@ -1296,7 +1306,7 @@ let obj_cmd =
               (fun backend ->
                 Workload.Obj_load.run ~n ~clients ~commands ~batch ~crashes
                   ?restart_after ~seed ~quiet:true ?drop_nth ~backend
-                  ~object_name ())
+                  (Obj.Registry.find object_name))
               backends)
           objects
       in
@@ -1453,7 +1463,15 @@ let mcheck_cmd =
   let run model n depth fault_budget reduction no_reduce prune audit frontier
       pct schedules pct_d pct_steps pct_seed max_schedules stop_at_first jobs
       report_out dump_ce replay_file expect_violation list_models =
+    Option.iter require_nodes n;
     let finish = finish ~expect_violation in
+    (* The model constructors reject an unknown name or too few nodes. *)
+    let model_of_name ?n name ~fault_budget =
+      try Mcheck.Models.of_name ?n name ~fault_budget
+      with Invalid_argument msg ->
+        Format.eprintf "%s@." msg;
+        exit 2
+    in
     if list_models then
       List.iter
         (fun name ->
@@ -1471,7 +1489,7 @@ let mcheck_cmd =
               fault_budget = r.Mcheck.Replay.fault_budget;
             }
           in
-          let m = Mcheck.Models.of_name ?n r.Mcheck.Replay.model ~fault_budget in
+          let m = model_of_name ?n r.Mcheck.Replay.model ~fault_budget in
           let x = Mcheck.Explorer.replay ~config m (Mcheck.Replay.entries r) in
           Format.printf "replayed %s: model=%s choices=%d@." file
             r.Mcheck.Replay.model
@@ -1494,7 +1512,7 @@ let mcheck_cmd =
               fault_budget;
             }
           in
-          let m = Mcheck.Models.of_name ?n model ~fault_budget in
+          let m = model_of_name ?n model ~fault_budget in
           let report = Mcheck.Pct.run ~jobs:(resolve_jobs jobs) ~config m in
           Format.printf "%a" Mcheck.Pct.pp_report report;
           Option.iter
@@ -1540,7 +1558,7 @@ let mcheck_cmd =
               stop_at_first;
             }
           in
-          let m = Mcheck.Models.of_name ?n model ~fault_budget in
+          let m = model_of_name ?n model ~fault_budget in
           let report =
             Mcheck.Explorer.explore ~jobs:(resolve_jobs jobs) ~config m
           in

@@ -82,9 +82,6 @@ let suspects t ~me ~peer =
   | Honest | Rotating -> t.suspected.(me).(peer)
   | False_suspect v -> peer = v || t.suspected.(me).(peer)
 
-let trusted t ~me =
-  List.filter (fun p -> not (suspects t ~me ~peer:p)) (List.init t.n Fun.id)
-
 (* Ω-stability bookkeeping: whenever a suspicion set changes, recompute
    whether all live nodes agree on a leader.  [Rotating] is pinned
    unstable by construction. *)

@@ -5,8 +5,8 @@
     whose heartbeat misses an adaptive per-peer deadline — timeouts
     grow by backoff on suspicion and shrink on a late heartbeat, so
     after finitely many mistakes no correct process is suspected.
-    ◊S is the same suspicion sets read permissively ({!trusted}), and
-    Ω is derived: {!leader} is the minimum unsuspected process in the
+    ◊S is the same suspicion sets read permissively, and Ω is
+    derived: {!leader} is the minimum unsuspected process in the
     querying node's view, so once ◊P converges all correct nodes
     elect the same leader (an explicit ["detect"]-tagged
     ["omega stable"] trace event marks the transition).
@@ -70,9 +70,6 @@ val leader : t -> me:int -> int
 
 val suspects : t -> me:int -> peer:int -> bool
 (** ◊P query: does [me] currently suspect [peer]? *)
-
-val trusted : t -> me:int -> int list
-(** ◊S view: the complement of [me]'s suspect list. *)
 
 val params : t -> Timeout.params
 val stats : t -> stats

@@ -43,7 +43,8 @@ let run_plan ?(quiet = true) cfg ~object_name ~backend ~seed plan =
     ~inject:
       { Workload.Obj_load.inject = (fun f -> Interp.install_rsm plan f) }
     ?store:(if cfg.storage then Some Rsm.Runner.default_store_config else None)
-    ~backend ~object_name ()
+    ~backend
+    (Obj.Registry.find object_name)
 
 let ok o = o.summary.Workload.Obj_load.ok
 

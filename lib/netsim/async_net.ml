@@ -209,10 +209,6 @@ let set_handler t id f =
   check_id t id "set_handler";
   t.nodes.(id).handler <- Some f
 
-let clear_handler t id =
-  check_id t id "clear_handler";
-  t.nodes.(id).handler <- None
-
 let inbox_queue t id =
   check_id t id "inbox_queue";
   t.inbox_qs.(id)

@@ -106,8 +106,6 @@ val set_handler : 'msg t -> int -> ('msg envelope -> unit) -> unit
     runs at delivery time, in scheduler context, after the inbox append.
     One handler per node; setting again replaces it. *)
 
-val clear_handler : 'msg t -> int -> unit
-
 val crash : 'msg t -> int -> unit
 (** Crash-stop the node: it stops receiving from now on.  Does not touch
     the engine process running the node's protocol — kill that separately

@@ -21,21 +21,6 @@ type msg =
     }
   | Append_entries_reply of { term : term; success : bool; match_index : int }
 
-let pp_entry ppf e = Format.fprintf ppf "{t%d %S}" e.entry_term e.cmd
-
-let pp_msg ppf = function
-  | Request_vote { term; candidate_id; last_log_index; last_log_term } ->
-      Format.fprintf ppf "RequestVote[t%d, c%d, lli%d, llt%d]" term candidate_id
-        last_log_index last_log_term
-  | Request_vote_reply { term; granted } ->
-      Format.fprintf ppf "ack_RequestVote[t%d, %b]" term granted
-  | Append_entries { term; leader_id; prev_log_index; prev_log_term; entries; leader_commit }
-    ->
-      Format.fprintf ppf "AppendEntries[t%d, l%d, pli%d, plt%d, |e|=%d, lc%d]" term
-        leader_id prev_log_index prev_log_term (List.length entries) leader_commit
-  | Append_entries_reply { term; success; match_index } ->
-      Format.fprintf ppf "ack_AppendEntries[t%d, %b, mi%d]" term success match_index
-
 let msg_kind = function
   | Request_vote _ -> "rv"
   | Request_vote_reply _ -> "rv-ack"

@@ -32,8 +32,6 @@ type msg =
       (** [match_index] is meaningful only when [success]: the highest log
           index the follower now knows matches the leader's log *)
 
-val pp_entry : Format.formatter -> entry -> unit
-val pp_msg : Format.formatter -> msg -> unit
 val msg_kind : msg -> string
 (** Short tag for traces: ["rv"], ["rv-ack"], ["ae"], ["ae-commit"],
     ["ae-ack"]. *)

@@ -27,7 +27,6 @@ let create () =
 
 let record_submitted t ~cid = Hashtbl.replace t.submitted cid ()
 let record_acked t ~cid = Hashtbl.replace t.acked cid ()
-let acked_count t = Hashtbl.length t.acked
 
 let record_applied t ~replica ~slot ~cid =
   let seq =
@@ -39,8 +38,6 @@ let record_applied t ~replica ~slot ~cid =
         r
   in
   seq := (slot, cid) :: !seq
-
-let submitted_count t = Hashtbl.length t.submitted
 
 (* The replica crashed having durably persisted only its first
    [survived] applications: discard the volatile tail of its record so
@@ -70,8 +67,6 @@ let applied_seq t ~replica =
   match Hashtbl.find_opt t.applied replica with
   | Some r -> List.rev !r
   | None -> []
-
-let applied_count t ~replica = List.length (applied_seq t ~replica)
 
 let replicas t =
   Hashtbl.fold (fun r _ acc -> r :: acc) t.applied [] |> List.sort compare

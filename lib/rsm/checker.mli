@@ -52,10 +52,6 @@ val record_installed : t -> replica:int -> from_replica:int -> upto_slot:int -> 
     [<= upto_slot]: its recorded history is replaced by the donor's
     prefix (state transfer adopts the donor's logical history). *)
 
-val submitted_count : t -> int
-val acked_count : t -> int
-val applied_count : t -> replica:int -> int
-
 val applied_seq : t -> replica:int -> (int * int) list
 (** [(slot, cid)] in apply order. *)
 

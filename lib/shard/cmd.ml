@@ -53,11 +53,6 @@ let wop_to_string = function
   | W_set (k, v) -> String.concat " " [ "S"; Codec.quoted k; Codec.quoted v ]
   | W_add (k, d) -> String.concat " " [ "A"; Codec.quoted k; Codec.int d ]
 
-let wop_of_string s =
-  if String.length s > 0 && s.[0] = 'A' then
-    Scanf.sscanf s "A %S %d" (fun k d -> W_add (k, d))
-  else Scanf.sscanf s "S %S %S" (fun k v -> W_set (k, v))
-
 let encode_tx b tx =
   let add s =
     Buffer.add_char b ' ';

@@ -65,7 +65,6 @@ val kind_of_cid : int -> cid_kind
     {!Obj.Kv.op_to_string}. *)
 
 val wop_to_string : wop -> string
-val wop_of_string : string -> wop
 val to_string : t -> string
 
 val of_string : string -> t

@@ -207,9 +207,3 @@ let restore s =
         buffered
   done;
   t
-
-let pp_output ppf = function
-  | O_kv _ -> Format.fprintf ppf "kv"
-  | O_vote v -> Format.fprintf ppf "vote:%b" v
-  | O_decided c -> Format.fprintf ppf "decided:%s" (if c then "commit" else "abort")
-  | O_outcome c -> Format.fprintf ppf "outcome:%s" (if c then "commit" else "abort")

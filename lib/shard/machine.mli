@@ -49,4 +49,3 @@ val snapshot : t -> string
     buffered ops, locks); [digest (restore (snapshot t)) = digest t]. *)
 
 val restore : string -> t
-val pp_output : Format.formatter -> output -> unit

@@ -917,8 +917,6 @@ module E8 = struct
     rows
 end
 
-let all_ids = [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8" ]
-
 (* --- CSV serializers ---------------------------------------------------- *)
 
 let e1_csv rows =

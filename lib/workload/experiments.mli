@@ -137,9 +137,6 @@ module E8 : sig
   val run : ?scale:scale -> Format.formatter -> row list
 end
 
-val all_ids : string list
-(** ["e1"; ...; "e8"]. *)
-
 val run_all :
   ?scale:scale ->
   ?only:string list ->

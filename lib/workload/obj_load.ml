@@ -23,14 +23,14 @@ type summary = {
    in one immediate int). *)
 let max_history = 62
 
-let run_packed ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
+let run ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
     ?(crashes = 0) ?restart_after ?(seed = 1) ?(keys = 8) ?(zipf_s = 1.1)
     ?(quiet = false) ?trace_capacity ?ack_timeout ?max_events ?inject ?store
     ?drop_nth ?max_states ~backend (module O : Obj.Spec.S) : summary =
   if clients * commands > max_history then
     invalid_arg
       (Printf.sprintf
-         "Obj_load.run_packed: %d clients x %d commands exceeds the %d-event \
+         "Obj_load.run: %d clients x %d commands exceeds the %d-event \
           Wing–Gong cap"
          clients commands max_history);
   let module Rep = Obj.Replicated.Make (O) in
@@ -92,14 +92,6 @@ let run_packed ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
       order_violations = 0 && r.digests_agree && wg_violations = []
       && r.engine_outcome = Dsim.Engine.Quiescent;
   }
-
-let run ?n ?clients ?commands ?batch ?crashes ?restart_after ?seed ?keys
-    ?zipf_s ?quiet ?trace_capacity ?ack_timeout ?max_events ?inject ?store
-    ?drop_nth ?max_states ~backend ~object_name () =
-  run_packed ?n ?clients ?commands ?batch ?crashes ?restart_after ?seed ?keys
-    ?zipf_s ?quiet ?trace_capacity ?ack_timeout ?max_events ?inject ?store
-    ?drop_nth ?max_states ~backend
-    (Obj.Registry.find object_name)
 
 let table ?ppf summaries =
   let ppf = Option.value ppf ~default:Format.std_formatter in

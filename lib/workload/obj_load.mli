@@ -36,10 +36,10 @@ type summary = {
 }
 
 val max_history : int
-(** Event cap of the Wing–Gong checker (62); [run_packed] rejects
+(** Event cap of the Wing–Gong checker (62); {!run} rejects
     workloads with more than this many commands. *)
 
-val run_packed :
+val run :
   ?n:int ->
   ?clients:int ->
   ?commands:int ->
@@ -66,31 +66,6 @@ val run_packed :
     [drop_nth] builds the {e broken} universal construction that
     discards the n-th state-changing log entry's effect (the Wing–Gong
     check convicts it while order and digest gates stay silent). *)
-
-val run :
-  ?n:int ->
-  ?clients:int ->
-  ?commands:int ->
-  ?batch:int ->
-  ?crashes:int ->
-  ?restart_after:int ->
-  ?seed:int ->
-  ?keys:int ->
-  ?zipf_s:float ->
-  ?quiet:bool ->
-  ?trace_capacity:int ->
-  ?ack_timeout:int ->
-  ?max_events:int ->
-  ?inject:injector ->
-  ?store:Rsm.Runner.store_config ->
-  ?drop_nth:int ->
-  ?max_states:int ->
-  backend:Rsm.Backend.t ->
-  object_name:string ->
-  unit ->
-  summary
-(** [run_packed] through the object registry.
-    @raise Invalid_argument on an unknown object name. *)
 
 val table : ?ppf:Format.formatter -> summary list -> unit
 (** Print a fixed-width scorecard table of runs (byte-stable given equal
