@@ -30,8 +30,10 @@ let require ok msg =
 
 (* A count flag that must not be negative.  The check runs where the
    flag is parsed, so no subcommand using the flag can miss it. *)
-let count_arg ~flag ~docv ~doc default =
-  let arg = Arg.value (Arg.opt Arg.int default (Arg.info [ flag ] ~docv ~doc)) in
+let count_arg ?(aliases = []) ~flag ~docv ~doc default =
+  let arg =
+    Arg.value (Arg.opt Arg.int default (Arg.info (flag :: aliases) ~docv ~doc))
+  in
   let check k =
     require (k >= 0) (flag ^ " must be >= 0");
     k
@@ -75,12 +77,15 @@ let jobs_arg =
     "Worker domains to fan independent runs over (1 = sequential; 0 = one \
      per core).  Results are identical at every job count."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
+  count_arg ~flag:"jobs" ~aliases:[ "j" ] ~docv:"JOBS" ~doc 1
 
 let resolve_jobs jobs = if jobs = 0 then Exec.Pool.cores () else jobs
 
 let require_nodes n = require (n >= 1) "nodes must be >= 1"
 let require_batch batch = require (batch >= 1) "batch must be >= 1"
+
+(* Nemesis.Gen.generate's own bound on the window it places actions in. *)
+let require_horizon horizon = require (horizon >= 10) "horizon must be >= 10"
 
 let require_crashes ~n crashes =
   require (crashes >= 0 && crashes < n) "need at least one live replica (0 <= crashes < n)"
@@ -645,6 +650,8 @@ let nemesis_cmd =
     require_nodes n;
     require_batch batch;
     require (max_actions >= 1) "max-actions must be >= 1";
+    require_horizon horizon;
+    Option.iter (fun d -> require (d >= 0) "max-down must be >= 0") max_down;
     let module C = Nemesis.Campaign in
     let profile =
       {
@@ -871,6 +878,7 @@ let detect_cmd =
       else if not liveness_ok then exit 1
     in
     if campaign then begin
+      require_horizon horizon;
       let cfg =
         {
           (C.default_config ~n ()) with
