@@ -104,7 +104,6 @@ and t = {
   mutable mlen : int;
   clock : queue;  (* signalled whenever [now] advances *)
   mutable oracle : oracle option;
-  mutable batching : bool;
   (* Event lineage, tracked only while an oracle is installed (the
      DPOR analysis reads it through [c_creators]; the quiet hot path
      pays one predictable branch in [schedule_kind]). *)
@@ -114,12 +113,6 @@ and t = {
   mutable dispatch : (int -> unit) array;  (* kind -> handler of arg *)
   mutable kind_count : int;
   closures : (unit -> unit) Arena.t;  (* pending [schedule]d thunks *)
-  (* same-tick batch buffer; [buf_pos < buf_len] only while a drained
-     tick is mid-execution (an [Event_limit] can stop inside one), and
-     [buf_pos] is the next event to run, also while one runs *)
-  ebuf : int array ref;
-  mutable buf_pos : int;
-  mutable buf_len : int;
 }
 
 type ctx = { engine : t; pid : pid; rng : Rng.t }
@@ -359,14 +352,13 @@ let resume_proc t pid =
                 p.p_poll <- No_poll;
                 Effect.Deep.discontinue w.e_k exn))
 
-let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(batching = true) () =
+let create ?(seed = 1L) ?trace_capacity ?(tracing = true) () =
   let events = Equeue.create ()
   and tr = Trace.create ?capacity:trace_capacity ()
   and engine_rng = Rng.create seed
   and parr = Array.make 16 dummy_proc
   and dispatch = Array.make 4 invalid_kind
-  and closures = Arena.create ~limit:max_arg
-  and ebuf = ref [||] in
+  and closures = Arena.create ~limit:max_arg in
   let rec t =
     {
       now = 0;
@@ -382,16 +374,12 @@ let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(batching = true) () 
       mlen = 0;
       clock = { q_eng = t; q_ws = [||]; q_n = 0 };
       oracle = None;
-      batching;
       lineage = false;
       creators = [||];
       cur_seq = -1;
       dispatch;
       kind_count = 0;
       closures;
-      ebuf;
-      buf_pos = 0;
-      buf_len = 0;
     }
   in
   (* Free the slot before running, so the thunk can schedule into it. *)
@@ -405,8 +393,6 @@ let rng t = t.engine_rng
 let trace t = t.tr
 let tracing t = t.tracing
 let set_tracing t on = t.tracing <- on
-let batching t = t.batching
-let set_batching t on = t.batching <- on
 
 let emit t ?pid ~tag detail =
   if t.tracing then Trace.emit t.tr ~time:t.now ?pid ~tag detail
@@ -573,9 +559,7 @@ let kill t pid =
 
 (* Drop every pending event as if it had run and done nothing: the clock
    moves to the latest of their times, which one scan of the queue finds
-   here, so the schedule paths keep no running maximum.  [run] has popped
-   the rest of a same-tick batch already ([buf_pos] is always the next
-   one to run), so those go too, at the current time.  A dropped resume
+   here, so the schedule paths keep no running maximum.  A dropped resume
    event belongs to a process parked in [sleep], [yield] or [poll_every];
    once the queue is empty it is killed and unwound, as [kill] would have
    left it to unwind at that event, in pid order. *)
@@ -589,11 +573,6 @@ let settle t =
     if kind = k_closure then ignore (Arena.take t.closures arg : unit -> unit)
     else if kind = k_resume then parked := arg :: !parked
   in
-  let buf = !(t.ebuf) in
-  for i = t.buf_pos to t.buf_len - 1 do
-    discard buf.(i)
-  done;
-  t.buf_len <- t.buf_pos;
   advance t (max t.now (Equeue.drain t.events discard));
   List.iter
     (fun pid ->
@@ -670,25 +649,15 @@ let run ?until ?max_events t =
     stop := true
   in
   drain_ready t;
-  (* First finish any same-tick batch a previous [Event_limit] stopped
-     inside; [t.now] is already the batch's tick. *)
-  while (not !stop) && t.buf_pos < t.buf_len do
-    let ev = (!(t.ebuf)).(t.buf_pos) in
-    t.buf_pos <- t.buf_pos + 1;
-    exec t ev;
-    drain_ready t;
-    incr executed;
-    if !executed >= budget then finish_with Event_limit
-  done;
   (* The oracle is fixed before [run] (every [set_oracle] caller installs
      its own during setup), so its match hoists out of the per-event
      loop. *)
   let q = t.events in
   (match t.oracle with
   | Some o ->
-      (* Oracle mode: strictly per-event granularity, and the limit
-         putback happens after the pop — the oracle's choice is
-         consumed either way, exactly like the classic engine. *)
+      (* Oracle mode: the limit putback happens after the pop — the
+         oracle's choice is consumed either way, exactly like the
+         classic engine. *)
       while not !stop do
         match pop_next_oracle t o with
         | None -> finish_with (finish t)
@@ -728,29 +697,6 @@ let run ?until ?max_events t =
             drain_ready t;
             incr executed;
             if !executed >= budget then finish_with Event_limit
-            else if
-              t.batching
-              && (not (Equeue.is_empty q))
-              && Equeue.peek_key_fast q = time
-            then begin
-              (* Drain the rest of the tick in one queue operation.  The
-                 buffer is the tie set in seq order, and anything the
-                 drained events schedule gets a later global seq, so the
-                 execution order is exactly what per-event pops
-                 produce. *)
-              let n = Equeue.pop_run q ~buf:t.ebuf ~dummy:0 in
-              t.buf_pos <- 0;
-              t.buf_len <- n;
-              let buf = !(t.ebuf) in
-              while (not !stop) && t.buf_pos < t.buf_len do
-                let ev = buf.(t.buf_pos) in
-                t.buf_pos <- t.buf_pos + 1;
-                exec t ev;
-                drain_ready t;
-                incr executed;
-                if !executed >= budget then finish_with Event_limit
-              done
-            end
           end
         end
       done);

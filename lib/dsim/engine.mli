@@ -47,30 +47,12 @@ type outcome =
   | Time_limit  (** virtual [until] reached *)
   | Event_limit  (** [max_events] executed *)
 
-val create :
-  ?seed:int64 ->
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?batching:bool ->
-  unit ->
-  t
+val create : ?seed:int64 -> ?trace_capacity:int -> ?tracing:bool -> unit -> t
 (** A fresh engine at time 0.  Default seed is 1.  [tracing:false]
     creates a {e quiet} engine: every {!emit}/{!emitk} is a no-op, so
     the message hot path allocates no trace strings at all.  Tracing
     only affects what the trace retains — never scheduling, RNG streams
-    or outcomes — so a quiet run is bit-identical to a traced one.
-
-    [batching] (default on) lets {!run} drain a whole same-tick tie
-    set in one queue operation when no oracle is installed.  It does
-    not change behaviour: seeded runs are byte-identical either way,
-    and an installed oracle always sees per-event granularity. *)
-
-val batching : t -> bool
-(** Whether same-tick batch draining is enabled (see {!create}). *)
-
-val set_batching : t -> bool -> unit
-(** Flip batch draining.  Flipping it mid-[run] while a drained tick is
-    still executing is not supported; flip between runs. *)
+    or outcomes — so a quiet run is bit-identical to a traced one. *)
 
 val now : t -> int
 (** Current virtual time. *)
@@ -216,7 +198,8 @@ val process_failed : t -> pid -> exn option
 val run : ?until:int -> ?max_events:int -> t -> outcome
 (** Drive the simulation until quiescence, deadlock, the virtual-time limit
     or the event budget.  Can be called repeatedly (e.g. after scheduling
-    more events).
+    more events); a run the event budget stops inside a tick leaves the
+    rest of that tick for the next one, in order.
     @raise Missed_wakeup when a wait's poll holds unsignalled (see
     {!Missed_wakeup}). *)
 
@@ -230,7 +213,8 @@ val settle : t -> unit
     their times: the state {!run} would reach if those events did
     nothing.  Call it from a process body or between runs, once the
     result the caller reads is fixed; a {!run} in progress then finds
-    the queue empty.
+    the queue empty.  Called from an event in the middle of a tick, it
+    drops the tick's later events with the rest.
 
     The contract: [settle] is sound only when every remaining event is
     inert to the caller — running it, and whatever it schedules, would

@@ -164,32 +164,6 @@ let fold_ring t key init f =
   done;
   !acc
 
-let pop_run t ~buf ~dummy =
-  if is_empty t then 0
-  else begin
-    let key = peek_key_fast t in
-    raise_floor t key;
-    let n = ref (if heap_has t key then Heap.pop_run t.heap ~buf ~dummy else 0) in
-    let b = key land mask in
-    let e = ref (ring_head t key) in
-    while !e >= 0 do
-      if !n >= Array.length !buf then begin
-        let bigger = Array.make (max 16 (2 * Array.length !buf)) dummy in
-        Array.blit !buf 0 bigger 0 !n;
-        buf := bigger
-      end;
-      !buf.(!n) <- t.vals.(!e);
-      incr n;
-      t.rlen <- t.rlen - 1;
-      let nx = t.next.(!e) in
-      free_entry t !e;
-      t.head.(b) <- nx;
-      t.tail.(b) <- -1;
-      e := nx
-    done;
-    !n
-  end
-
 let min_key_count t =
   if is_empty t then 0
   else
@@ -261,14 +235,3 @@ let drain t f =
   t.free <- -1;
   t.top <- 0;
   max !last (Heap.drain t.heap f)
-
-let clear t =
-  Heap.clear t.heap;
-  Array.fill t.head 0 width (-1);
-  Array.fill t.tail 0 width (-1);
-  t.free <- -1;
-  t.top <- 0;
-  t.rlen <- 0;
-  t.floor <- 0;
-  t.rmin <- 0;
-  t.next_seq <- 0

@@ -34,11 +34,6 @@ val peek_key : t -> int option
 val peek_key_fast : t -> int
 (** The minimum key of a non-empty queue (undefined when empty). *)
 
-val pop_run : t -> buf:int array ref -> dummy:int -> int
-(** Pop the whole minimum-key tie set into [buf] (grown with [dummy]
-    padding as needed), in seq order — what repeated {!pop}s would
-    produce.  Returns the count (0 when empty). *)
-
 val min_key_count : t -> int
 (** How many elements are tied for the minimum key (0 when empty). *)
 
@@ -47,8 +42,8 @@ val min_key_values : t -> int list
 
 val min_key_seqs : t -> int list
 (** Insertion sequence numbers of the minimum-key tie set, in insertion
-    order (parallel to {!min_key_values}).  Seqs are dense from 0 and
-    reset by {!clear}, giving queued events a stable per-run identity. *)
+    order (parallel to {!min_key_values}).  Seqs are dense from 0,
+    giving queued events a stable per-run identity. *)
 
 val last_seq : t -> int
 (** The seq assigned by the most recent {!add} (-1 when none yet). *)
@@ -64,7 +59,3 @@ val drain : t -> (int -> unit) -> int
     when empty): one pass over the entries, no pops.  The seq counter
     and the floor are kept, so later adds number and order as if the
     entries had been popped.  [f] must not touch the queue. *)
-
-val clear : t -> unit
-(** Drop everything and reset the seqs and the floor, keeping the
-    storage: a cleared queue behaves exactly like a fresh one. *)

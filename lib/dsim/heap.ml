@@ -203,34 +203,6 @@ let pop_min_nth t n =
     | Some i -> Some (remove_at t i)
   end
 
-(* Pop every entry tied at the minimum key into [buf] (growing it as
-   needed), in seq order — exactly the order repeated [pop]s would
-   surface them.  Returns the count. *)
-let pop_run t ~buf ~dummy =
-  if t.size = 0 then 0
-  else begin
-    let key = t.keys.(0) in
-    let n = ref 0 in
-    while t.size > 0 && t.keys.(0) = key do
-      if !n >= Array.length !buf then begin
-        let bigger = Array.make (max 16 (2 * Array.length !buf)) dummy in
-        Array.blit !buf 0 bigger 0 !n;
-        buf := bigger
-      end;
-      !buf.(!n) <- pop_value t;
-      incr n
-    done;
-    !n
-  end
-
-(* Keep the backing arrays: a cleared-and-reused heap skips the
-   regrowth ramp.  Resetting [next_seq] restores the insertion-order
-   tiebreak from zero, so a reused heap behaves exactly like a fresh
-   one. *)
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0
-
 let drain t f =
   let last = ref min_int in
   for i = 0 to t.size - 1 do

@@ -45,13 +45,6 @@ val peek_key_fast : t -> int
 (** Unchecked {!peek_key}: the smallest key, assuming the heap is
     non-empty.  Undefined (may raise [Invalid_argument]) when empty. *)
 
-val pop_run : t -> buf:int array ref -> dummy:int -> int
-(** Pop {e every} element tied at the minimum key into [buf] (grown with
-    [dummy] padding as needed), in insertion (seq) order — exactly what
-    repeated {!pop}s would produce.  Returns how many were popped
-    (0 when empty).  This is the same-tick batching primitive: one call
-    drains a whole tick. *)
-
 val min_key_count : t -> int
 (** How many queued elements are tied for the smallest key (0 when
     empty).  O(ties), not O(size). *)
@@ -63,13 +56,13 @@ val min_key_values : t -> int list
 val min_key_seqs : t -> int list
 (** The insertion sequence numbers of the elements tied for the smallest
     key, in insertion order — positionally parallel to
-    {!min_key_values}.  Seqs are assigned densely from 0 by {!add}
-    (reset by {!clear}), so they give each queued element a stable
-    identity a schedule explorer can track across consultations. *)
+    {!min_key_values}.  Seqs are assigned densely from 0 by {!add}, so
+    they give each queued element a stable identity a schedule explorer
+    can track across consultations. *)
 
 val last_seq : t -> int
 (** The sequence number assigned by the most recent {!add} (-1 before
-    the first add or after {!clear}). *)
+    the first add). *)
 
 val pop_min_nth : t -> int -> (int * int) option
 (** [pop_min_nth t i] removes and returns the [i]-th element (insertion
@@ -81,11 +74,6 @@ val fold_min_indices : t -> 'b -> ('b -> int -> 'b) -> 'b
 (** Fold over the array indices of the elements tied for the smallest
     key, in heap-array order (not seq order).  Exposed for the
     equivalence tests; ordinary callers want {!min_key_values}. *)
-
-val clear : t -> unit
-(** Drop all elements and reset the tiebreak sequence, keeping the
-    backing storage for reuse — a cleared heap is observationally a
-    fresh one, without the regrowth ramp. *)
 
 val drain : t -> (int -> unit) -> int
 (** [drain t f] empties the heap, applying [f] to every element in

@@ -55,16 +55,6 @@ let interleaved () =
   check Alcotest.bool "pop late" true (Dsim.Heap.pop h = Some (10, 3));
   check Alcotest.bool "empty again" true (Dsim.Heap.is_empty h)
 
-let clear () =
-  let h = Dsim.Heap.create () in
-  for i = 1 to 100 do
-    Dsim.Heap.add h ~key:i i
-  done;
-  Dsim.Heap.clear h;
-  check Alcotest.bool "cleared" true (Dsim.Heap.is_empty h);
-  Dsim.Heap.add h ~key:1 7;
-  check Alcotest.bool "usable after clear" true (Dsim.Heap.pop h = Some (1, 7))
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains keys in sorted order" ~count:300
     QCheck.(list small_int)
@@ -91,23 +81,6 @@ let prop_heap_stable_sort =
       in
       pop_all h = expected)
 
-let clear_then_reuse () =
-  (* clear retains the backing array for reuse but must reset the
-     tie-break sequence, so a reused heap pops exactly like a fresh
-     one — including insertion order on equal keys. *)
-  let inserts = [ (3, 20); (1, 21); (3, 22); (0, 23); (1, 24) ] in
-  let fresh = Dsim.Heap.create () in
-  List.iter (fun (k, v) -> Dsim.Heap.add fresh ~key:k v) inserts;
-  let reused = Dsim.Heap.create () in
-  for i = 1 to 64 do
-    Dsim.Heap.add reused ~key:i i
-  done;
-  Dsim.Heap.clear reused;
-  List.iter (fun (k, v) -> Dsim.Heap.add reused ~key:k v) inserts;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "reused heap pops like a fresh one" (pop_all fresh) (pop_all reused)
-
 let prop_heap_length =
   QCheck.Test.make ~name:"length tracks adds and pops" ~count:300
     QCheck.(list small_int)
@@ -129,8 +102,6 @@ let suite =
     Alcotest.test_case "FIFO on ties" `Quick fifo_on_ties;
     Alcotest.test_case "peek does not remove" `Quick peek_does_not_remove;
     Alcotest.test_case "interleaved add/pop" `Quick interleaved;
-    Alcotest.test_case "clear" `Quick clear;
-    Alcotest.test_case "clear then reuse" `Quick clear_then_reuse;
     qtest prop_heap_sorts;
     qtest prop_heap_stable_sort;
     qtest prop_heap_length;

@@ -289,37 +289,6 @@ let prop_total_order =
       r.violations = [] && r.completeness = [] && r.digests_agree
       && r.acked = 6)
 
-(* --- runner: same-tick batching is pure mechanism ---------------------- *)
-
-(* The engine's same-tick batch draining must be invisible at the
-   protocol level: a seeded run gives a byte-identical structured trace
-   and the same checker verdicts with it on or off.  The injector sets
-   the run's engine before the simulation starts. *)
-let batching_invariance () =
-  let run_with ~label ~batching =
-    let ops = Array.init 3 (fun c -> ops_of_n ~client:c 4) in
-    let r =
-      Runner.run kv_app
-        {
-          (Runner.default_config ~n:4 ~ops) with
-          seed = 11L;
-          inject =
-            Some (fun g -> Dsim.Engine.set_batching (Group.engine g) batching);
-        }
-    in
-    no_violations ~msg:label r;
-    check Alcotest.int (label ^ " acks all") 12 r.acked;
-    ( Digest.to_hex (Digest.string (Fmt.str "%a" Dsim.Trace.dump r.trace)),
-      r.slots,
-      r.messages_delivered )
-  in
-  let fingerprint =
-    Alcotest.triple Alcotest.string Alcotest.int Alcotest.int
-  in
-  check fingerprint "batching off"
-    (run_with ~label:"batching on" ~batching:true)
-    (run_with ~label:"batching off" ~batching:false)
-
 (* Command ids pack the op index into 20 bits: the 2^20th op of a client
    would reuse an earlier id, so every replica would skip it as a
    duplicate while its client still got an ack.  The runner refuses
@@ -353,7 +322,6 @@ let suite =
         Alcotest.test_case "quorum gate lets a 3|2 majority decide" `Quick
           (quorum_gate [ [ 0; 1; 2 ]; [ 3; 4 ] ] ~majority:(Some [ 0; 1; 2 ]));
         Alcotest.test_case "batching amortizes consensus" `Quick batching_amortizes;
-        Alcotest.test_case "batching invariance" `Quick batching_invariance;
         Alcotest.test_case "cas replicated consistently" `Quick
           cas_replicated_consistently;
         Alcotest.test_case "rejects command-id overflow" `Quick
