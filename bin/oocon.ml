@@ -857,6 +857,7 @@ let detect_cmd =
     in
     require_nodes n;
     require (Detect.Timeout.valid params) "invalid detector parameters";
+    require_horizon horizon;
     let mutant_v = Option.value mutant ~default:Detect.Oracle.Honest in
     (* Safety is unconditional: even a lying detector breaking agreement
        is a bug in the backend, never an "expected" violation. *)
@@ -878,7 +879,6 @@ let detect_cmd =
       else if not liveness_ok then exit 1
     in
     if campaign then begin
-      require_horizon horizon;
       let cfg =
         {
           (C.default_config ~n ()) with
@@ -1391,10 +1391,6 @@ let mcheck_cmd =
           Mcheck.Explorer.Rsleep
       & info [ "reduction" ] ~docv:"MODE" ~doc)
   in
-  let no_reduce_arg =
-    let doc = "Alias for $(b,--reduction none)." in
-    Arg.(value & flag & info [ "no-reduce" ] ~doc)
-  in
   let prune_arg =
     let doc =
       "Enable fingerprint pruning (models without a fingerprint ignore it; \
@@ -1468,7 +1464,7 @@ let mcheck_cmd =
     let doc = "List the explorable models and exit." in
     Arg.(value & flag & info [ "list-models" ] ~doc)
   in
-  let run model n depth fault_budget reduction no_reduce prune audit frontier
+  let run model n depth fault_budget reduction prune audit frontier
       pct schedules pct_d pct_steps pct_seed max_schedules stop_at_first jobs
       report_out dump_ce replay_file expect_violation list_models =
     Option.iter require_nodes n;
@@ -1479,6 +1475,29 @@ let mcheck_cmd =
       with Invalid_argument msg ->
         Format.eprintf "%s@." msg;
         exit 2
+    in
+    (* Minimize the first violating trail and write it to the --dump-ce
+       file. *)
+    let dump_counterexample ~config m trail =
+      Option.iter
+        (fun file ->
+          match trail with
+          | None -> Format.printf "no counterexample to dump@."
+          | Some entries -> (
+              match Mcheck.Explorer.minimize ~config m entries with
+              | None ->
+                  Format.eprintf "counterexample did not reproduce under replay@."
+              | Some entries ->
+                  Mcheck.Replay.save file
+                    (Mcheck.Replay.of_entries ~model:m.Mcheck.Models.name ~config
+                       entries);
+                  Format.printf
+                    "minimized counterexample (%d choices, %d non-default) \
+                     written to %s@."
+                    (List.length entries)
+                    (Mcheck.Explorer.nondefault_count entries)
+                    file))
+        dump_ce
     in
     if list_models then
       List.iter
@@ -1526,38 +1545,18 @@ let mcheck_cmd =
           Option.iter
             (fun file -> write_stable_report file Mcheck.Pct.pp_report_stable report)
             report_out;
-          Option.iter
-            (fun file ->
-              match report.Mcheck.Pct.pr_counterexample with
-              | None -> Format.printf "no counterexample to dump@."
-              | Some choices -> (
-                  let mconfig =
-                    { Mcheck.Explorer.default_config with depth; fault_budget }
-                  in
-                  let entries = Mcheck.Explorer.entries_of_choices choices in
-                  match Mcheck.Explorer.minimize ~config:mconfig m entries with
-                  | None ->
-                      Format.eprintf
-                        "counterexample did not reproduce under replay@."
-                  | Some entries ->
-                      Mcheck.Replay.save file
-                        (Mcheck.Replay.of_entries ~model:m.Mcheck.Models.name
-                           ~config:mconfig entries);
-                      Format.printf
-                        "minimized counterexample (%d choices, %d non-default) \
-                         written to %s@."
-                        (List.length entries)
-                        (Mcheck.Explorer.nondefault_count entries)
-                        file))
-            dump_ce;
+          dump_counterexample
+            ~config:{ Mcheck.Explorer.default_config with depth; fault_budget }
+            m
+            (Option.map Mcheck.Explorer.entries_of_choices
+               report.Mcheck.Pct.pr_counterexample);
           finish ~violations_found:(report.Mcheck.Pct.pr_violating > 0)
       | None ->
           let config =
             {
               Mcheck.Explorer.depth;
               fault_budget;
-              reduction =
-                (if no_reduce then Mcheck.Explorer.Rnone else reduction);
+              reduction;
               prune;
               audit;
               frontier;
@@ -1575,36 +1574,17 @@ let mcheck_cmd =
             (fun file ->
               write_stable_report file Mcheck.Explorer.pp_report_stable report)
             report_out;
-          Option.iter
-            (fun file ->
-              match report.Mcheck.Explorer.r_counterexample with
-              | None -> Format.printf "no counterexample to dump@."
-              | Some x -> (
-                  match
-                    Mcheck.Explorer.minimize ~config m
-                      x.Mcheck.Explorer.x_trail
-                  with
-                  | None ->
-                      Format.eprintf
-                        "counterexample did not reproduce under replay@."
-                  | Some entries ->
-                      Mcheck.Replay.save file
-                        (Mcheck.Replay.of_entries
-                           ~model:m.Mcheck.Models.name ~config entries);
-                      Format.printf
-                        "minimized counterexample (%d choices, %d \
-                         non-default) written to %s@."
-                        (List.length entries)
-                        (Mcheck.Explorer.nondefault_count entries)
-                        file))
-            dump_ce;
+          dump_counterexample ~config m
+            (Option.map
+               (fun x -> x.Mcheck.Explorer.x_trail)
+               report.Mcheck.Explorer.r_counterexample);
           finish
             ~violations_found:(report.Mcheck.Explorer.r_violating > 0)
   in
   let term =
     Term.(
       const run $ model_arg $ n_opt_arg $ depth_arg $ fault_budget_arg
-      $ reduction_arg $ no_reduce_arg $ prune_arg $ audit_arg $ frontier_arg
+      $ reduction_arg $ prune_arg $ audit_arg $ frontier_arg
       $ pct_arg $ schedules_arg $ pct_d_arg $ pct_steps_arg $ pct_seed_arg
       $ max_schedules_arg $ stop_at_first_arg $ jobs_arg
       $ report_out_arg "exploration report"
