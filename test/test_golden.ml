@@ -1,7 +1,7 @@
 (* Golden pins: seeded end-to-end runs whose observable outcome is
    fixed to the values below.  The simulator's scheduling mechanism
-   (event queues, batching, how blocked fibers are woken) may change
-   freely underneath; these figures may not.  Each pin records the
+   (the event queue, how blocked fibers are woken) may change freely
+   underneath; these figures may not.  Each pin records the
    replica digests (hashed), the virtual end time, the messages sent and
    the backend instances consumed; two pins hash a whole trace, the
    [wal/*] pins hash the bytes left on every replica's disk, and the
