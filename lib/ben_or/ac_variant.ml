@@ -27,7 +27,8 @@ type phase_tally = {
 
 type tally = {
   n : int;
-  changed : Dsim.Engine.queue;  (* signalled whenever a count changes *)
+  quorum : int;  (* n - t: every wait is for a step count reaching it *)
+  changed : Dsim.Engine.queue;  (* signalled when a step count reaches [quorum] *)
   phases : (int, phase_tally) Hashtbl.t;
 }
 
@@ -68,7 +69,7 @@ let ingest t env =
       if not p.seen1.(src) then begin
         p.seen1.(src) <- true;
         p.proposers <- p.proposers + 1;
-        Dsim.Engine.signal t.changed;
+        if p.proposers = t.quorum then Dsim.Engine.signal t.changed;
         let first = ref p.propose_first and mixed = ref p.propose_mixed in
         note_value first mixed value;
         p.propose_first <- !first;
@@ -79,7 +80,7 @@ let ingest t env =
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
         p.flaggers <- p.flaggers + 1;
-        Dsim.Engine.signal t.changed;
+        if p.flaggers = t.quorum then Dsim.Engine.signal t.changed;
         if saw_agreement then begin
           let first = ref p.agree_value and conflict = ref p.agree_conflict in
           note_value first conflict value;
@@ -93,7 +94,7 @@ let ingest t env =
       if not p.seen3.(src) then begin
         p.seen3.(src) <- true;
         p.suggesters <- p.suggesters + 1;
-        Dsim.Engine.signal t.changed;
+        if p.suggesters = t.quorum then Dsim.Engine.signal t.changed;
         let first = ref p.suggest_first and mixed = ref p.suggest_mixed in
         note_value first mixed value;
         p.suggest_first <- !first;
@@ -114,7 +115,12 @@ let make_ctx ?coin ~net ~me ~faults ~rng () =
   if me < 0 || me >= n then invalid_arg "Ac_variant.make_ctx: bad processor id";
   if 2 * faults >= n then invalid_arg "Ac_variant.make_ctx: requires 2t < n";
   let tally =
-    { n; changed = Dsim.Engine.queue (Net.engine net); phases = Hashtbl.create 32 }
+    {
+      n;
+      quorum = n - faults;
+      changed = Dsim.Engine.queue (Net.engine net);
+      phases = Hashtbl.create 32;
+    }
   in
   Net.set_handler net me (ingest tally);
   { net; me; faults; rng; coin; tally }

@@ -14,7 +14,7 @@ let make_ctx ?coin ~net ~me ~faults ~rng () =
   let n = Async_net.n net in
   if me < 0 || me >= n then invalid_arg "Ben_or.make_ctx: bad processor id";
   if 2 * faults >= n then invalid_arg "Ben_or.make_ctx: requires 2t < n";
-  { net; me; faults; rng; tally = Tally.attach net ~me; coin }
+  { net; me; faults; rng; tally = Tally.attach net ~me ~quorum:(n - faults); coin }
 
 (* One VAC invocation: the body of paper Algorithm 5.  All quorum counts
    come from the per-phase tally (distinct senders, O(1) reads), so the

@@ -9,7 +9,11 @@ type phase_tally = {
   mutable ratify_false : int;
 }
 
-type t = { changed : Dsim.Engine.queue; phases : phase_tally Consensus.Phases.t }
+type t = {
+  quorum : int;
+  changed : Dsim.Engine.queue;
+  phases : phase_tally Consensus.Phases.t;
+}
 
 let fresh n () =
   {
@@ -36,7 +40,7 @@ let ingest t env =
       if not p.seen1.(src) then begin
         p.seen1.(src) <- true;
         p.step1 <- p.step1 + 1;
-        Dsim.Engine.signal t.changed;
+        if p.step1 = t.quorum then Dsim.Engine.signal t.changed;
         if value then p.reports_true <- p.reports_true + 1
         else p.reports_false <- p.reports_false + 1
       end
@@ -45,7 +49,7 @@ let ingest t env =
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
         p.step2 <- p.step2 + 1;
-        Dsim.Engine.signal t.changed;
+        if p.step2 = t.quorum then Dsim.Engine.signal t.changed;
         if value then p.ratify_true <- p.ratify_true + 1
         else p.ratify_false <- p.ratify_false + 1
       end
@@ -54,12 +58,13 @@ let ingest t env =
       if not p.seen2.(src) then begin
         p.seen2.(src) <- true;
         p.step2 <- p.step2 + 1;
-        Dsim.Engine.signal t.changed
+        if p.step2 = t.quorum then Dsim.Engine.signal t.changed
       end
 
-let attach net ~me =
+let attach net ~me ~quorum =
   let t =
     {
+      quorum;
       changed = Dsim.Engine.queue (Netsim.Async_net.engine net);
       phases =
         Consensus.Phases.create ~empty ~make:(fresh (Netsim.Async_net.n net));

@@ -8,16 +8,24 @@
 
     All counts are over {e distinct senders} (first message from a sender
     for a given phase/step wins), which keeps the protocol correct under
-    message duplication. *)
+    message duplication.
+
+    Every wait on a tally is for a quorum: a step count reaching [n - t]
+    (paper Algorithm 5).  So {!changed} is signalled only when a phase's
+    step-1 or step-2 count reaches the quorum given at {!attach}, the one
+    change such a wait can act on, and not on every counted message. *)
 
 type t
 
-val attach : Messages.t Netsim.Async_net.t -> me:int -> t
-(** Create the tally and install it as node [me]'s delivery handler. *)
+val attach : Messages.t Netsim.Async_net.t -> me:int -> quorum:int -> t
+(** Create the tally and install it as node [me]'s delivery handler.
+    [quorum] is the step count the node's waits need, [n - t]. *)
 
 val changed : t -> Dsim.Engine.queue
-(** Signalled whenever a count changes: the queue an [Engine.await] on
-    these counts names. *)
+(** Signalled when {!step1_senders} or {!step2_senders} of a phase
+    reaches the quorum.  An [Engine.await] naming it must poll for one of
+    them being at least the quorum; a poll that could hold below it would
+    never be woken ([Engine.Missed_wakeup]). *)
 
 val step1_senders : t -> phase:int -> int
 (** Distinct senders of ⟨1, ∗⟩ for the phase. *)

@@ -14,7 +14,7 @@ let make_ctx ~net ~me ~faults ~input =
   let n = Net.n net in
   if me < 0 || me >= n then invalid_arg "Decentralized.make_ctx: bad id";
   if 2 * faults >= n then invalid_arg "Decentralized.make_ctx: requires 2t < n";
-  { net; me; faults; input; tally = Dec_tally.attach net ~me }
+  { net; me; faults; input; tally = Dec_tally.attach net ~me ~quorum:(n - faults) }
 
 let vac_invoke ctx ~round:m v =
   let n = Net.n ctx.net in
@@ -29,19 +29,16 @@ let vac_invoke ctx ~round:m v =
       Dec_tally.second_senders ctx.tally ~phase:m >= n - t);
   (* At most one value can be ratified in a phase: ratification requires a
      strict majority of distinct proposers behind it. *)
-  let ratified = Dec_tally.ratified_values ctx.tally ~phase:m in
   let parting_gift u =
     Net.broadcast ctx.net ~src:ctx.me (Msg.Propose { phase = m + 1; value = u });
     Net.broadcast ctx.net ~src:ctx.me (Msg.Second { phase = m + 1; ratify = Some u })
   in
-  match List.find_opt (fun w -> Dec_tally.ratifies_for ctx.tally ~phase:m w > t) ratified with
-  | Some w ->
+  match Dec_tally.ratified ctx.tally ~phase:m ~above:t with
+  | Some (w, true) ->
       parting_gift w;
       Types_c.Commit w
-  | None -> (
-      match ratified with
-      | w :: _ -> Types_c.Adopt w
-      | [] -> Types_c.Vacillate v)
+  | Some (w, false) -> Types_c.Adopt w
+  | None -> Types_c.Vacillate v
 
 module Vac = struct
   type nonrec ctx = ctx
@@ -60,25 +57,7 @@ module Reconciliator = struct
      happened to arrive this round, earliest proposer breaking ties.  No
      coin is flipped — all randomness is the network's. *)
   let invoke ctx ~round:m _detected =
-    let proposals = Dec_tally.proposals_in_arrival_order ctx.tally ~phase:m in
-    match proposals with
-    | [] -> ctx.input
-    | arrivals ->
-        let counts = Hashtbl.create 8 in
-        List.iter
-          (fun (_, v) ->
-            Hashtbl.replace counts v
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
-          arrivals;
-        let best = ref None in
-        List.iter
-          (fun (_, v) ->
-            let c = Option.value ~default:0 (Hashtbl.find_opt counts v) in
-            match !best with
-            | Some (_, bc) when bc >= c -> ()
-            | Some _ | None -> best := Some (v, c))
-          arrivals;
-        (match !best with Some (v, _) -> v | None -> ctx.input)
+    Option.value ~default:ctx.input (Dec_tally.plurality ctx.tally ~phase:m)
 end
 
 module Consensus_decentralized = struct

@@ -174,11 +174,7 @@ let set_floor t ~owner ~upto ~state ~cids =
    audit exists to catch. *)
 let acks_wait_for_disk t = t.store_on && not t.scfg.ack_before_fsync
 
-let is_ready t ~cid =
-  Hashtbl.mem t.first_output cid
-  && ((not (acks_wait_for_disk t)) || Hashtbl.mem t.durable cid)
-
-(* [on_ready] fires where [is_ready] first holds: at the first
+(* [on_ready] fires where the ack rule first holds: at the first
    application when acks do not wait for the disk, else where the
    command first becomes durable — always after some replica applied
    it, since only applied commands are written to the WAL. *)

@@ -91,16 +91,20 @@ let run (type op st) (machine : (op, st, string) Group.machine)
     Dsim.Engine.create ~seed:cfg.seed ?trace_capacity:cfg.trace_capacity
       ~tracing:(not cfg.quiet) ()
   in
+  let clients = Array.length cfg.ops in
+  (* A client's next seq not yet acked.  It submits seq k only once k - 1
+     is ready, so its commands become ready in seq order. *)
+  let ready = Array.make clients 0 in
   let g =
     Group.create ~engine:eng ~label:"" ~n:cfg.n ~backend:cfg.backend
       ~seed:cfg.seed ~latency:cfg.latency ~batch:cfg.batch ~store:cfg.store
       ~machine
       ~on_first_apply:(fun _ _ -> ())
-      ~on_ready:(fun ~cid:_ -> ())
+      ~on_ready:(fun ~cid ->
+        ready.(client_of_cid cid) <- (cid land ((1 lsl seq_bits) - 1)) + 1)
   in
   (* the response is filled in from the group after the run *)
   let hists : (int, op hist) Hashtbl.t = Hashtbl.create 64 in
-  let clients = Array.length cfg.ops in
   let done_clients = ref 0 in
   let clients_done = Dsim.Engine.queue eng in
   let latencies = ref [] in
@@ -126,7 +130,7 @@ let run (type op st) (machine : (op, st, string) Group.machine)
           let deadline = Dsim.Engine.now eng + cfg.ack_timeout in
           let got_ack =
             Dsim.Engine.poll_every ctx ~period:10 (fun () ->
-                if Group.is_ready g ~cid then Some true
+                if ready.(c) > k then Some true
                 else if Dsim.Engine.now eng >= deadline then Some false
                 else None)
           in

@@ -17,7 +17,7 @@ let benor_net () =
 
 let tally_counts_by_phase () =
   let e, net = benor_net () in
-  let t = Ben_or.Tally.attach net ~me:0 in
+  let t = Ben_or.Tally.attach net ~me:0 ~quorum:3 in
   Net.send net ~src:1 ~dst:0 (Ben_or.Messages.Report { phase = 1; value = true });
   Net.send net ~src:2 ~dst:0 (Ben_or.Messages.Report { phase = 1; value = false });
   Net.send net ~src:3 ~dst:0 (Ben_or.Messages.Report { phase = 2; value = true });
@@ -34,7 +34,7 @@ let tally_counts_by_phase () =
 
 let tally_dedups_senders () =
   let e, net = benor_net () in
-  let t = Ben_or.Tally.attach net ~me:0 in
+  let t = Ben_or.Tally.attach net ~me:0 ~quorum:3 in
   for _ = 1 to 5 do
     Net.send net ~src:1 ~dst:0 (Ben_or.Messages.Report { phase = 1; value = true })
   done;
@@ -44,13 +44,29 @@ let tally_dedups_senders () =
 
 let tally_forget_below () =
   let e, net = benor_net () in
-  let t = Ben_or.Tally.attach net ~me:0 in
+  let t = Ben_or.Tally.attach net ~me:0 ~quorum:3 in
   Net.send net ~src:1 ~dst:0 (Ben_or.Messages.Report { phase = 1; value = true });
   Net.send net ~src:1 ~dst:0 (Ben_or.Messages.Report { phase = 5; value = true });
   ignore (Engine.run e : Engine.outcome);
   Ben_or.Tally.forget_below t ~phase:5;
   check Alcotest.int "old phase dropped" 0 (Ben_or.Tally.step1_senders t ~phase:1);
   check Alcotest.int "current phase kept" 1 (Ben_or.Tally.step1_senders t ~phase:5)
+
+(* The tally signals only when a step count reaches the quorum, so a
+   wait for fewer senders is never woken: the missed-wakeup audit must
+   catch it when the run deadlocks. *)
+let tally_wait_below_quorum_is_missed () =
+  let e, net = benor_net () in
+  let t = Ben_or.Tally.attach net ~me:0 ~quorum:3 in
+  let waiter =
+    Engine.spawn e (fun _ ->
+        Engine.await_cond (Ben_or.Tally.changed t) (fun () ->
+            Ben_or.Tally.step1_senders t ~phase:1 >= 2))
+  in
+  Net.send net ~src:1 ~dst:0 (Ben_or.Messages.Report { phase = 1; value = true });
+  Net.send net ~src:2 ~dst:0 (Ben_or.Messages.Report { phase = 1; value = false });
+  Alcotest.check_raises "unsignalled wait convicted" (Engine.Missed_wakeup waiter)
+    (fun () -> ignore (Engine.run e : Engine.outcome))
 
 (* Reads never create a phase; a late write to a forgotten phase is
    forgotten again by the next [forget_below]. *)
@@ -86,7 +102,7 @@ let dec_net () =
 
 let dec_tally_majority_and_order () =
   let e, net = dec_net () in
-  let t = Raft.Dec_tally.attach net ~me:0 in
+  let t = Raft.Dec_tally.attach net ~me:0 ~quorum:3 in
   Engine.schedule e ~delay:0 (fun () ->
       Net.send net ~src:3 ~dst:0 (Raft.Decentralized_msg.Propose { phase = 1; value = 9 }));
   Engine.schedule e ~delay:5 (fun () ->
@@ -97,24 +113,48 @@ let dec_tally_majority_and_order () =
   check Alcotest.int "proposers" 4 (Raft.Dec_tally.proposers t ~phase:1);
   check (Alcotest.option Alcotest.int) "majority of n=5" (Some 7)
     (Raft.Dec_tally.majority_value t ~phase:1 ~n:5);
-  (match Raft.Dec_tally.proposals_in_arrival_order t ~phase:1 with
-  | (first_src, first_v) :: _ ->
-      check Alcotest.int "earliest sender first" 3 first_src;
-      check Alcotest.int "earliest value" 9 first_v
-  | [] -> Alcotest.fail "no proposals");
+  check (Alcotest.option Alcotest.int) "plurality" (Some 7)
+    (Raft.Dec_tally.plurality t ~phase:1);
+  (* a tie goes to the earliest-arrived proposal, whatever the values *)
+  Engine.schedule e ~delay:0 (fun () ->
+      Net.send net ~src:3 ~dst:0 (Raft.Decentralized_msg.Propose { phase = 2; value = 9 });
+      Net.send net ~src:1 ~dst:0 (Raft.Decentralized_msg.Propose { phase = 3; value = 7 }));
+  Engine.schedule e ~delay:5 (fun () ->
+      Net.send net ~src:1 ~dst:0 (Raft.Decentralized_msg.Propose { phase = 2; value = 7 });
+      Net.send net ~src:3 ~dst:0 (Raft.Decentralized_msg.Propose { phase = 3; value = 9 }));
+  ignore (Engine.run e : Engine.outcome);
+  check (Alcotest.option Alcotest.int) "earliest of a tie" (Some 9)
+    (Raft.Dec_tally.plurality t ~phase:2);
+  check (Alcotest.option Alcotest.int) "earliest of a tie, reversed" (Some 7)
+    (Raft.Dec_tally.plurality t ~phase:3);
+  check (Alcotest.option Alcotest.int) "no majority in a tie" None
+    (Raft.Dec_tally.majority_value t ~phase:2 ~n:5);
+  check (Alcotest.option Alcotest.int) "no proposals" None
+    (Raft.Dec_tally.plurality t ~phase:4);
   check Alcotest.int "no seconds yet" 0 (Raft.Dec_tally.second_senders t ~phase:1)
 
 let dec_tally_ratifications () =
   let e, net = dec_net () in
-  let t = Raft.Dec_tally.attach net ~me:0 in
+  let t = Raft.Dec_tally.attach net ~me:0 ~quorum:3 in
   Net.send net ~src:1 ~dst:0 (Raft.Decentralized_msg.Second { phase = 2; ratify = Some 4 });
   Net.send net ~src:2 ~dst:0 (Raft.Decentralized_msg.Second { phase = 2; ratify = Some 4 });
   Net.send net ~src:3 ~dst:0 (Raft.Decentralized_msg.Second { phase = 2; ratify = None });
+  (* phase 3: 9 twice, then the smaller 5 once *)
+  Net.send net ~src:1 ~dst:0 (Raft.Decentralized_msg.Second { phase = 3; ratify = Some 9 });
+  Net.send net ~src:2 ~dst:0 (Raft.Decentralized_msg.Second { phase = 3; ratify = Some 9 });
+  Net.send net ~src:3 ~dst:0 (Raft.Decentralized_msg.Second { phase = 3; ratify = Some 5 });
   ignore (Engine.run e : Engine.outcome);
+  let ratified = Alcotest.(option (pair int bool)) in
   check Alcotest.int "second senders" 3 (Raft.Dec_tally.second_senders t ~phase:2);
-  check Alcotest.int "ratifies for 4" 2 (Raft.Dec_tally.ratifies_for t ~phase:2 4);
-  check (Alcotest.list Alcotest.int) "ratified values" [ 4 ]
-    (Raft.Dec_tally.ratified_values t ~phase:2)
+  check ratified "past 1 ratification" (Some (4, true))
+    (Raft.Dec_tally.ratified t ~phase:2 ~above:1);
+  check ratified "not past 2" (Some (4, false))
+    (Raft.Dec_tally.ratified t ~phase:2 ~above:2);
+  check ratified "none ratified" None (Raft.Dec_tally.ratified t ~phase:1 ~above:0);
+  check ratified "a committing value beats a smaller one" (Some (9, true))
+    (Raft.Dec_tally.ratified t ~phase:3 ~above:1);
+  check ratified "else the smallest" (Some (5, false))
+    (Raft.Dec_tally.ratified t ~phase:3 ~above:2)
 
 (* --- message pretty-printers -------------------------------------------- *)
 
@@ -189,6 +229,8 @@ let suite =
     Alcotest.test_case "tally counts by phase" `Quick tally_counts_by_phase;
     Alcotest.test_case "tally dedups senders" `Quick tally_dedups_senders;
     Alcotest.test_case "tally forget_below" `Quick tally_forget_below;
+    Alcotest.test_case "tally wait below quorum is missed" `Quick
+      tally_wait_below_quorum_is_missed;
     Alcotest.test_case "phases: reads create nothing" `Quick phases_reads_create_nothing;
     Alcotest.test_case "dec tally majority/order" `Quick dec_tally_majority_and_order;
     Alcotest.test_case "dec tally ratifications" `Quick dec_tally_ratifications;
