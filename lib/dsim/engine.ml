@@ -245,8 +245,8 @@ let rec all_owned t = function
 (* Re-poll the marked waits, newest blocker first, until none is left.
    A wake can signal and so mark further waits; the heap orders those
    with the rest, which is exactly the polled engine's restart-from-the-
-   head scan with the waits whose polls could not have changed left
-   out. *)
+   head scan with the waits whose poll results could not have changed
+   left out. *)
 let drain_marked t =
   while t.mlen > 0 do
     let e = mark_pop t in

@@ -8,9 +8,9 @@
 
     Waiting is event-driven.  An {!await} names the {!queue}s whose
     owners change what its poll reads; an owner calls {!signal} after
-    every such change; and after each event the engine re-polls only the
-    waits a signal has marked.  Blocked processes that nobody signals
-    cost nothing per event.
+    every change that can make a waiting poll hold; and after each event
+    the engine re-polls only the waits a signal has marked.  Blocked
+    processes that nobody signals cost nothing per event.
 
     A process body receives a {!ctx} carrying its pid and a private
     random-number stream split off the engine seed.  {!await}, {!sleep} and
@@ -35,10 +35,9 @@ exception Not_in_process
 
 exception Missed_wakeup of pid
 (** Raised by {!run} when a blocked process's poll holds although no
-    signal marked it: some owner changed state the poll reads without
-    signalling a queue the [await] names.  Checked when a run ends
-    deadlocked, and after every event while a choice oracle is
-    installed. *)
+    signal marked it: some owner made the poll hold without signalling
+    a queue the [await] names.  Checked when a run ends deadlocked, and
+    after every event while a choice oracle is installed. *)
 
 (** Why {!run} returned. *)
 type outcome =
@@ -243,15 +242,17 @@ val settle : t -> unit
 
     A queue stands for a piece of state and the owner that changes it:
     a tally, an inbox, a log.  The owner calls {!signal} after every
-    change; a process whose poll reads that state names the queue in
-    its {!await}.
+    change that can make a waiting poll hold; a process whose poll reads
+    that state names the queue in its {!await}.  An owner that knows
+    its waiters' polls may skip the rest: a tally whose every wait is
+    for a count to reach a quorum signals only when it does.
 
     Resume order is the polled engine's: after each event the marked
     waits are re-polled newest blocker first, and after every wake-up
     the scan starts again from the newest.  An unmarked wait's poll
-    cannot have changed since it last returned [None], so leaving it
-    out changes nothing, and seeded traces are identical to polling
-    every blocked process after every event. *)
+    result cannot have changed since it last returned [None], so
+    leaving it out changes nothing, and seeded traces are identical to
+    polling every blocked process after every event. *)
 
 type queue
 (** A wait queue.  Belongs to one engine. *)
@@ -277,9 +278,10 @@ val await : queue -> (unit -> 'a option) -> 'a
 
     The contract: [poll] may read only state whose owner signals [q]
     (or, with {!await_any}, one of the named queues) after every change
-    to it.  The engine runs [poll] once before the process blocks, once
-    after each event that signalled a named queue, and in the wake-up
-    checks (see {!Missed_wakeup}); it must only read.
+    that can make a waiting poll hold.  The engine runs [poll] once
+    before the process blocks, once after each event that signalled a
+    named queue, and in the wake-up checks (see {!Missed_wakeup}); it
+    must only read.
     @raise Invalid_argument (inside the process) if [q] belongs to
     another engine. *)
 
