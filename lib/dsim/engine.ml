@@ -23,9 +23,9 @@ type oracle = { choose : choice -> int }
 (* Events are packed ints, not boxed records: bits 0..9 hold the kind
    (an index into the dispatch table), bits 10..32 the owner pid plus
    one (0 = no owner), bits 33..62 the kind-specific argument.  Kind 0
-   runs a closure from the arena below; kind 1 resumes a sleeping or
-   yielded process (arg = pid); layers register further kinds so their
-   hot paths never allocate a closure per event. *)
+   runs a closure from the arena below; kind 1 resumes a sleeping
+   process (arg = pid); layers register further kinds so their hot paths
+   never allocate a closure per event. *)
 let k_closure = 0
 let k_resume = 1
 let kind_bits = 10
@@ -56,21 +56,9 @@ type proc = {
   mutable p_state : proc_state;
   mutable p_failure : exn option;
   mutable p_k : (unit, unit) Effect.Deep.continuation option;
-      (* pending sleep/yield resume — a fiber has one suspension point *)
-  mutable p_poll : poll;
+      (* pending sleep resume — a fiber has one suspension point *)
   mutable p_wait : wait;
 }
-
-(* A process parked in [poll_every]: its resume events run the check in
-   scheduler context and continue the fiber only once it holds. *)
-and poll =
-  | No_poll
-  | Poll : {
-      e_period : int;
-      e_check : unit -> 'a option;
-      e_k : ('a, unit) Effect.Deep.continuation;
-    }
-      -> poll
 
 (* A process blocked in [await]: its poll and continuation, and whether
    a signal has marked it for re-polling since its last false poll. *)
@@ -122,8 +110,6 @@ type outcome = Quiescent | Deadlock of pid list | Time_limit | Event_limit
 type _ Effect.t +=
   | Await : queue * queue list * (unit -> 'a option) -> 'a Effect.t
   | Sleep : int -> unit Effect.t
-  | Poll_every : int * (unit -> 'a option) -> 'a Effect.t
-  | Yield : unit Effect.t
 
 let dummy_proc =
   {
@@ -132,7 +118,6 @@ let dummy_proc =
     p_state = Dead;
     p_failure = None;
     p_k = None;
-    p_poll = No_poll;
     p_wait = Idle;
   }
 
@@ -322,10 +307,8 @@ let schedule_kind t ~owner ~delay ~kind arg =
   Equeue.add t.events ~key:(t.now + delay) (pack ~kind ~owner ~arg);
   if t.lineage then note_created t
 
-(* A resume event continues the process's sleep or yield, or runs its
-   [poll_every] check: the fiber wakes only when the check holds, and
-   otherwise the check books the next one — the event the fiber's own
-   [sleep] would have scheduled. *)
+(* A resume event continues the process's sleep; a process killed
+   while it slept unwinds here. *)
 let resume_proc t pid =
   let p = t.parr.(pid) in
   match p.p_k with
@@ -333,24 +316,7 @@ let resume_proc t pid =
       p.p_k <- None;
       if p.p_state = Running then Effect.Deep.continue k ()
       else Effect.Deep.discontinue k Killed
-  | None -> (
-      match p.p_poll with
-      | No_poll -> ()
-      | Poll w -> (
-          if p.p_state <> Running then begin
-            p.p_poll <- No_poll;
-            Effect.Deep.discontinue w.e_k Killed
-          end
-          else
-            match w.e_check () with
-            | None -> schedule_kind t ~owner:(-1) ~delay:w.e_period ~kind:k_resume pid
-            | Some v ->
-                p.p_poll <- No_poll;
-                Effect.Deep.continue w.e_k v
-            | exception exn ->
-                (* raised where the fiber's own check would have raised *)
-                p.p_poll <- No_poll;
-                Effect.Deep.discontinue w.e_k exn))
+  | None -> ()
 
 let create ?(seed = 1L) ?trace_capacity ?(tracing = true) () =
   let events = Equeue.create ()
@@ -447,16 +413,6 @@ let await_cond q p = await q (fun () -> if p () then Some () else None)
 let sleep _ctx d =
   try Effect.perform (Sleep d) with Effect.Unhandled _ -> raise Not_in_process
 
-let yield _ctx =
-  try Effect.perform Yield with Effect.Unhandled _ -> raise Not_in_process
-
-let poll_every _ctx ~period poll =
-  match poll () with
-  | Some v -> v
-  | None -> (
-      try Effect.perform (Poll_every (period, poll))
-      with Effect.Unhandled _ -> raise Not_in_process)
-
 (* Fiber plumbing -------------------------------------------------------- *)
 
 let run_fiber t (p : proc) body =
@@ -485,17 +441,6 @@ let run_fiber t (p : proc) body =
           (fun k ->
             let d = if d < 0 then 0 else d in
             p.p_k <- Some k;
-            schedule_kind t ~owner:(-1) ~delay:d ~kind:k_resume p.p_pid)
-    | Yield ->
-        Some
-          (fun k ->
-            p.p_k <- Some k;
-            schedule_kind t ~owner:(-1) ~delay:0 ~kind:k_resume p.p_pid)
-    | Poll_every (d, poll) ->
-        Some
-          (fun k ->
-            let d = if d < 0 then 0 else d in
-            p.p_poll <- Poll { e_period = d; e_check = poll; e_k = k };
             schedule_kind t ~owner:(-1) ~delay:d ~kind:k_resume p.p_pid)
     | _ -> None
   in
@@ -528,7 +473,7 @@ let spawn t ?name body =
   end;
   let p =
     { p_pid = pid; p_name = name; p_state = Running; p_failure = None; p_k = None;
-      p_poll = No_poll; p_wait = Idle }
+      p_wait = Idle }
   in
   t.parr.(pid) <- p;
   let proc_rng = Rng.split t.engine_rng in
@@ -560,9 +505,9 @@ let kill t pid =
 (* Drop every pending event as if it had run and done nothing: the clock
    moves to the latest of their times, which one scan of the queue finds
    here, so the schedule paths keep no running maximum.  A dropped resume
-   event belongs to a process parked in [sleep], [yield] or [poll_every];
-   once the queue is empty it is killed and unwound, as [kill] would have
-   left it to unwind at that event, in pid order. *)
+   event belongs to a process parked in [sleep]; once the queue is empty
+   it is killed and unwound, as [kill] would have left it to unwind at
+   that event, in pid order. *)
 let settle t =
   (match t.oracle with
   | Some _ -> invalid_arg "Engine.settle: a choice oracle is installed"

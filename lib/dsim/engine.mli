@@ -2,9 +2,10 @@
 
     The engine owns a virtual clock and an event queue.  Simulated
     processes are written in direct style as ordinary OCaml functions; they
-    suspend through effects ({!await}, {!sleep}, {!yield}, {!poll_every})
-    and the engine resumes them when their wake-up condition is met.  All
-    scheduling is deterministic: same seed, same program — same trace.
+    suspend in one of two ways, {!await} on signalled state or {!sleep}
+    for virtual time, and the engine resumes them when their wake-up
+    condition is met.  All scheduling is deterministic: same seed, same
+    program — same trace.
 
     Waiting is event-driven.  An {!await} names the {!queue}s whose
     owners change what its poll reads; an owner calls {!signal} after
@@ -13,9 +14,9 @@
     processes that nobody signals cost nothing per event.
 
     A process body receives a {!ctx} carrying its pid and a private
-    random-number stream split off the engine seed.  {!await}, {!sleep} and
-    {!yield} may only be called from inside a process body; calling them
-    elsewhere raises [Not_in_process]. *)
+    random-number stream split off the engine seed.  {!await} and {!sleep}
+    may only be called from inside a process body; calling them elsewhere
+    raises [Not_in_process]. *)
 
 type t
 type pid = int
@@ -228,12 +229,11 @@ val settle : t -> unit
     told, so read nothing from them afterwards that a full run would
     have changed.
 
-    Processes parked in {!sleep}, {!yield} or {!poll_every} lose their
-    wake-up event, so they are killed and unwound with {!Killed}
-    (finalizers run), as {!kill} does, in pid order; events scheduled
-    while they unwind stay queued.  Processes blocked in {!await} stay
-    blocked, and a process whose first step is still pending never
-    runs.  The latest key is found by scanning the queue here, so
+    Processes parked in {!sleep} lose their wake-up event, so they are
+    killed and unwound with {!Killed} (finalizers run), as {!kill}
+    does, in pid order; events scheduled while they unwind stay queued.
+    Processes blocked in {!await} stay blocked, and a process whose
+    first step is still pending never runs.  The latest key is found by scanning the queue here, so
     scheduling and {!run} do no bookkeeping for it.
     @raise Invalid_argument under a choice oracle: every event there is
     a choice the explorer must see. *)
@@ -274,7 +274,7 @@ val clock : t -> queue
 val await : queue -> (unit -> 'a option) -> 'a
 (** [await q poll] suspends until [poll ()] returns [Some v], then
     evaluates to [v].  If the condition already holds the process
-    continues immediately without yielding.
+    continues immediately without suspending.
 
     The contract: [poll] may read only state whose owner signals [q]
     (or, with {!await_any}, one of the named queues) after every change
@@ -293,27 +293,9 @@ val await_cond : queue -> (unit -> bool) -> unit
 (** [await_cond q p] is [await q (fun () -> if p () then Some () else None)]. *)
 
 val sleep : ctx -> int -> unit
-(** Suspend for a fixed amount of virtual time. *)
-
-val yield : ctx -> unit
-(** Suspend until the current tick's already-queued events have run. *)
-
-val poll_every : ctx -> period:int -> (unit -> 'a option) -> 'a
-(** [poll_every ctx ~period poll] evaluates [poll ()] now and then every
-    [period] ticks until it returns [Some v], and evaluates to [v].  A
-    negative period counts as 0.
-
-    The contract: it is identical to the loop
-    [let rec go () = match poll () with Some v -> v | None -> sleep ctx period; go ()]
-    — the same events at the same times, with the same owner (none) and
-    creation order, so traces, event seqs and choice points cannot
-    tell them apart.  Only host work differs: between checks the
-    process stays parked, and each check runs [poll] from the engine
-    without resuming the fiber.  A process killed while parked unwinds
-    with {!Killed} at its next check, as a sleeping one does at its
-    wake-up, and an exception [poll] raises there is raised in the
-    process, where the loop would have raised it.  Unlike {!await},
-    [poll] may read anything, including {!now}; it must not suspend. *)
+(** Suspend for a fixed amount of virtual time (a negative amount counts
+    as 0).  [sleep ctx 0] resumes after the current tick's
+    already-queued events have run. *)
 
 (**/**)
 
