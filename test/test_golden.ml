@@ -289,7 +289,12 @@ let pins =
     ]
 
 (* Recorded once from the polled engine; never regenerate to make a
-   change pass. *)
+   change pass.  One re-record since, for one cause: client acks became
+   signalled where the ack rule first holds instead of found at the
+   next 10-tick check, so clients submit their next command earlier.
+   That moved [nemesis/1] to [nemesis/4], [nemesis/trace/7] and
+   [campaign/nemesis] (two more runs left incomplete), and nothing
+   else. *)
 let expected =
   [
     ("rsm/ben-or/1", "vt=2340 msgs=120 inst=57 acked=24 dig=d468ddf17f85");
@@ -322,17 +327,17 @@ let expected =
     ("obj/queue/3", "vt=490 msgs=120 inst=16 acked=24 dig=3cb3bfb5aeaf");
     ("obj/queue/4", "vt=500 msgs=120 inst=16 acked=24 dig=6bb51eebf1ac");
     ("obj/queue/5", "vt=490 msgs=120 inst=16 acked=24 dig=c1c0ff2a7b9a");
-    ("nemesis/1", "vt=2480 msgs=160 inst=62 acked=24 dig=d468ddf17f85");
-    ("nemesis/2", "vt=2520 msgs=180 inst=47 acked=24 dig=971bcfb2ebb1");
-    ("nemesis/3", "vt=1660 msgs=140 inst=45 acked=24 dig=7210aee6b888");
-    ("nemesis/4", "vt=1440 msgs=130 inst=39 acked=24 dig=1ab656273c1f");
+    ("nemesis/1", "vt=2470 msgs=160 inst=62 acked=24 dig=f4f0bbfb7474");
+    ("nemesis/2", "vt=2510 msgs=180 inst=49 acked=24 dig=971bcfb2ebb1");
+    ("nemesis/3", "vt=1420 msgs=140 inst=39 acked=24 dig=7210aee6b888");
+    ("nemesis/4", "vt=1430 msgs=130 inst=39 acked=24 dig=1ab656273c1f");
     ("nemesis/5", "vt=1780 msgs=130 inst=47 acked=24 dig=f70bc5ce0c2c");
     ("detect/1", "vt=640 msgs=142 hb=108 dec=11111 at=22,104,28,28,24");
     ("detect/2", "vt=640 msgs=64 hb=40 dec=11111 at=27,35,31,36,29");
     ("detect/3", "vt=640 msgs=64 hb=40 dec=11111 at=22,27,25,29,29");
     ("detect/4", "vt=640 msgs=64 hb=40 dec=11111 at=28,37,33,36,36");
     ("detect/5", "vt=640 msgs=64 hb=40 dec=11111 at=20,21,27,21,25");
-    ("nemesis/trace/7", "563a4b42df8a119da786248b98450957");
+    ("nemesis/trace/7", "4d08ba8bb0287eebe95c3d6cfee02731");
     ("detect/trace/7", "ca28ece53e0576213f14113e2dd6180c");
     ("wal/rsm/ben-or", "bytes=2910 rec=f5900755ec2f snap=325e11bda912");
     ("wal/rsm/phase-king", "bytes=2910 rec=f5900755ec2f snap=325e11bda912");
@@ -364,7 +369,7 @@ let expected =
       "nemesis campaign: 16 runs, 128 faults injected\n\
       \  coverage: crash=36, restart=12, partition=4, heal=4, drop=12, dup=8, \
        delay=4, torn=8, sync-loss=12, io-err=8, stall=20\n\
-      \  safety failures: 4, incomplete runs: 5, durability failures: 4\n\
+      \  safety failures: 4, incomplete runs: 7, durability failures: 4\n\
       \  SAFETY ben-or seed=2 (13 actions, 9/9 acked)\n\
       \  SAFETY phase-king seed=2 (13 actions, 9/9 acked)\n\
       \  SAFETY raft seed=2 (13 actions, 9/9 acked)\n\
