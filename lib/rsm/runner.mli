@@ -16,6 +16,15 @@
     still eventually ordered, and the duplicate-suppression path is
     exercised whenever the first copy survives after all.
 
+    The ack wait is signalled: [on_ready] wakes the client at the event
+    where the rule first holds.  One runner-owned tick serves every
+    client's [ack_timeout]: every 10 ticks it wakes the clients whose
+    deadline has passed, so a re-submission comes at the first tick at
+    or after the deadline.  The tick stops once the last client is done,
+    so it holds no finished run open: a fault-free run ends less than 10
+    ticks after its last ack, and [virtual_time] is still the time the
+    work ended.
+
     Faults come in two layers: the static [crash_schedule] /
     [restart_schedule] pairs (crash–stop and crash–recovery), and the
     generic [inject] hook handing the {!Group.t} itself to an external
@@ -58,7 +67,9 @@ type ('op, 'st) config = {
           unaffected — the checker never reads the trace — so quiet
           runs produce the same results as traced runs. *)
   ops : 'op list array;  (** one command list per client *)
-  ack_timeout : int;  (** virtual time before a client re-submits *)
+  ack_timeout : int;
+      (** virtual time before a client re-submits, rounded up to the
+          deadline tick's 10-tick grid *)
   max_events : int;  (** engine event budget (runaway guard) *)
   store : store_config option;
       (** [Some _] gives every replica a disk and a WAL, acks only
@@ -90,7 +101,9 @@ type 'op hist = {
 
 type 'op report = {
   engine_outcome : Dsim.Engine.outcome;
-  virtual_time : int;  (** time of the last processed event *)
+  virtual_time : int;
+      (** time of the last processed event; the deadline tick adds at
+          most 9 ticks after the last ack *)
   submitted : int;  (** distinct client commands *)
   acked : int;  (** commands whose clients saw delivery *)
   delivered : int array;  (** per-replica to-delivered counts *)
