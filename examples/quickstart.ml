@@ -23,7 +23,7 @@ let () =
     let input = i mod 2 = 0 in
     Monitor.record_initial monitor ~pid:i input;
     ignore
-      (Engine.spawn eng ~name:(Printf.sprintf "proc-%d" i) (fun ectx ->
+      (Engine.spawn eng ~name:(fun () -> Printf.sprintf "proc-%d" i) (fun ectx ->
            let ctx =
              Ben_or.Protocol.make_ctx ~net ~me:i ~faults:3 ~rng:ectx.Engine.rng ()
            in

@@ -93,7 +93,7 @@ let run config =
         (consensus ~max_rounds:config.max_rounds ~observer pctx config.inputs.(i)
           : bool * int)
     in
-    pids.(i) <- Engine.spawn eng ~name:(Printf.sprintf "benor-%d" i) body
+    pids.(i) <- Engine.spawn eng ~name:(fun () -> Printf.sprintf "benor-%d" i) body
   done;
   let crashed = ref [] in
   List.iter

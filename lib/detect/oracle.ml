@@ -197,7 +197,7 @@ let start t =
   for me = 0 to t.n - 1 do
     (* heartbeat sender: broadcasts every period while the run lasts *)
     ignore
-      (Engine.spawn t.engine ~name:(Printf.sprintf "hb%d" me) (fun ctx ->
+      (Engine.spawn t.engine ~name:(fun () -> Printf.sprintf "hb%d" me) (fun ctx ->
            while not t.stopped do
              if t.is_live me then t.send_heartbeat ~me;
              Engine.sleep ctx t.params.Timeout.period

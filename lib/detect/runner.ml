@@ -101,10 +101,13 @@ let start ~net ~params ~mutant ~inputs ~on_decide =
       on_decide me v
     end
   in
+  (* [peers.(me)]: every node but [me], ascending *)
+  let peers =
+    Array.init n (fun me -> List.filter (fun p -> p <> me) (List.init n Fun.id))
+  in
   let send_heartbeat ~me =
-    let dsts = List.filter (fun p -> p <> me) (List.init n Fun.id) in
-    heartbeats_sent := !heartbeats_sent + List.length dsts;
-    Net.broadcast_to net ~src:me ~dsts (Hb decisions.(me))
+    heartbeats_sent := !heartbeats_sent + (n - 1);
+    Net.broadcast_to net ~src:me ~dsts:peers.(me) (Hb decisions.(me))
   in
   let oracle =
     Oracle.create ~engine ~n ~params ~mutant ~send_heartbeat ~is_live ()
@@ -175,9 +178,7 @@ let start ~net ~params ~mutant ~inputs ~on_decide =
            event makes sure the clock gets there. *)
         Engine.schedule engine ~delay:!round_timeout ignore;
         let waits = [ changed.(me); Engine.clock engine ] in
-        Net.broadcast_to net ~src:me
-          ~dsts:(List.init n Fun.id)
-          (Prepare b);
+        Net.broadcast net ~src:me (Prepare b);
         let phase1 =
           Engine.await_any waits (fun () ->
               if !stopped || decisions.(me) <> None then Some `Stop
@@ -212,8 +213,7 @@ let start ~net ~params ~mutant ~inputs ~on_decide =
                 | Some (_, v) -> v
                 | None -> inputs.(me)
               in
-              Net.broadcast_to net ~src:me ~dsts:(List.init n Fun.id)
-                (Accept (b, v));
+              Net.broadcast net ~src:me (Accept (b, v));
               let phase2 =
                 Engine.await_any waits (fun () ->
                     if !stopped || decisions.(me) <> None then Some `Stop
@@ -230,9 +230,7 @@ let start ~net ~params ~mutant ~inputs ~on_decide =
               | `Quorum ->
                   decide me v;
                   (* eager decision broadcast; heartbeats re-gossip it *)
-                  Net.broadcast_to net ~src:me
-                    ~dsts:(List.filter (fun p -> p <> me) (List.init n Fun.id))
-                    (Hb (Some v))
+                  Net.broadcast_to net ~src:me ~dsts:peers.(me) (Hb (Some v))
             end)
       end;
       if (not !stopped) && decisions.(me) = None then Engine.sleep ctx poll_period
@@ -240,7 +238,9 @@ let start ~net ~params ~mutant ~inputs ~on_decide =
   in
   for me = 0 to n - 1 do
     ignore
-      (Engine.spawn engine ~name:(Printf.sprintf "coord%d" me) (coordinator me))
+      (Engine.spawn engine
+         ~name:(fun () -> Printf.sprintf "coord%d" me)
+         (coordinator me))
   done;
   Oracle.start oracle;
   {
@@ -284,7 +284,7 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
      permanently-crashed node merely keeps the run going to the
      horizon. *)
   ignore
-    (Engine.spawn engine ~name:"supervisor" (fun _ctx ->
+    (Engine.spawn engine ~name:(fun () -> "supervisor") (fun _ctx ->
          Engine.await_cond decided (fun () ->
              Array.for_all (fun d -> d <> None) decisions);
          nodes.stop ()));

@@ -67,8 +67,8 @@ val start :
   nodes
 (** Place one node per network id on [net]: install each node's
     delivery handler, create the detector, spawn the coordinators
-    [coord0 .. coord{n-1}] and start the detector, in that order, on
-    the network's engine.  [inputs] has one value per node.
+    (named [coord0 .. coord{n-1}], rendered only when read) and start
+    the detector, in that order, on the network's engine.  [inputs] has one value per node.
     [on_decide me v] runs once per node, inside the step where [me]
     decides [v], after [decisions] and [decided_at] record it; it may
     settle the engine ({!Dsim.Engine.settle}).  Call before running

@@ -42,6 +42,10 @@ let take t slot =
   t.free <- slot;
   t.vals.(slot)
 
+let reset t =
+  t.free <- -1;
+  t.top <- 0
+
 let live t =
   let free = Array.make t.top false in
   let f = ref t.free in

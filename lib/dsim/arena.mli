@@ -22,6 +22,11 @@ val take : 'a t -> int -> 'a
     again by the next {!alloc}, so read the value before anything else
     allocates.  The value stays referenced until the slot is reused. *)
 
+val reset : 'a t -> unit
+(** Free every slot at once, keeping the storage: {!alloc} then hands
+    out slots from [0] as on a fresh arena.  The old values stay
+    referenced until their slots are reused. *)
+
 val live : 'a t -> 'a list
 (** The values of every occupied slot, in slot order.  O(slots ever
     used); meant for inspection, not hot paths. *)

@@ -52,7 +52,7 @@ let max_stamp = max_int lsr owner_bits
 
 type proc = {
   p_pid : pid;
-  p_name : string option;  (* [None]: "p<pid>", built only when read *)
+  p_name : (unit -> string) option;  (* rendered only when read; [None]: "p<pid>" *)
   mutable p_state : proc_state;
   mutable p_failure : exn option;
   mutable p_k : (unit, unit) Effect.Deep.continuation option;
@@ -82,7 +82,7 @@ and t = {
   events : Equeue.t;
   tr : Trace.t;
   mutable tracing : bool;
-  engine_rng : Rng.t;
+  mutable engine_rng : Rng.t;
   mutable parr : proc array;  (* indexed by pid; pids are sequential *)
   mutable next_pid : int;
   mutable stamp : int;  (* the next wait's stamp *)
@@ -114,7 +114,7 @@ type _ Effect.t +=
 let dummy_proc =
   {
     p_pid = -1;
-    p_name = Some "?";
+    p_name = None;
     p_state = Dead;
     p_failure = None;
     p_k = None;
@@ -318,21 +318,41 @@ let resume_proc t pid =
       else Effect.Deep.discontinue k Killed
   | None -> ()
 
+(* Everything a run leaves behind goes, the storage stays.  The old
+   run's processes are dropped, not unwound, as a discarded engine's
+   are. *)
+let reset t ~seed =
+  t.now <- 0;
+  Equeue.reset t.events;
+  Trace.reset t.tr;
+  t.engine_rng <- Rng.create seed;
+  Array.fill t.parr 0 (Array.length t.parr) dummy_proc;
+  t.next_pid <- 0;
+  t.stamp <- 0;
+  t.nblocked <- 0;
+  t.mlen <- 0;
+  t.clock.q_n <- 0;
+  t.oracle <- None;
+  t.lineage <- false;
+  Array.fill t.creators 0 (Array.length t.creators) (-1);
+  t.cur_seq <- -1;
+  Array.fill t.dispatch 0 (Array.length t.dispatch) invalid_kind;
+  t.kind_count <- 0;
+  Arena.reset t.closures;
+  (* Free the slot before running, so the thunk can schedule into it. *)
+  let kc = register_kind t (fun slot -> (Arena.take t.closures slot) ()) in
+  let kr = register_kind t (fun pid -> resume_proc t pid) in
+  assert (kc = k_closure && kr = k_resume)
+
 let create ?(seed = 1L) ?trace_capacity ?(tracing = true) () =
-  let events = Equeue.create ()
-  and tr = Trace.create ?capacity:trace_capacity ()
-  and engine_rng = Rng.create seed
-  and parr = Array.make 16 dummy_proc
-  and dispatch = Array.make 4 invalid_kind
-  and closures = Arena.create ~limit:max_arg in
   let rec t =
     {
       now = 0;
-      events;
-      tr;
+      events = Equeue.create ();
+      tr = Trace.create ?capacity:trace_capacity ();
       tracing;
-      engine_rng;
-      parr;
+      engine_rng = Rng.create seed;
+      parr = Array.make 16 dummy_proc;
       next_pid = 0;
       stamp = 0;
       nblocked = 0;
@@ -343,15 +363,12 @@ let create ?(seed = 1L) ?trace_capacity ?(tracing = true) () =
       lineage = false;
       creators = [||];
       cur_seq = -1;
-      dispatch;
+      dispatch = Array.make 4 invalid_kind;
       kind_count = 0;
-      closures;
+      closures = Arena.create ~limit:max_arg;
     }
   in
-  (* Free the slot before running, so the thunk can schedule into it. *)
-  let kc = register_kind t (fun slot -> (Arena.take t.closures slot) ()) in
-  let kr = register_kind t (fun pid -> resume_proc t pid) in
-  assert (kc = k_closure && kr = k_resume);
+  reset t ~seed;
   t
 
 let now t = t.now
@@ -385,7 +402,7 @@ let proc t pid =
 
 let alive t pid = pid >= 0 && pid < t.next_pid && t.parr.(pid).p_state = Running
 let proc_name p =
-  match p.p_name with Some n -> n | None -> Printf.sprintf "p%d" p.p_pid
+  match p.p_name with Some name -> name () | None -> Printf.sprintf "p%d" p.p_pid
 
 let name t pid = proc_name (proc t pid)
 let process_failed t pid = (proc t pid).p_failure

@@ -235,3 +235,14 @@ let drain t f =
   t.free <- -1;
   t.top <- 0;
   max !last (Heap.drain t.heap f)
+
+let reset t =
+  Heap.reset t.heap;
+  Array.fill t.head 0 width (-1);
+  Array.fill t.tail 0 width (-1);
+  t.free <- -1;
+  t.top <- 0;
+  t.rlen <- 0;
+  t.floor <- 0;
+  t.rmin <- 0;
+  t.next_seq <- 0

@@ -59,3 +59,7 @@ val drain : t -> (int -> unit) -> int
     when empty): one pass over the entries, no pops.  The seq counter
     and the floor are kept, so later adds number and order as if the
     entries had been popped.  [f] must not touch the queue. *)
+
+val reset : t -> unit
+(** Drop every entry and restart the seqs and the floor from 0, keeping
+    the storage: a reset queue behaves exactly like a fresh one. *)

@@ -203,6 +203,10 @@ let pop_min_nth t n =
     | Some i -> Some (remove_at t i)
   end
 
+let reset t =
+  t.size <- 0;
+  t.next_seq <- 0
+
 let drain t f =
   let last = ref min_int in
   for i = 0 to t.size - 1 do

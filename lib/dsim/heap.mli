@@ -75,6 +75,10 @@ val fold_min_indices : t -> 'b -> ('b -> int -> 'b) -> 'b
     key, in heap-array order (not seq order).  Exposed for the
     equivalence tests; ordinary callers want {!min_key_values}. *)
 
+val reset : t -> unit
+(** Drop every element and restart the seqs from 0, keeping the
+    storage: a reset heap behaves exactly like a fresh one. *)
+
 val drain : t -> (int -> unit) -> int
 (** [drain t f] empties the heap, applying [f] to every element in
     array order (not key order), and returns the largest key it held

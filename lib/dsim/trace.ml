@@ -24,6 +24,10 @@ let emit t ~time ?pid ~tag detail =
       t.length <- cap
   | Some _ | None -> ()
 
+let reset t =
+  t.rev_events <- [];
+  t.length <- 0
+
 let events t = List.rev t.rev_events
 
 let with_tag t tag =

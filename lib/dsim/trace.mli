@@ -25,6 +25,9 @@ val create : ?capacity:int -> unit -> t
 val emit : t -> time:int -> ?pid:int -> tag:string -> string -> unit
 (** Append one event. *)
 
+val reset : t -> unit
+(** Drop every retained event; the capacity stays. *)
+
 val events : t -> event list
 (** All retained events, oldest first. *)
 

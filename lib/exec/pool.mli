@@ -12,7 +12,11 @@
     The single-domain contract of {!Dsim.Rng} (and of every simulation
     structure) still holds: [f] must build everything it touches from
     its argument alone.  Nothing is shared between two invocations of
-    [f] beyond immutable inputs. *)
+    [f] beyond immutable inputs.  The one exception is reuse within a
+    domain: [Rsm.Backend]'s nested runs take a spare engine kept per
+    domain and reset it to a fresh engine's state first, so two items on
+    one domain reuse its storage but no state, and items on different
+    domains never touch the same engine. *)
 
 exception
   Worker_error of { seed : int; exn : exn; backtrace : string }

@@ -168,7 +168,7 @@ let sharedmem_model ~name ~describe ~use_ac ~n ~inputs () =
       Array.iteri (fun i v -> Bool_monitor.record_initial monitor ~pid:i v) inputs;
       for i = 0 to n - 1 do
         ignore
-          (Engine.spawn eng ~name:(Printf.sprintf "sm-%d" i) (fun ectx ->
+          (Engine.spawn eng ~name:(fun () -> Printf.sprintf "sm-%d" i) (fun ectx ->
                let s =
                  match !shared with
                  | Some s -> s
@@ -270,7 +270,7 @@ let uc_queue ?(broken = false) ?(n = 2) () =
       uc_ref := Some uc;
       for i = 0 to n - 1 do
         ignore
-          (Engine.spawn eng ~name:(Printf.sprintf "uc-%d" i) (fun ectx ->
+          (Engine.spawn eng ~name:(fun () -> Printf.sprintf "uc-%d" i) (fun ectx ->
                let p = { Sharedmem.World.world; me = i; ectx } in
                List.iteri
                  (fun k op ->
@@ -357,7 +357,7 @@ let toy_ac ?(broken = false) ?(n = 3) ?inputs ~check_termination () =
       Array.iteri (fun i v -> Bool_monitor.record_initial monitor ~pid:i v) inputs;
       for i = 0 to n - 1 do
         ignore
-          (Engine.spawn eng ~name:(Printf.sprintf "toy-%d" i) (fun _ectx ->
+          (Engine.spawn eng ~name:(fun () -> Printf.sprintf "toy-%d" i) (fun _ectx ->
                Async_net.broadcast net ~src:i (Propose inputs.(i));
                stages.(i) <- 1;
                let props =
@@ -541,13 +541,13 @@ let omega_ac ?(broken = false) ?(n = 2) ?inputs () =
       Engine.set_oracle eng (Some oracle);
       let net = Async_net.create eng ~n () in
       ignore
-        (Engine.spawn eng ~name:"omega-0" (fun _ectx ->
+        (Engine.spawn eng ~name:(fun () -> "omega-0") (fun _ectx ->
              Async_net.broadcast net ~src:0 (OProp inputs.(0));
              decisions.(0) <- Some inputs.(0))
           : Engine.pid);
       for i = 1 to n - 1 do
         ignore
-          (Engine.spawn eng ~name:(Printf.sprintf "omega-%d" i) (fun _ectx ->
+          (Engine.spawn eng ~name:(fun () -> Printf.sprintf "omega-%d" i) (fun _ectx ->
                (* deadline waker: same delay as the oracle's base message
                   latency, so it ties with the delivery tick *)
                let suspicion = Engine.queue eng in

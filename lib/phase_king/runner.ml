@@ -104,7 +104,7 @@ let run config =
         | None -> ()
       in
       Hashtbl.replace pids i
-        (Engine.spawn eng ~name:(Printf.sprintf "pk-%d" i) body))
+        (Engine.spawn eng ~name:(fun () -> Printf.sprintf "pk-%d" i) body))
     correct;
   let engine_outcome = Engine.run eng in
   let process_failures =

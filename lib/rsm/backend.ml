@@ -1,5 +1,6 @@
 (* One-shot binary consensus as a service: each backend is its protocol's
-   node code, placed on a network in a fresh nested sub-simulation.  The
+   node code, placed on a network in a nested sub-simulation on the
+   domain's spare engine, reset to the state a fresh one starts in.  The
    nested run is fault-free — RSM-level crashes are expressed by
    shrinking the input array, not by crashing nested processors — and
    reports how much virtual time it consumed, which the group charges
@@ -18,10 +19,25 @@ end
 
 type t = (module S)
 
+(* The domain's spare quiet engine.  A run takes it and puts it back
+   only once it has ended normally, so the slot is empty while a run
+   uses it and after a run raised; a run that finds it empty makes a
+   fresh engine.  [Engine.reset] makes a reused engine run exactly as a
+   fresh one would, and keeps the storage earlier runs grew. *)
+let spare : Engine.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let take_engine ~seed =
+  match Domain.DLS.get spare with
+  | Some eng ->
+      Domain.DLS.set spare None;
+      Engine.reset eng ~seed;
+      eng
+  | None -> Engine.create ~seed ~tracing:false ()
+
 (* The one nested run.  [start] builds the protocol's network and nodes
-   on a fresh quiet engine; every node calls [report] once, with its
-   decision, and [start] returns what the run charges, read once the
-   engine stops.  The n-th report settles the engine. *)
+   on the engine; every node calls [report] once, with its decision, and
+   [start] returns what the run charges, read once the engine stops.
+   The n-th report settles the engine. *)
 let nested name start : t =
   (module struct
     let name = name
@@ -31,7 +47,7 @@ let nested name start : t =
       | 0 -> invalid_arg "Rsm.Backend.decide: empty inputs"
       | 1 -> (inputs.(0), 0)
       | n -> (
-          let eng = Engine.create ~seed ~tracing:false () in
+          let eng = take_engine ~seed in
           let first = ref None and reports = ref 0 and split = ref false in
           let report v =
             (match !first with
@@ -45,7 +61,10 @@ let nested name start : t =
           let fail what = failwith (Printf.sprintf "Rsm.Backend.%s: %s" name what) in
           if !split then fail "nested nodes decided differently";
           match !first with
-          | Some v -> (v, charge ())
+          | Some v ->
+              let decided = (v, charge ()) in
+              Domain.DLS.set spare (Some eng);
+              decided
           | None -> fail "nested instance did not decide")
   end)
 

@@ -6,11 +6,18 @@
     box.  Each backend is the protocol's node code (Ben-Or's and
     Phase-King's decomposed templates, the decentralized Raft template,
     {!Detect.Runner.start}'s Paxos nodes) placed on a network in a
-    fresh, deterministic, {e nested} sub-simulation: one node per entry
-    of [inputs], all run by one private function that settles the
-    engine once every node has decided and returns the common
-    decision.  It fails with [Failure] if two nodes report different
-    decisions, or if none decides.
+    deterministic, {e nested} sub-simulation: one node per entry of
+    [inputs], all run by one private function that settles the engine
+    once every node has decided and returns the common decision.  It
+    fails with [Failure] if two nodes report different decisions, or if
+    none decides.
+
+    The nested run uses the calling domain's spare engine, reset to the
+    state a fresh one starts in ({!Dsim.Engine.reset}), so its outcome
+    is a fresh engine's; a run that finds the spare in use, or lost
+    because an earlier run raised, creates a fresh engine instead.  Each
+    domain has its own spare, so runs on different domains share
+    nothing.
 
     Faults are modelled at the RSM layer (a crashed replica stops
     proposing and drops out of the participant set), so the nested

@@ -147,7 +147,7 @@ let propose t ~slot ~pid ~batch =
         Hashtbl.replace t.log slot s;
         ignore
           (Dsim.Engine.spawn t.engine
-             ~name:(Printf.sprintf "rsm-slot-%d" slot)
+             ~name:(fun () -> Printf.sprintf "rsm-slot-%d" slot)
              (decider t slot s)
             : Dsim.Engine.pid);
         s
@@ -382,7 +382,7 @@ let replica_loop t pid _ctx =
 let spawn_replica t pid =
   t.replicas.(pid).process <-
     Dsim.Engine.spawn t.engine
-      ~name:(Printf.sprintf "rsm-replica-%d" pid)
+      ~name:(fun () -> Printf.sprintf "rsm-replica-%d" pid)
       (replica_loop t pid)
 
 let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m

@@ -169,14 +169,16 @@ let run (type op st) (machine : (op, st, string) Group.machine)
   in
   for c = 0 to clients - 1 do
     ignore
-      (Dsim.Engine.spawn eng ~name:(Printf.sprintf "client-%d" c) (client_body c)
+      (Dsim.Engine.spawn eng
+         ~name:(fun () -> Printf.sprintf "client-%d" c)
+         (client_body c)
         : Dsim.Engine.pid)
   done;
   (* Once every client's last command is acked, no new pending can appear
      (late duplicate copies are filtered at receipt), so ask the replica
      loops to wind down and let the run reach quiescence. *)
   ignore
-    (Dsim.Engine.spawn eng ~name:"supervisor" (fun _ctx ->
+    (Dsim.Engine.spawn eng ~name:(fun () -> "supervisor") (fun _ctx ->
          Dsim.Engine.await_cond clients_done (fun () -> !done_clients = clients);
          Group.stop g)
       : Dsim.Engine.pid);

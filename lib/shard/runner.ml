@@ -455,7 +455,7 @@ let run cfg =
 
   (* supervisor: once every operation completed, wind the groups down *)
   ignore
-    (Dsim.Engine.spawn eng ~name:"supervisor" (fun _ctx ->
+    (Dsim.Engine.spawn eng ~name:(fun () -> "supervisor") (fun _ctx ->
          Dsim.Engine.await_cond all_completed (fun () -> !completed = total_ops);
          finished := true;
          Array.iter Group.stop !groups_ref)

@@ -62,7 +62,7 @@ let model_of_plan (p : plan) : M.t =
       for i = 0 to 2 do
         ignore
           (Engine.spawn eng
-             ~name:(Printf.sprintf "tok%d" i)
+             ~name:(fun () -> Printf.sprintf "tok%d" i)
              (fun _ ->
                List.iter
                  (fun (dst, tag) -> Net.send net ~src:i ~dst tag)
@@ -232,16 +232,16 @@ let fault_mask_model ~fp () : M.t =
       netref := Some net;
       engref := Some eng;
       ignore
-        (Engine.spawn eng ~name:"aux" (fun _ ->
+        (Engine.spawn eng ~name:(fun () -> "aux") (fun _ ->
              Net.send net ~src:2 ~dst:2 Aux;
              Net.send net ~src:2 ~dst:2 Aux));
       ignore
-        (Engine.spawn eng ~name:"sender" (fun _ ->
+        (Engine.spawn eng ~name:(fun () -> "sender") (fun _ ->
              Net.send net ~src:0 ~dst:1 Ping;
              Net.send net ~src:0 ~dst:1 Commit;
              p0_out := Some true));
       ignore
-        (Engine.spawn eng ~name:"receiver" (fun _ ->
+        (Engine.spawn eng ~name:(fun () -> "receiver") (fun _ ->
              Engine.schedule eng ~owner:1 ~delay:2 (fun () ->
                  if !p1_out = None then p1_out := Some false);
              Engine.await (Net.inbox_queue net 1) (fun () ->

@@ -207,10 +207,22 @@ let determinism_same_seed () =
     "identical schedules" (run_once ()) (run_once ())
 
 let names_and_ids () =
+  (* A name renders when it is read, not when the process is spawned or
+     runs, on a traced engine too. *)
   let e = Engine.create () in
-  let p = Engine.spawn e ~name:"alice" (fun _ -> ()) in
+  let rendered = ref 0 in
+  let p =
+    Engine.spawn e
+      ~name:(fun () ->
+        incr rendered;
+        "alice")
+      (fun _ -> ())
+  in
   let q = Engine.spawn e (fun _ -> ()) in
+  check outcome_testable "quiescent" Engine.Quiescent (Engine.run e);
+  check Alcotest.int "spawn and run render no name" 0 !rendered;
   check Alcotest.string "explicit name" "alice" (Engine.name e p);
+  check Alcotest.int "rendered on read" 1 !rendered;
   check Alcotest.string "default name" (Printf.sprintf "p%d" q) (Engine.name e q);
   check Alcotest.bool "distinct pids" true (p <> q)
 
@@ -676,6 +688,128 @@ let arena_limit () =
   check (Alcotest.list Alcotest.int) "live values in slot order" [ 0; 1; 9; 3 ]
     (Dsim.Arena.live a)
 
+(* --- reset ------------------------------------------------------------ *)
+
+(* Leave behind everything a run can: an oracle's lineage from a run
+   its event limit stopped inside a tick, processes blocked in [await]
+   and parked in [sleep], pending closures in the ring and in the heap,
+   an extra kind with events of it queued, a second run stopped inside a
+   tick, marked waits, trace entries, and an oracle left installed. *)
+let dirty e =
+  Engine.set_oracle e (Some { Engine.choose = (fun _ -> 0) });
+  Engine.schedule e ~delay:0 (fun () ->
+      Engine.schedule e ~delay:0 ignore;
+      Engine.schedule e ~delay:0 ignore);
+  check outcome_testable "oracle run stopped inside tick 0" Engine.Event_limit
+    (Engine.run ~max_events:2 e);
+  Engine.set_oracle e None;
+  let q = Engine.queue e in
+  let k = Engine.register_kind e ignore in
+  Engine.schedule_kind e ~owner:(-1) ~delay:2 ~kind:k 1;
+  Engine.schedule_kind e ~owner:(-1) ~delay:90 ~kind:k 2;
+  let pids =
+    Array.init 6 (fun i ->
+        Engine.spawn e
+          ~name:(fun () -> Printf.sprintf "dirty-%d" i)
+          (fun ctx ->
+            Engine.emit e ~tag:"dirty" (string_of_int (Dsim.Rng.int ctx.Engine.rng 100));
+            if i mod 2 = 0 then Engine.await_cond q (fun () -> false)
+            else Engine.sleep ctx (20 * i)))
+  in
+  Engine.schedule e ~delay:3 ignore;
+  Engine.schedule e ~delay:500 ignore;
+  check outcome_testable "run to 25" Engine.Time_limit (Engine.run ~until:25 e);
+  Engine.kill e pids.(3);
+  List.iter
+    (fun d -> Engine.schedule e ~delay:5 (fun () -> Engine.emit e ~tag:"dirty" d))
+    [ "a"; "b"; "c" ];
+  check outcome_testable "stopped inside tick 30" Engine.Event_limit
+    (Engine.run ~max_events:2 e);
+  Engine.signal q;
+  Engine.set_oracle e (Some { Engine.choose = (fun _ -> 0) });
+  check Alcotest.int "clock moved" 30 (Engine.now e);
+  check Alcotest.bool "trace written" true (Dsim.Trace.length (Engine.trace e) > 0)
+
+(* A fixed scenario that reads what a fresh engine fixes: its pids,
+   [ctx.rng] draws, sleeps, a kind it registers, a network's sends and
+   deliveries, the trace, the outcome and the clock; and, under
+   [oracle], every tie set's times, owners, seqs and creators.  The
+   oracle is installed after the spawns, so setup events have no
+   creator.  Returns its log, oldest first. *)
+let reset_scenario ~oracle e =
+  let log = ref [] in
+  let note fmt =
+    Printf.ksprintf (fun s -> log := Printf.sprintf "t=%d %s" (Engine.now e) s :: !log) fmt
+  in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let k = Engine.register_kind e (fun arg -> note "kind event %d" arg) in
+  note "kind %d" k;
+  let net = Netsim.Async_net.create e ~n:3 ~retain_inbox:false () in
+  for me = 0 to 2 do
+    Netsim.Async_net.set_handler net me (fun env ->
+        note "deliver #%d %d->%d sent at %d" env.Netsim.Async_net.env_id env.src env.dst
+          env.sent_at)
+  done;
+  let q = Engine.queue e in
+  let pids =
+    Array.init 4 (fun i ->
+        Engine.spawn e
+          ~name:(fun () -> Printf.sprintf "node-%d" i)
+          (fun ctx ->
+            let d = Dsim.Rng.int ctx.Engine.rng 1000 in
+            note "p%d draws %d" i d;
+            if i = 3 then Engine.await_cond q (fun () -> false)
+            else begin
+              Engine.sleep ctx (1 + (d mod 7));
+              Netsim.Async_net.broadcast net ~src:i i;
+              Engine.schedule_kind e ~owner:i ~delay:2 ~kind:k i;
+              Engine.emit e ~pid:i ~tag:"woke" (string_of_int (Dsim.Rng.int ctx.rng 1000));
+              Engine.sleep ctx 70
+            end))
+  in
+  note "pids %s" (ints pids);
+  if oracle then
+    Engine.set_oracle e
+      (Some
+         {
+           Engine.choose =
+             (fun c ->
+               if c.Engine.c_domain = "sched" then
+                 note "tie at %d owners %s seqs %s creators %s" c.c_time
+                   (ints (Array.map (Option.value ~default:(-1)) c.c_owners))
+                   (ints c.c_seqs) (ints c.c_creators);
+               0);
+         });
+  Engine.schedule e ~delay:40 (fun () ->
+      Engine.kill e pids.(1);
+      Engine.kill e pids.(3));
+  let outcome = Engine.run e in
+  note "outcome %s"
+    (match outcome with
+    | Engine.Quiescent -> "quiescent"
+    | Engine.Deadlock ps -> "deadlock " ^ ints (Array.of_list ps)
+    | Engine.Time_limit | Event_limit -> "limit");
+  note "engine stream %d" (Dsim.Rng.bits (Engine.rng e));
+  List.iter
+    (fun ev -> note "trace %s" (Format.asprintf "%a" Dsim.Trace.pp_event ev))
+    (Dsim.Trace.events (Engine.trace e));
+  List.rev !log
+
+let reset_replays_create () =
+  List.iter
+    (fun oracle ->
+      let seed = 77L in
+      let fresh = reset_scenario ~oracle (Engine.create ~seed ()) in
+      let e = Engine.create ~seed:3L () in
+      dirty e;
+      Engine.reset e ~seed;
+      let label = if oracle then "under an oracle" else "plain" in
+      check (Alcotest.list Alcotest.string) ("reset = create, " ^ label) fresh
+        (reset_scenario ~oracle e);
+      check Alcotest.bool ("scenario delivered messages, " ^ label) true
+        (List.exists (fun l -> Astring_like.contains l "deliver") fresh))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "schedule ordering" `Quick schedule_ordering;
@@ -716,6 +850,7 @@ let suite =
       event_limit_inside_tick_resumes;
     Alcotest.test_case "determinism" `Quick determinism_same_seed;
     Alcotest.test_case "names and ids" `Quick names_and_ids;
+    Alcotest.test_case "reset replays create" `Quick reset_replays_create;
     Alcotest.test_case "suspension outside process" `Quick suspension_outside_process;
     Alcotest.test_case "emit goes to trace" `Quick emit_goes_to_trace;
     Alcotest.test_case "quiet never forces thunks" `Quick

@@ -1,12 +1,13 @@
-(* Nested backend runs: the Backend.S contract, and settled runs charge
-   exactly what full runs charge.
+(* Nested backend runs: the Backend.S contract, settled runs charge
+   exactly what full runs charge, and the spare engine a domain reuses
+   for them carries nothing from one run to the next.
 
    Every backend settles its nested engine ([Dsim.Engine.settle]) once
    all of its nodes have reported a decision.  These tests keep a full,
-   unsettled run as the reference and demand the same (decision,
-   duration) from every backend over every input pattern of 2 to 5
-   processors and 100 seeds each, and a decision that is some node's
-   input. *)
+   unsettled run on a fresh engine as the reference and demand the same
+   (decision, duration) from every backend over every input pattern of
+   2 to 5 processors and 100 seeds each, and a decision that is some
+   node's input. *)
 
 module Backend = Rsm.Backend
 
@@ -166,6 +167,46 @@ let backend_contract () =
       done)
     Backend.all
 
+(* Each domain runs its nested instances on one spare engine, reset
+   between runs.  In an order that alternates the four backends and
+   shrinks and grows n, on one domain and shared out over two, every
+   decision and charge must still be the full run's on a fresh engine. *)
+let spare_engine_carries_nothing () =
+  let fulls =
+    [
+      (Backend.raft, raft_full);
+      (Backend.ben_or, ben_or_full);
+      (Backend.phase_king, phase_king_full);
+      (Backend.omega, omega_full);
+    ]
+  in
+  let items =
+    Array.of_list
+      (List.concat_map
+         (fun seed ->
+           List.concat_map
+             (fun n ->
+               List.concat_map
+                 (fun inputs ->
+                   List.map (fun (backend, full) -> (backend, full, seed, inputs)) fulls)
+                 (patterns n))
+             [ 5; 2; 4; 3 ])
+         (List.filteri (fun i _ -> i < 10) seeds))
+  in
+  let want = Array.map (fun (_, full, seed, inputs) -> fst (full ~seed ~inputs)) items in
+  let decide ((module B : Backend.S), _, seed, inputs) = B.decide ~seed ~inputs in
+  List.iter
+    (fun jobs ->
+      let got = Exec.Pool.map ~jobs decide items in
+      Array.iteri
+        (fun i (backend, _, seed, inputs) ->
+          if got.(i) <> want.(i) then
+            Alcotest.failf "jobs=%d %s inputs=%s seed=%Ld: spare (%b, %d), fresh (%b, %d)"
+              jobs (Backend.name backend) (show_inputs inputs) seed (fst got.(i))
+              (snd got.(i)) (fst want.(i)) (snd want.(i)))
+        items)
+    [ 2; 1 ]
+
 let suite =
   [
     Alcotest.test_case "every backend meets the Backend.S contract" `Quick
@@ -178,4 +219,6 @@ let suite =
       (settled_equals_full ~drops:false Backend.phase_king phase_king_full);
     Alcotest.test_case "omega: settled = full run" `Quick
       (settled_equals_full Backend.omega omega_full);
+    Alcotest.test_case "spare engine carries nothing across runs or domains" `Quick
+      spare_engine_carries_nothing;
   ]
