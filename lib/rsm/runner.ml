@@ -113,7 +113,6 @@ let run (type op st) (machine : (op, st, string) Group.machine)
   (* the response is filled in from the group after the run *)
   let hists : (int, op hist) Hashtbl.t = Hashtbl.create 64 in
   let done_clients = ref 0 in
-  let clients_done = Dsim.Engine.queue eng in
   let latencies = ref [] in
   (* One tick serves every deadline: every 10 ticks it expires the
      submissions whose deadline has passed, and once the last client is
@@ -165,7 +164,11 @@ let run (type op st) (machine : (op, st, string) Group.machine)
         latencies := float_of_int (Dsim.Engine.now eng - t0) :: !latencies)
       cfg.ops.(c);
     incr done_clients;
-    Dsim.Engine.signal clients_done
+    (* Once every client's last command is acked, no new pending can
+       appear (late duplicate copies are filtered at receipt), so the
+       last client asks the replica loops to wind down and lets the run
+       reach quiescence. *)
+    if !done_clients = clients then Group.stop g
   in
   for c = 0 to clients - 1 do
     ignore
@@ -174,15 +177,9 @@ let run (type op st) (machine : (op, st, string) Group.machine)
          (client_body c)
         : Dsim.Engine.pid)
   done;
-  (* Once every client's last command is acked, no new pending can appear
-     (late duplicate copies are filtered at receipt), so ask the replica
-     loops to wind down and let the run reach quiescence. *)
-  ignore
-    (Dsim.Engine.spawn eng ~name:(fun () -> "supervisor") (fun _ctx ->
-         Dsim.Engine.await_cond clients_done (fun () -> !done_clients = clients);
-         Group.stop g)
-      : Dsim.Engine.pid);
-  (* with no command there is no deadline, and the run ends at 0 *)
+  (* with no client there is nobody to stop the group, and with no
+     command there is no deadline: the run ends at 0 *)
+  if clients = 0 then Group.stop g;
   if Array.exists (fun ops -> ops <> []) cfg.ops then
     Dsim.Engine.schedule eng ~delay:10 tick;
   List.iter

@@ -27,7 +27,7 @@ let decide_cid ~txid ~commit = (txid * 8) + if commit then 2 else 3
 let outcome_cid ~txid ~commit = (txid * 8) + if commit then 4 else 5
 
 type cid_kind =
-  | K_kv
+  | K_kv of int
   | K_prepare of int
   | K_decide of int * bool
   | K_outcome of int * bool
@@ -35,7 +35,7 @@ type cid_kind =
 let kind_of_cid cid =
   let b = cid / 8 in
   match cid land 7 with
-  | 0 -> K_kv
+  | 0 -> K_kv b
   | 1 -> K_prepare b
   | 2 -> K_decide (b, true)
   | 3 -> K_decide (b, false)

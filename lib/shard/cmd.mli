@@ -54,7 +54,7 @@ val outcome_cid : txid:int -> commit:bool -> int
 
 (** What a cid was for, recovered from its tag bits. *)
 type cid_kind =
-  | K_kv
+  | K_kv of int  (** the base: client and sequence number *)
   | K_prepare of int  (** txid *)
   | K_decide of int * bool  (** txid, polarity *)
   | K_outcome of int * bool

@@ -365,6 +365,14 @@ let lost_command_resubmitted () =
          && Astring_like.contains ev.detail "<- proposer 2 (1 cmds")
        (Dsim.Trace.events r.trace))
 
+(* With no client nobody finishes last, so the group is stopped before
+   the run starts and the run ends at once. *)
+let no_clients () =
+  let r = run [||] in
+  check Test_engine.outcome_testable "quiescent" Dsim.Engine.Quiescent
+    r.engine_outcome;
+  check Alcotest.int "ends at 0" 0 r.virtual_time
+
 (* --- property: total order across seeds, crashes and backends ---------- *)
 
 let prop_total_order =
@@ -422,6 +430,7 @@ let suite =
         Alcotest.test_case "acks fall between deadline ticks" `Quick acks_off_the_tick;
         Alcotest.test_case "lost command re-submitted at its deadline" `Quick
           lost_command_resubmitted;
+        Alcotest.test_case "no clients" `Quick no_clients;
       ];
       List.map
         (fun b ->

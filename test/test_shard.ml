@@ -133,6 +133,9 @@ let cid_tags () =
             Cmd.outcome_cid ~txid ~commit:false;
           ])
     = 6);
+  (match Cmd.kind_of_cid (Cmd.kv_cid ~client:5 ~seq:9) with
+  | Cmd.K_kv b -> check Alcotest.int "kv base" txid b
+  | _ -> Alcotest.fail "wrong kind");
   (match Cmd.kind_of_cid (Cmd.prepare_cid ~txid) with
   | Cmd.K_prepare t -> check Alcotest.int "prepare txid" txid t
   | _ -> Alcotest.fail "wrong kind");
@@ -325,8 +328,8 @@ let open_loop_run () =
     r.Runner.singles_acked
 
 (* Coordinator crash between prepare and commit: the driver abandons the
-   transaction after submitting prepares; the recovery daemon must
-   finish it from the logs. *)
+   transaction after submitting prepares; whoever adopts it at its retry
+   deadline must finish it from the logs. *)
 let coordinator_crash_after_prepare () =
   let router = Router.create ~shards:3 in
   let ops = mixed_ops ~router ~clients:6 ~per_client:4 ~tx_every:2 ~hot_keys:3 in
@@ -434,6 +437,31 @@ let durable_under_storage_faults () =
   in
   drained r;
   no_violations r
+
+(* --- the run ends at its work ------------------------------------------ *)
+
+(* Nothing outlives the last operation: a retry deadline that never comes
+   due holds no run open, so each golden shard run ends at the same time
+   at an ack timeout of 2,000 and at one no run reaches. *)
+let runs_end_at_their_work () =
+  List.iter
+    (fun seed ->
+      check Alcotest.string
+        (Printf.sprintf "shard/%d at ack timeouts 2,000 and 100,000" seed)
+        (Test_golden.shard_pin ~ack_timeout:2_000 seed)
+        (Test_golden.shard_pin ~ack_timeout:100_000 seed))
+    Test_golden.seeds
+
+(* With no operation nothing completes last, so the groups are stopped
+   before the run starts and it ends within the clients' 16-tick
+   stagger. *)
+let no_operations () =
+  let r = run_cfg ~shards:2 [| []; [] |] in
+  drained r;
+  check Alcotest.bool
+    (Printf.sprintf "ends at %d, within the stagger" r.Runner.virtual_time)
+    true
+    (r.Runner.virtual_time < 16)
 
 (* --- the group's ack gate and per-replica state ----------------------- *)
 
@@ -560,6 +588,9 @@ let suite =
       broken_2pc_caught;
     Alcotest.test_case "2pc: durable under storage faults" `Quick
       durable_under_storage_faults;
+    Alcotest.test_case "run: ends at its work, not its deadlines" `Quick
+      runs_end_at_their_work;
+    Alcotest.test_case "run: no operations" `Quick no_operations;
     Alcotest.test_case "group: full outage, honest store" `Quick
       outage_honest_store;
     Alcotest.test_case "group: ack-before-fsync caught by audit" `Quick
