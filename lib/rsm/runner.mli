@@ -5,9 +5,9 @@
     {!Group.machine} whose output is the operation's encoded response.
     The KV store is one instance ([Obj.Kv] lifted via
     [Obj.Replicated]).  The group owns the replicas, their disks and
-    what a crash erases; the runner owns only the clients, the
-    supervisor that winds the group down, the fault schedules and the
-    report.
+    what a crash erases; the runner owns only the clients, the fault
+    schedules and the report.  The last client to finish stops the
+    group, and a run with no client stops it before it starts.
 
     Clients are closed-loop with retry: each submits its next command to
     a live replica, waits for the group's ack rule ([on_ready] in
