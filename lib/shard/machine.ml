@@ -11,50 +11,39 @@ type output =
   | O_decided of bool
   | O_outcome of bool
 
+module M = Obj.Kv.M
+
 type t = {
   shard : int;
-  kv : (string, string) Hashtbl.t;
+  mutable kv : Obj.Kv.state;
   txs : (int, tx_entry) Hashtbl.t;
   locks : (string, int) Hashtbl.t;  (* key -> holding txid *)
 }
 
 let create ~shard =
-  {
-    shard;
-    kv = Hashtbl.create 64;
-    txs = Hashtbl.create 32;
-    locks = Hashtbl.create 32;
-  }
+  { shard; kv = Obj.Kv.init; txs = Hashtbl.create 32; locks = Hashtbl.create 32 }
 
 let shard t = t.shard
-let lookup t k = Hashtbl.find_opt t.kv k
+let lookup t k = M.find_opt k t.kv
 let locked_keys t = Hashtbl.length t.locks
 
 let tx_status t txid =
   Option.map (fun e -> e.status) (Hashtbl.find_opt t.txs txid)
 
-let apply_kv t (c : Obj.Kv.op) : Obj.Kv.resp =
-  match c with
-  | Get k -> Got (Hashtbl.find_opt t.kv k)
-  | Set (k, v) ->
-      Hashtbl.replace t.kv k v;
-      Done
-  | Cas { key; expect; update } ->
-      if Hashtbl.find_opt t.kv key = expect then begin
-        Hashtbl.replace t.kv key update;
-        Cas_result true
-      end
-      else Cas_result false
+let apply_kv t c =
+  let kv, resp = Obj.Kv.apply t.kv c in
+  t.kv <- kv;
+  resp
 
 let apply_wop t = function
-  | Cmd.W_set (k, v) -> Hashtbl.replace t.kv k v
+  | Cmd.W_set (k, v) -> t.kv <- M.add k v t.kv
   | Cmd.W_add (k, d) ->
       let cur =
-        match Hashtbl.find_opt t.kv k with
+        match M.find_opt k t.kv with
         | Some v -> ( try int_of_string v with _ -> 0)
         | None -> 0
       in
-      Hashtbl.replace t.kv k (string_of_int (cur + d))
+      t.kv <- M.add k (string_of_int (cur + d)) t.kv
 
 let my_slice t (tx : Cmd.tx) =
   match List.assoc_opt t.shard tx.ops with Some w -> w | None -> []
@@ -145,16 +134,12 @@ let serialize t =
     Buffer.add_string b s
   in
   Buffer.add_string b (Store.Codec.int t.shard);
-  let kvs =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.kv []
-    |> List.sort compare
-  in
-  add (Store.Codec.int (List.length kvs));
-  List.iter
-    (fun (k, v) ->
+  add (Store.Codec.int (M.cardinal t.kv));
+  M.iter
+    (fun k v ->
       add (Store.Codec.quoted k);
       add (Store.Codec.quoted v))
-    kvs;
+    t.kv;
   let txs =
     Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.txs []
     |> List.sort compare
@@ -183,7 +168,7 @@ let restore s =
   for _ = 1 to nkv do
     let k = str () in
     let v = str () in
-    Hashtbl.replace t.kv k v
+    t.kv <- M.add k v t.kv
   done;
   let ntx = int () in
   for _ = 1 to ntx do

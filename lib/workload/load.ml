@@ -1,12 +1,7 @@
-type mix = { set_pct : int; get_pct : int; cas_pct : int }
-
-let default_mix = { set_pct = 60; get_pct = 25; cas_pct = 15 }
-
 type t = {
   clients : int;
   ops_per_client : int;
   keys : int;
-  mix : mix;
   zipf_s : float;
   tx_pct : int;
   tx_span : int;
@@ -19,7 +14,6 @@ let default =
     clients = 16;
     ops_per_client = 4;
     keys = 64;
-    mix = default_mix;
     zipf_s = 1.1;
     tx_pct = 10;
     tx_span = 2;
@@ -28,8 +22,6 @@ let default =
   }
 
 let validate l =
-  if l.mix.set_pct + l.mix.get_pct + l.mix.cas_pct <> 100 then
-    invalid_arg "Load: op mix must sum to 100";
   if l.clients < 1 || l.ops_per_client < 0 then
     invalid_arg "Load: need clients >= 1 and ops >= 0";
   if l.keys < 1 then invalid_arg "Load: need at least one key";
@@ -85,23 +77,15 @@ let sampler ~shards ~keys ~zipf_s =
 let sample_key sampler rng ~shard =
   sampler.pools.(shard).(zipf_pick rng sampler.cdfs.(shard))
 
-let kv_cmd_of_roll ~mix rng key tag =
-  let roll = Dsim.Rng.int rng 100 in
-  if roll < mix.set_pct then Obj.Kv.Set (key, tag)
-  else if roll < mix.set_pct + mix.get_pct then Obj.Kv.Get key
-  else Obj.Kv.Cas { key; expect = None; update = "cas-" ^ tag }
-
-let gen_kv_ops ?(shards = 1) ?(keys = 8) ?(mix = default_mix) ?(zipf_s = 0.)
-    ~seed ~clients ~commands () =
-  if mix.set_pct + mix.get_pct + mix.cas_pct <> 100 then
-    invalid_arg "Load.gen_kv_ops: op mix must sum to 100";
+let gen_kv_ops ?(shards = 1) ?(keys = 8) ?(zipf_s = 0.) ~seed ~clients
+    ~commands () =
   let rng = Dsim.Rng.create seed in
   let sm = sampler ~shards ~keys ~zipf_s in
   Array.init clients (fun c ->
       List.init commands (fun k ->
           let shard = Dsim.Rng.int rng shards in
           let key = key_name (sample_key sm rng ~shard) in
-          kv_cmd_of_roll ~mix rng key (Printf.sprintf "c%d.%d" c k)))
+          Obj.Kv.gen_op ~rng ~key ~tag:(Printf.sprintf "c%d.%d" c k)))
 
 let gen_obj_ops (type a) (module O : Obj.Spec.S with type op = a) ?(keys = 8)
     ?(zipf_s = 0.) ~seed ~clients ~commands () : a list array =
@@ -135,7 +119,7 @@ let gen_shard_ops l =
             let shard = Dsim.Rng.int rng l.shards in
             let key = key_name (sample_key sm rng ~shard) in
             Shard.Runner.Single
-              (kv_cmd_of_roll ~mix:l.mix rng key (Printf.sprintf "c%d.%d" c k))))
+              (Obj.Kv.gen_op ~rng ~key ~tag:(Printf.sprintf "c%d.%d" c k))))
 
 let throughput ~acked ~virtual_time =
   if virtual_time = 0 then 0.

@@ -1,12 +1,13 @@
 (** The shared heavy-traffic workload generator.
 
     One configuration describes a client population (count, per-client
-    operation budget), a keyspace with Zipfian/hot-key skew, an
-    SET/GET/CAS mix, and — for sharded deployments — a multi-shard
-    transaction mix.  Both the single-group {!Rsm_load} harness and the
-    sharded {!Shard_load} harness draw from here, so their per-run stats
-    plumbing ({!throughput}, {!latency_opt}) and key distributions are
-    one implementation.
+    operation budget), a keyspace with Zipfian/hot-key skew and — for
+    sharded deployments — a multi-shard transaction mix.  Every KV
+    command is drawn by {!Obj.Kv.gen_op}, the KV object's own mix (60%
+    SET, 25% GET, 15% CAS).  Both the single-group {!Rsm_load} harness
+    and the sharded {!Shard_load} harness draw from here, so their
+    per-run stats plumbing ({!throughput}, {!latency_opt}) and key
+    distributions are one implementation.
 
     Shard-awareness: keys are partitioned into per-shard pools using
     the {e same} router hash the sharded runner uses, and skew is
@@ -14,16 +15,10 @@
     planet-scale traffic shape.  [shards = 1] degenerates to plain
     Zipf over the whole keyspace. *)
 
-type mix = { set_pct : int; get_pct : int; cas_pct : int }
-
-val default_mix : mix
-(** 60% SET, 25% GET, 15% CAS. *)
-
 type t = {
   clients : int;
   ops_per_client : int;
   keys : int;
-  mix : mix;
   zipf_s : float;  (** skew exponent; 0 = uniform *)
   tx_pct : int;  (** % of operations that are multi-key transactions *)
   tx_span : int;  (** shards a transaction touches (capped at [shards]) *)
@@ -48,7 +43,6 @@ val key_name : int -> string
 val gen_kv_ops :
   ?shards:int ->
   ?keys:int ->
-  ?mix:mix ->
   ?zipf_s:float ->
   seed:int64 ->
   clients:int ->
@@ -56,8 +50,9 @@ val gen_kv_ops :
   unit ->
   Obj.Kv.op list array
 (** Plain key-value command lists (no transactions) — the single-group
-    generator, now shard-aware: with [shards > 1], traffic is balanced
-    across the per-shard key pools. *)
+    generator, shard-aware: with [shards > 1], traffic is balanced
+    across the per-shard key pools.  Defaults: one shard, 8 keys, no
+    skew. *)
 
 val gen_obj_ops :
   (module Obj.Spec.S with type op = 'a) ->
