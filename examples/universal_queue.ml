@@ -22,7 +22,7 @@ let () =
   Format.printf "— replicated: queue over the consensus log (n=5, 1 crash)@.";
   let s =
     Workload.Obj_load.run ~n:5 ~clients:3 ~commands:6 ~crashes:1 ~seed:7
-      ~quiet:true ~backend:Rsm.Backend.ben_or (Obj.Registry.find "queue")
+      ~backend:Rsm.Backend.ben_or (Obj.Registry.find "queue")
   in
   Format.printf
     "  %d/%d acked over %d slots, %d Wing–Gong states searched: %s@.@."

@@ -385,13 +385,13 @@ let spawn_replica t pid =
       ~name:(fun () -> Printf.sprintf "rsm-replica-%d" pid)
       (replica_loop t pid)
 
-let create ~engine ~label ~n ~backend ~seed ~latency ~batch ~store ~machine:m
+let create ~engine ~label ~n ~backend ~seed ~batch ~store ~machine:m
     ~on_first_apply ~on_ready =
   if n < 1 then invalid_arg "Group.create: need at least one replica";
   if batch < 1 then invalid_arg "Group.create: batch must be >= 1";
   let policy_ref = ref (fun _ -> Netsim.Async_net.Deliver) in
   let net =
-    Netsim.Async_net.create engine ~n ~latency
+    Netsim.Async_net.create engine ~n
       ~policy:(fun env -> !policy_ref env)
       ~retain_inbox:false ()
   in

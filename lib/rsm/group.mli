@@ -109,18 +109,18 @@ val create :
   n:int ->
   backend:Backend.t ->
   seed:int64 ->
-  latency:Netsim.Latency.t ->
   batch:int ->
   store:store_config option ->
   machine:('op, 'st, 'out) machine ->
   on_first_apply:('op -> 'out -> unit) ->
   on_ready:(cid:int -> unit) ->
   ('op, 'st, 'out) t
-(** Wire the group and spawn its [n] replica processes.  [batch] caps
-    the commands per proposal (>= 1).  [label] prefixes the group's
-    crash, restart, recovery and install trace lines (empty for a lone
-    group, ["shard 2"] in a sharded run).  [store = None] keeps the
-    recoverable model, where memory survives a crash. *)
+(** Wire the group and spawn its [n] replica processes.  The group's
+    network has {!Netsim.Async_net}'s default latency, uniform 1-10.
+    [batch] caps the commands per proposal (>= 1).  [label] prefixes
+    the group's crash, restart, recovery and install trace lines (empty
+    for a lone group, ["shard 2"] in a sharded run).  [store = None]
+    keeps the recoverable model, where memory survives a crash. *)
 
 val submit : ('op, _, _) t -> start:int -> cid:int -> 'op -> bool
 (** Record the submission, then inject the command at the first live

@@ -11,7 +11,6 @@ type ('op, 'st) config = {
   n : int;
   batch : int;
   seed : int64;
-  latency : Netsim.Latency.t;
   crash_schedule : (int * int) list;
   restart_schedule : (int * int) list;
   inject : (('op, 'st, string) Group.t -> unit) option;
@@ -29,7 +28,6 @@ let default_config ~n ~ops =
     n;
     batch = 8;
     seed = 1L;
-    latency = Netsim.Latency.Uniform (1, 10);
     crash_schedule = [];
     restart_schedule = [];
     inject = None;
@@ -102,8 +100,7 @@ let run (type op st) (machine : (op, st, string) Group.machine)
   let acks = Array.init clients (fun _ -> Dsim.Engine.queue eng) in
   let g =
     Group.create ~engine:eng ~label:"" ~n:cfg.n ~backend:cfg.backend
-      ~seed:cfg.seed ~latency:cfg.latency ~batch:cfg.batch ~store:cfg.store
-      ~machine
+      ~seed:cfg.seed ~batch:cfg.batch ~store:cfg.store ~machine
       ~on_first_apply:(fun _ _ -> ())
       ~on_ready:(fun ~cid ->
         let c = client_of_cid cid in

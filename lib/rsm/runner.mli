@@ -49,7 +49,6 @@ type ('op, 'st) config = {
   n : int;  (** replicas *)
   batch : int;  (** max commands per slot proposal *)
   seed : int64;
-  latency : Netsim.Latency.t;
   crash_schedule : (int * int) list;
       (** [(virtual_time, pid)]: crash-stop that replica at that time *)
   restart_schedule : (int * int) list;
@@ -79,8 +78,9 @@ type ('op, 'st) config = {
 }
 
 val default_config : n:int -> ops:'op list array -> ('op, 'st) config
-(** Ben-Or backend, batch 8, seed 1, uniform 1-10 latency, no faults,
-    unbounded trace, ack timeout 2000, 5M event budget, no store. *)
+(** Ben-Or backend, batch 8, seed 1, no faults, unbounded trace, ack
+    timeout 2000, 5M event budget, no store.  Messages take
+    {!Group.create}'s latency, uniform 1-10. *)
 
 type 'op hist = {
   h_cid : int;

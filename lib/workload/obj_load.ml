@@ -23,10 +23,9 @@ type summary = {
    in one immediate int). *)
 let max_history = 62
 
-let run ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
-    ?(crashes = 0) ?restart_after ?(seed = 1) ?(keys = 8) ?(zipf_s = 1.1)
-    ?(quiet = false) ?trace_capacity ?ack_timeout ?max_events ?inject ?store
-    ?drop_nth ?max_states ~backend (module O : Obj.Spec.S) : summary =
+let run ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8) ?(crashes = 0)
+    ?restart_after ?(seed = 1) ?ack_timeout ?max_events ?inject ?store ?drop_nth
+    ~backend (module O : Obj.Spec.S) : summary =
   if clients * commands > max_history then
     invalid_arg
       (Printf.sprintf
@@ -37,7 +36,7 @@ let run ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
   let ops =
     Load.gen_obj_ops
       (module O)
-      ~keys ~zipf_s ~seed:(Int64.of_int seed) ~clients ~commands ()
+      ~keys:8 ~zipf_s:1.1 ~seed:(Int64.of_int seed) ~clients ~commands ()
   in
   let crash_schedule, restart_schedule =
     match restart_after with
@@ -53,8 +52,7 @@ let run ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
       seed = Int64.of_int seed;
       crash_schedule;
       restart_schedule;
-      quiet;
-      trace_capacity;
+      quiet = true;
       inject = Option.map (fun i -> i.inject) inject;
       ack_timeout = Option.value ack_timeout ~default:base.Rsm.Runner.ack_timeout;
       max_events = Option.value max_events ~default:base.Rsm.Runner.max_events;
@@ -62,11 +60,11 @@ let run ?(n = 5) ?(clients = 3) ?(commands = 6) ?(batch = 8)
     }
   in
   let r = Rsm.Runner.run (Rep.app ?drop_nth ()) cfg in
-  let wg = Rep.check ?max_states r.Rsm.Runner.history in
+  let wg = Rep.check r.Rsm.Runner.history in
   let wg_violations =
     match wg.Rep.W.verdict with
     | Rep.W.Linearizable _ -> []
-    | _ -> Rep.violations ?max_states r.Rsm.Runner.history
+    | _ -> Rep.violations r.Rsm.Runner.history
   in
   let order_violations =
     List.length r.violations + List.length r.completeness

@@ -47,22 +47,17 @@ val run :
   ?crashes:int ->
   ?restart_after:int ->
   ?seed:int ->
-  ?keys:int ->
-  ?zipf_s:float ->
-  ?quiet:bool ->
-  ?trace_capacity:int ->
   ?ack_timeout:int ->
   ?max_events:int ->
   ?inject:injector ->
   ?store:Rsm.Runner.store_config ->
   ?drop_nth:int ->
-  ?max_states:int ->
   backend:Rsm.Backend.t ->
   Obj.Spec.packed ->
   summary
-(** One replicated run of the given object.  Defaults: 5 replicas, 3
-    clients x 6 commands, batch 8, seed 1, 8 keys at skew 1.1.
-    [crashes] / [restart_after] behave as in {!Rsm_load.run_one};
+(** One quiet replicated run of the given object over 8 keys at Zipf
+    skew 1.1.  Defaults: 5 replicas, 3 clients x 6 commands, batch 8,
+    seed 1.  [crashes] / [restart_after] behave as in {!Rsm_load.run_one};
     [drop_nth] builds the {e broken} universal construction that
     discards the n-th state-changing log entry's effect (the Wing–Gong
     check convicts it while order and digest gates stay silent). *)

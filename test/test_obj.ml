@@ -245,7 +245,7 @@ let wg_budget_inconclusive () =
 
 let run_obj ?drop_nth ?(seed = 1) ?(crashes = 0) ?restart_after ~backend name =
   Workload.Obj_load.run ~n:5 ~clients:3 ~commands:6 ~batch:8 ~crashes
-    ?restart_after ~seed ~quiet:true ?drop_nth ~backend (Obj.Registry.find name)
+    ?restart_after ~seed ?drop_nth ~backend (Obj.Registry.find name)
 
 let replicated_clean name backend () =
   let s = run_obj ~backend name in

@@ -79,9 +79,8 @@ let unit_machine =
 
 (* [n] replicas of [unit_machine] on Ben-Or, without a store. *)
 let unit_group eng ~n ~seed =
-  Group.create ~engine:eng ~label:"" ~n ~backend:Backend.ben_or ~seed
-    ~latency:(Netsim.Latency.Uniform (1, 10)) ~batch:4 ~store:None
-    ~machine:unit_machine
+  Group.create ~engine:eng ~label:"" ~n ~backend:Backend.ben_or ~seed ~batch:4
+    ~store:None ~machine:unit_machine
     ~on_first_apply:(fun _ () -> ())
     ~on_ready:(fun ~cid:_ -> ())
 
