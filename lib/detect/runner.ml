@@ -270,24 +270,21 @@ let run ?(n = 4) ?(seed = 1L) ?(params = Timeout.default) ?(mutant = Oracle.Hone
   in
   let engine = Engine.create ~seed ~tracing:(not quiet) () in
   let net = Net.create engine ~n ?policy ~retain_inbox:false () in
-  (* some node decided *)
-  let decided = Engine.queue engine in
-  let nodes =
-    start ~net ~params ~mutant ~inputs ~on_decide:(fun _ _ -> Engine.signal decided)
-  in
-  let decisions = nodes.decisions in
-  (* Supervisor: once every node knows the decision, stop the detector
-     and coordinators so the engine can go quiescent.  It must be all
-     [n] nodes, not just the currently-live ones: a node crashed now
-     may restart later, and only live heartbeat gossip can hand it the
+  (* The last of the [n] nodes to decide stops the detector and the
+     coordinators, so the engine can go quiescent.  It must be all [n]
+     nodes, not just the currently-live ones: a node crashed now may
+     restart later, and only live heartbeat gossip can hand it the
      decision — stopping early would strand it undecided forever.  A
      permanently-crashed node merely keeps the run going to the
      horizon. *)
-  ignore
-    (Engine.spawn engine ~name:(fun () -> "supervisor") (fun _ctx ->
-         Engine.await_cond decided (fun () ->
-             Array.for_all (fun d -> d <> None) decisions);
-         nodes.stop ()));
+  let undecided = ref n and stop = ref ignore in
+  let nodes =
+    start ~net ~params ~mutant ~inputs ~on_decide:(fun _ _ ->
+        decr undecided;
+        if !undecided = 0 then !stop ())
+  in
+  stop := nodes.stop;
+  let decisions = nodes.decisions in
   Option.iter (fun f -> f net) install;
   let outcome = Engine.run ~until:horizon ~max_events engine in
   nodes.stop ();

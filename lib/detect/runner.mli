@@ -12,9 +12,9 @@
     The protocol's nodes are {!start}: on a network the caller owns,
     each node's delivery handler (acceptor and learner) and
     coordinator fiber (proposer), plus the detector they share.
-    {!run} is the whole-system run with a supervisor, a horizon and a
-    report; [Rsm.Backend.omega] places the same nodes on a nested
-    network of its own. *)
+    {!run} is the whole-system run, with a horizon and a report, which
+    the last node to decide stops; [Rsm.Backend.omega] places the same
+    nodes on a nested network of its own. *)
 
 type msg =
   | Hb of bool option  (** heartbeat carrying the sender's decision *)
@@ -88,7 +88,7 @@ val run :
   unit ->
   report
 (** One simulated instance: {!start} on a fresh engine and network,
-    plus a supervisor that calls [stop] once every node has decided.
+    whose [on_decide] calls [stop] at the last of the [n] decisions.
     Defaults: [n = 4], disagreeing inputs, honest detector,
     [horizon = 5000].  The run's faults are its network's: [policy] is
     the network's per-message verdict, and [install] gets the network
