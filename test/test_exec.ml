@@ -91,7 +91,7 @@ let campaign_report_independent_of_jobs () =
 
 let sweep_cells_independent_of_jobs () =
   let sweep jobs =
-    Workload.Rsm_load.sweep_batches ~n:5 ~clients:4 ~commands:2 ~seeds:1
+    Workload.Rsm_load.sweep_batches ~clients:4 ~commands:2 ~seeds:1
       ~batches:[ 1; 4 ]
       ~backends:[ Rsm.Backend.ben_or ]
       ~jobs null_ppf
