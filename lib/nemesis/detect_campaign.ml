@@ -5,7 +5,6 @@ type config = {
   params : Detect.Timeout.params list;
   mutant : Detect.Oracle.mutant;
   profile : Gen.profile;
-  max_events : int;
 }
 
 let default_config ?(n = 4) () =
@@ -16,7 +15,6 @@ let default_config ?(n = 4) () =
     params = [ Detect.Timeout.default ];
     mutant = Detect.Oracle.Honest;
     profile = Gen.default ~n;
-    max_events = 400_000;
   }
 
 let horizon_slack = 3000
@@ -64,7 +62,7 @@ let run_plan ?(quiet = true) cfg ~params ~seed plan =
     ~seed:(Int64.of_int seed)
     ~params ~mutant:cfg.mutant
     ~horizon:(cfg.profile.Gen.horizon + horizon_slack)
-    ~max_events:cfg.max_events ~quiet
+    ~max_events:400_000 ~quiet
     ~policy:(Interp.policy plan) ~install:(Interp.install_detect plan) ()
 
 let outcome_of_run cfg ~params_ix ~seed plan (r : Detect.Runner.report) =

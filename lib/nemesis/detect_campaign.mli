@@ -18,12 +18,12 @@ type config = {
       (** detector parameter grid; must not be empty *)
   mutant : Detect.Oracle.mutant;
   profile : Gen.profile;
-  max_events : int;
 }
 
 val default_config : ?n:int -> unit -> config
 (** 50 plans from seed 1 at n=4, default timeout parameters, honest
-    detector, default minority-crash profile. *)
+    detector, default minority-crash profile.  Every run has a budget
+    of 400,000 events. *)
 
 val horizon_slack : int
 (** Virtual time a run gets past the plan horizon (3,000) for
